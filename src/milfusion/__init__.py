@@ -62,7 +62,6 @@ from .pooling import (
     supervised_attention_pool,
 )
 from .training import (
-    CurriculumState,
     PseudoLabelRecord,
     TrainConfig,
     pseudo_label,

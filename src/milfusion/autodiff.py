@@ -6,7 +6,11 @@ Design choices, deliberately boring:
   * a tape is rebuilt for every forward pass and is confined to one thread
     (distinct tapes may run concurrently);
   * softmax subtracts the max before exponentiating; log raises a DomainError
-    instead of clamping, so silent NaN sources cannot appear.
+    instead of clamping, so silent NaN sources cannot appear;
+  * the model's layers are fused ops, one node each with a hand-written
+    backward pass (an encoder layer, attention scores, the attention-weighted
+    sum, the dual-attention combine, the fusion gate, the output layer, the
+    cross-entropy and the supervision KL), so a training bag records ~38 nodes.
 """
 
 from __future__ import annotations
@@ -177,13 +181,18 @@ def relu(x):
     return _emit("relu", np.where(mask, x.data, 0.0), x.shape, (x,), lambda g: (np.where(mask, g, 0.0),))
 
 
-def sigmoid(x):
-    xd = x.data
-    y = np.empty_like(xd)
-    pos = xd >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    e = np.exp(xd[~pos])
+def logistic(x):
+    """Elementwise 1 / (1 + exp(-x)) of an array, evaluated without overflow."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
     y[~pos] = e / (1.0 + e)
+    return y
+
+
+def sigmoid(x):
+    y = logistic(x.data)
     return _emit("sigmoid", y, x.shape, (x,), lambda g: (y * (1.0 - y) * g,))
 
 
@@ -216,24 +225,6 @@ def scalar_mul(c, x):
     return _emit("scalar_mul", c0 * x.data, x.shape, (x,), lambda g: (c0 * g,))
 
 
-_ELEMENTWISE = {}
-
-
-def elementwise(op_kind, *args):
-    """Dispatch an elementwise op by name: tanh, exp, log, neg, add, mul, scalar_mul."""
-    try:
-        fn = _ELEMENTWISE[op_kind]
-    except KeyError:
-        raise ContractError(f"unknown elementwise op kind: {op_kind!r}") from None
-    return fn(*args)
-
-
-_ELEMENTWISE.update(
-    {"tanh": tanh, "exp": exp, "log": log, "neg": neg, "add": add, "mul": mul,
-     "scalar_mul": scalar_mul}
-)
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 
@@ -257,14 +248,6 @@ def matmul(a, b):
         return (ga, gb)
 
     return _emit("matmul", (A @ B).reshape(-1), (m, n), (a, b), grad_fn)
-
-
-def transpose(x):
-    if len(x.shape) != 2:
-        raise DimensionError(f"transpose needs a 2-D tensor, got {list(x.shape)}")
-    m, k = x.shape
-    y = x.data.reshape(m, k).T.copy().reshape(-1)
-    return _emit("transpose", y, (k, m), (x,), lambda g: (g.reshape(k, m).T.copy().reshape(-1),))
 
 
 def reshape(x, shape):
@@ -328,6 +311,192 @@ def softmax(x):
     e = np.exp(z)
     y = e / e.sum()
     return _emit("softmax", y, x.shape, (x,), lambda g: (y * (g - np.dot(g, y)),))
+
+
+# ---------------------------------------------------------------------------
+# fused ops: each records one node whose backward pass is written by hand and
+# skips the gradients of constant inputs
+
+
+def _check_operands(ok, signature, *operands):
+    if not ok:
+        shapes = ", ".join(str(list(t.shape)) for t in operands)
+        raise DimensionError(f"{signature}: got {shapes}")
+
+
+def activate(z, activation):
+    """The encoder activation ("tanh" or "relu") applied to an array."""
+    if activation == "tanh":
+        return np.tanh(z)
+    if activation == "relu":
+        return np.where(z > 0.0, z, 0.0)
+    raise ContractError(f"unknown activation {activation!r}")
+
+
+def linear(x, W, b, activation):
+    """act(x W + b) for rows x [K, n], W [n, m], b [m]; act is "tanh" or "relu"."""
+    _check_operands(len(x.shape) == 2 and len(W.shape) == 2 and x.shape[1] == W.shape[0]
+                    and b.shape == W.shape[1:], "linear needs x [K,n], W [n,m], b [m]", x, W, b)
+    k, n = x.shape
+    m = W.shape[1]
+    X = x.data.reshape(k, n)
+    Wm = W.data.reshape(n, m)
+    y = activate(X @ Wm + b.data, activation)
+    need_x, need_w, need_b = x.tape is not None, W.tape is not None, b.tape is not None
+
+    def grad_fn(g):
+        G = g.reshape(k, m)
+        G = (1.0 - y * y) * G if activation == "tanh" else np.where(y > 0.0, G, 0.0)
+        return (
+            (G @ Wm.T).reshape(-1) if need_x else None,
+            (X.T @ G).reshape(-1) if need_w else None,
+            G.sum(axis=0) if need_b else None,
+        )
+
+    return _emit("linear", y.reshape(-1), (k, m), (x, W, b), grad_fn)
+
+
+def attention_scores(H, U, w):
+    """Scores s_k = w' tanh(U h_k) of the rows h_k of H [K, M]; U [L, M], w [L] -> [K]."""
+    _check_operands(len(H.shape) == 2 and len(U.shape) == 2 and H.shape[1] == U.shape[1]
+                    and w.shape == U.shape[:1], "attention_scores needs H [K,M], U [L,M], w [L]",
+                    H, U, w)
+    k, m = H.shape
+    l = U.shape[0]
+    Hm = H.data.reshape(k, m)
+    Um = U.data.reshape(l, m)
+    wd = w.data
+    T = np.tanh(Hm @ Um.T)  # [K, L]
+    need_h, need_u, need_w = H.tape is not None, U.tape is not None, w.tape is not None
+
+    def grad_fn(g):
+        gT = np.outer(g, wd) * (1.0 - T * T)
+        return (
+            (gT @ Um).reshape(-1) if need_h else None,
+            (gT.T @ Hm).reshape(-1) if need_u else None,
+            T.T @ g if need_w else None,
+        )
+
+    return _emit("attention_scores", T @ wd, (k,), (H, U, w), grad_fn)
+
+
+def weighted_sum(a, H):
+    """sum_k a_k h_k for weights a [K] and rows H [K, M] -> [M]."""
+    _check_operands(len(H.shape) == 2 and a.shape == H.shape[:1],
+                    "weighted_sum needs a [K], H [K,M]", a, H)
+    k, m = H.shape
+    av = a.data
+    Hm = H.data.reshape(k, m)
+    need_a, need_h = a.tape is not None, H.tape is not None
+
+    def grad_fn(g):
+        return (Hm @ g if need_a else None, np.outer(av, g).reshape(-1) if need_h else None)
+
+    return _emit("weighted_sum", av @ Hm, (m,), (a, H), grad_fn)
+
+
+def normalized_product(a, b):
+    """c_k = a_k b_k / sum_j a_j b_j for 1-D a and b of one length."""
+    _same_shape("normalized_product", a, b)
+    av, bv = a.data, b.data
+    p = av * bv
+    total_p = p.sum()
+    if total_p == 0.0:
+        raise DomainError("normalized_product: the products sum to zero")
+    inv = 1.0 / total_p
+    c = inv * p
+    need_a, need_b = a.tape is not None, b.tape is not None
+
+    def grad_fn(g):
+        gp = inv * (g - np.dot(g, c))
+        return (gp * bv if need_a else None, gp * av if need_b else None)
+
+    return _emit("normalized_product", c, a.shape, (a, b), grad_fn)
+
+
+def gated_blend(z, zt, U, w):
+    """Fusion gate: s = alpha z + (1 - alpha) zt, alpha = sigmoid(w' tanh(U z) - w' tanh(U zt)).
+
+    z and zt are 1-D of dim M, U is [L, M], w is [L]. Returns (s, alpha as a
+    float).
+    """
+    _check_operands(len(U.shape) == 2 and z.shape == zt.shape == U.shape[1:]
+                    and w.shape == U.shape[:1], "gated_blend needs z [M], zt [M], U [L,M], w [L]",
+                    z, zt, U, w)
+    l, m = U.shape
+    Um = U.data.reshape(l, m)
+    wd, zd, ztd = w.data, z.data, zt.data
+    t = np.tanh(Um @ zd)
+    tt = np.tanh(Um @ ztd)
+    alpha = float(logistic(np.array([wd @ t - wd @ tt]))[0])
+    need_z, need_zt = z.tape is not None, zt.tape is not None
+    need_u, need_w = U.tape is not None, w.tape is not None
+
+    def grad_fn(g):
+        gd = (np.dot(g, zd) - np.dot(g, ztd)) * (alpha * (1.0 - alpha))
+        gt = gd * wd * (1.0 - t * t)
+        gtt = -gd * wd * (1.0 - tt * tt)
+        return (
+            alpha * g + Um.T @ gt if need_z else None,
+            (1.0 - alpha) * g + Um.T @ gtt if need_zt else None,
+            (np.outer(gt, zd) + np.outer(gtt, ztd)).reshape(-1) if need_u else None,
+            gd * (t - tt) if need_w else None,
+        )
+
+    s = alpha * zd + (1.0 - alpha) * ztd
+    return _emit("gated_blend", s, z.shape, (z, zt, U, w), grad_fn), alpha
+
+
+def affine(W, x, b):
+    """W x + b for W [n, m], x [m], b [n] -> [n]."""
+    _check_operands(len(W.shape) == 2 and x.shape == W.shape[1:] and b.shape == W.shape[:1],
+                    "affine needs W [n,m], x [m], b [n]", W, x, b)
+    n, m = W.shape
+    Wm = W.data.reshape(n, m)
+    xd = x.data
+    need_w, need_x = W.tape is not None, x.tape is not None
+
+    def grad_fn(g):
+        return (np.outer(g, xd).reshape(-1) if need_w else None,
+                Wm.T @ g if need_x else None, g)
+
+    return _emit("affine", Wm @ xd + b.data, (n,), (W, x, b), grad_fn)
+
+
+def nll(p, index):
+    """-log p[index] of a 1-D probability vector, as a shape-[1] tensor."""
+    _check_operands(len(p.shape) == 1, "nll needs p [n]", p)
+    index = int(index)
+    if not 0 <= index < p.shape[0]:
+        raise ContractError(f"nll index {index} out of range for length {p.shape[0]}")
+    py = p.data[index]
+    if py <= 0.0:
+        raise DomainError(f"log: non-positive input ({py!r})")
+    n = p.size
+
+    def grad_fn(g):
+        out = np.zeros(n)
+        out[index] = -g[0] / py
+        return (out,)
+
+    return _emit("nll", np.array([-np.log(py)]), (1,), (p,), grad_fn)
+
+
+def kl_divergence(r, A):
+    """KL(r || A) = sum_k r_k log(r_k / A_k) for a constant positive array r and a tensor A.
+
+    r enters as a constant: only A receives a gradient.
+    """
+    r = np.asarray(r, dtype=np.float64).reshape(-1)
+    _check_operands(A.shape == r.shape, f"kl_divergence needs A of shape {list(r.shape)}", A)
+    if np.any(r <= 0.0):
+        raise DomainError("kl_divergence needs strictly positive reference weights")
+    av = A.data
+    if np.any(av <= 0.0):
+        raise DomainError(f"log: non-positive input (min={av.min()!r})")
+    value = np.dot(r, np.log(r)) - np.dot(r, np.log(av))
+    return _emit("kl_divergence", np.array([value]), (1,), (A,),
+                 lambda g: ((r * -g[0]) / av,))
 
 
 # ---------------------------------------------------------------------------

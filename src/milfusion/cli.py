@@ -44,7 +44,13 @@ from .metrics import (
     save_report,
 )
 from .model import ModelConfig, config_to_dict, load_model, save_model
-from .training import TrainConfig, predictions_for, run_curriculum, train_supervised
+from .training import (
+    TrainConfig,
+    predictions_for,
+    run_curriculum,
+    run_supervised_only,
+    train_supervised,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -239,22 +245,7 @@ def _cmd_ssl(args):
     train_config = _train_config(file_cfg, args)
     if args.ablate_ssl:
         logger.warning("--ablate-ssl: running supervised-only training")
-        model, history = train_supervised(
-            train_config.seed + 1,
-            iterate_split(dataset, "train"),
-            iterate_split(dataset, "val"),
-            model_config,
-            train_config,
-        )
-        report = [{
-            "round": 1,
-            "fraction": 0.0,
-            "selected_count": 0,
-            "val_balanced_accuracy": history["best_val_balanced_accuracy"],
-            "pseudo_label_accuracy": None,
-            "init_seed": history["init_seed"],
-            "init_weights_sha256": history["init_weights_sha256"],
-        }]
+        model, report = run_supervised_only(dataset, model_config, train_config)
     else:
         hidden_truth = load_hidden_truth(data_dir)
         model, report = run_curriculum(dataset, model_config, train_config, hidden_truth)

@@ -86,7 +86,9 @@ class Bag:
     def __post_init__(self):
         if len(self.cine_instances) + len(self.doppler_instances) < 1:
             raise FormatError(f"bag {self.id!r} has no instances")
-        if self.label is not None and self.label not in (0, 1, 2):
+        if self.label is not None and (
+                isinstance(self.label, bool) or not isinstance(self.label, (int, np.integer))
+                or self.label not in (0, 1, 2)):
             raise FormatError(f"bag {self.id!r} has invalid label {self.label!r}")
 
 
@@ -292,6 +294,20 @@ def save(dataset, dir_path, hidden_truth=None):
         (root / "hidden_truth.json").write_text(json.dumps(hidden_truth, indent=1))
 
 
+def checked_relative_path(rel, owner):
+    """A manifest ``file`` entry, checked to name a path inside the manifest's directory.
+
+    A string check (not absolute, no ``..`` component) rather than a
+    filesystem ``resolve()``, so loading thousands of files stays cheap.
+    """
+    if not isinstance(rel, str) or not rel:
+        raise FormatError(f"{owner}: file entry must be a non-empty string, got {rel!r}")
+    parts = rel.replace("\\", "/").split("/")
+    if rel.startswith(("/", "\\")) or ".." in parts:
+        raise FormatError(f"{owner}: file {rel!r} points outside the directory")
+    return rel
+
+
 def load(dir_path):
     """Read a dataset directory written by :func:`save`."""
     root = Path(dir_path)
@@ -316,7 +332,7 @@ def load(dir_path):
             if modality not in MODALITIES:
                 raise FormatError(f"bag {bag_id!r}: unknown modality {modality!r}")
             shape = tuple(int(d) for d in inst.get("shape", ()))
-            fpath = root / inst.get("file", "")
+            fpath = root / checked_relative_path(inst.get("file"), f"bag {bag_id!r}")
             if not fpath.is_file():
                 raise FormatError(f"bag {bag_id!r}: missing feature file {inst.get('file')!r}")
             features = np.frombuffer(fpath.read_bytes(), dtype="<f8")

@@ -80,7 +80,9 @@ def preprocess(config, instance):
             raise ContractError(
                 f"cine instance needs a frame axis, got shape {list(instance.shape)}"
             )
-        flat = instance.features.reshape(instance.shape).mean(axis=0).reshape(-1)
+        # the sum-then-divide of ndarray.mean, without its per-call overhead
+        frames = instance.features.reshape(instance.shape)
+        flat = np.add.reduce(frames, axis=0).reshape(-1) / instance.shape[0]
     else:
         flat = instance.features.reshape(-1)
     if flat.size != config.input_dim:
@@ -92,16 +94,10 @@ def preprocess(config, instance):
 
 def encode_rows(encoder, rows):
     """Run a [K, input_dim] tensor of preprocessed rows through the MLP -> [K, M]."""
-    k = rows.shape[0]
-    act = ad.tanh if encoder.config.activation == "tanh" else ad.relu
-    ones = ad.Tensor.const(np.ones((k, 1)))
     h = rows
     for i in range(len(encoder.config.layer_dims)):
-        w = encoder.weights[f"layer{i}.W"]
-        b = encoder.weights[f"layer{i}.b"]
-        lin = ad.matmul(h, w)
-        bias = ad.matmul(ones, ad.reshape(b, (1, b.size)))
-        h = act(ad.add(lin, bias))
+        h = ad.linear(h, encoder.weights[f"layer{i}.W"], encoder.weights[f"layer{i}.b"],
+                      encoder.config.activation)
     return h
 
 

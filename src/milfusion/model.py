@@ -12,6 +12,10 @@ probabilities plus lambda times the attention supervision loss (skipped when
 the cine branch is disabled, lambda is zero, or the bag has no cine
 instances).
 
+Inference over many bags (``predict_probs``) computes the same probabilities
+without a tape: a chunk of bags at a time, one matmul per layer over the
+chunk's stacked instances and a per-bag (segment) softmax for attention.
+
 Degenerate bags: when an enabled modality has no instances in a bag, the
 forward pass falls back to the other enabled modality (alpha forced to 1 or
 0); if no enabled modality has instances the bag is skipped via BagSkipError.
@@ -28,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .data import checked_relative_path
 from .encoders import Encoder, EncoderConfig, encode_rows, init_encoder_arrays, preprocess
 from .errors import BagSkipError, ConfigError, ContractError, DataError, FormatError
 from .pooling import (
@@ -41,6 +46,7 @@ from .pooling import (
 logger = logging.getLogger(__name__)
 
 N_CLASSES = 3
+CHECKPOINT_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -91,6 +97,16 @@ def param_specs(config):
     specs.append(("output.W", (N_CLASSES, m)))
     specs.append(("output.b", (N_CLASSES,)))
     return specs
+
+
+def param_views(config, flat):
+    """Named parameter views into one flat buffer laid out in ``param_specs`` order."""
+    views, offset = {}, 0
+    for name, shape in param_specs(config):
+        size = int(np.prod(shape))
+        views[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
 
 
 class MMILModel:
@@ -167,13 +183,6 @@ def _encoder_view(config, prefix, leaves):
     return Encoder(config, weights)
 
 
-def _gate_score(att, v):
-    m = v.size
-    hidden = ad.tanh(ad.matmul(att.U, ad.reshape(v, (m, 1))))  # [L, 1]
-    s = ad.matmul(ad.reshape(att.w, (1, att.w.size)), hidden)  # [1, 1]
-    return ad.reshape(s, (1,))
-
-
 def fuse(z, z_dop, att_fusion):
     """Gated average s = alpha z + (1 - alpha) z~; returns (s, alpha as float)."""
     if z.shape != z_dop.shape or len(z.shape) != 1:
@@ -181,11 +190,7 @@ def fuse(z, z_dop, att_fusion):
             f"fuse needs two 1-D embeddings of equal dim, got "
             f"{list(z.shape)} and {list(z_dop.shape)}"
         )
-    diff = ad.add(_gate_score(att_fusion, z), ad.neg(_gate_score(att_fusion, z_dop)))
-    alpha = ad.sigmoid(diff)  # [1]
-    one = ad.Tensor.const([1.0])
-    s = ad.add(ad.scalar_mul(alpha, z), ad.scalar_mul(ad.add(one, ad.neg(alpha)), z_dop))
-    return s, float(alpha.data[0])
+    return ad.gated_blend(z, z_dop, att_fusion.U, att_fusion.w)
 
 
 def _encode_modality(enc, instances):
@@ -193,12 +198,8 @@ def _encode_modality(enc, instances):
     return encode_rows(enc, ad.Tensor.const(rows))
 
 
-def forward(model, bag):
-    """Full forward pass on one bag; see the module docstring for the policy."""
-    cfg = model.config
-    tape = ad.Tape()
-    leaves = {name: tape.leaf(arr) for name, arr in model.params.items()}
-
+def _branches(cfg, bag):
+    """(run cine, run doppler) for one bag; raises BagSkipError if neither can run."""
     run_cine = cfg.use_cine and len(bag.cine_instances) > 0
     run_doppler = cfg.use_doppler and len(bag.doppler_instances) > 0
     if not (run_cine or run_doppler):
@@ -207,6 +208,15 @@ def forward(model, bag):
         logger.info("bag %s: cine empty, falling back to doppler only", bag.id)
     if cfg.use_doppler and not run_doppler:
         logger.info("bag %s: doppler empty, falling back to cine only", bag.id)
+    return run_cine, run_doppler
+
+
+def forward(model, bag):
+    """Full forward pass on one bag; see the module docstring for the policy."""
+    cfg = model.config
+    tape = ad.Tape()
+    leaves = {name: tape.leaf(arr) for name, arr in model.params.items()}
+    run_cine, run_doppler = _branches(cfg, bag)
 
     pooled_c = pooled_d = cine_a = None
     if run_cine:
@@ -228,11 +238,7 @@ def forward(model, bag):
     else:
         s, alpha = pooled_d.representation, 0.0
 
-    m = cfg.embed_dim
-    logits = ad.add(
-        ad.reshape(ad.matmul(leaves["output.W"], ad.reshape(s, (m, 1))), (N_CLASSES,)),
-        leaves["output.b"],
-    )
+    logits = ad.affine(leaves["output.W"], s, leaves["output.b"])
     return ForwardOutput(
         probs=ad.softmax(logits),
         study_embedding=s,
@@ -250,7 +256,7 @@ def total_loss(model, bag, label):
     if label not in (0, 1, 2):
         raise ContractError(f"label must be in {{0,1,2}}, got {label!r}")
     out = forward(model, bag)
-    loss = ad.neg(ad.log(ad.pick(out.probs, label)))
+    loss = ad.nll(out.probs, label)
     cfg = model.config
     if cfg.use_cine and cfg.lambda_sa > 0 and out.cine_A is not None:
         raw = []
@@ -264,6 +270,93 @@ def total_loss(model, bag, label):
         r = relevance_renormalize(ad.Tensor.const(raw), cfg.tau)
         loss = ad.add(loss, ad.scalar_mul(cfg.lambda_sa, sa_loss(r, out.cine_A)))
     return loss, out
+
+
+# ---------------------------------------------------------------------------
+# tape-free inference
+
+# Bags per batched pass. Stacking all 500 unlabeled bags of the default dataset
+# at once raised the peak memory of an ssl run by ~15 MB; chunks of 32 bags
+# keep the stacked instance arrays small and still amortize the per-call cost.
+INFERENCE_CHUNK = 32
+
+
+def _segment_softmax(scores, starts, counts):
+    """Max-subtracted softmax over each bag's run of ``scores``."""
+    top = np.repeat(np.maximum.reduceat(scores, starts), counts)
+    e = np.exp(scores - top)
+    return e / np.repeat(np.add.reduceat(e, starts), counts)
+
+
+def _scores(params, name, H):
+    """Attention scores w' tanh(U h) of the rows of H under module ``name``."""
+    return np.tanh(H @ params[f"{name}.U"].T) @ params[f"{name}.w"]
+
+
+def _pool_batch(params, enc_cfg, prefix, groups, att_names):
+    """Pooled [B, M] representations of B bags' instance lists.
+
+    One attention module pools with its softmax weights; two combine their
+    weights as c = a b / sum a b (the cine branch's dual attention).
+    """
+    counts = np.array([len(g) for g in groups])
+    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    H = np.stack([preprocess(enc_cfg, inst) for g in groups for inst in g])
+    for i in range(len(enc_cfg.layer_dims)):
+        H = ad.activate(H @ params[f"{prefix}layer{i}.W"] + params[f"{prefix}layer{i}.b"],
+                        enc_cfg.activation)
+    weights = _segment_softmax(_scores(params, att_names[0], H), starts, counts)
+    if len(att_names) == 2:
+        prod = weights * _segment_softmax(_scores(params, att_names[1], H), starts, counts)
+        weights = np.repeat(1.0 / np.add.reduceat(prod, starts), counts) * prod
+    return np.add.reduceat(weights[:, None] * H, starts, axis=0)
+
+
+def _chunk_probs(model, chunk):
+    """[B, 3] class probabilities of (bag, run cine, run doppler) triples."""
+    cfg, params = model.config, model.params
+    run_c = np.array([rc for _, rc, _ in chunk])
+    run_d = np.array([rd for _, _, rd in chunk])
+    s = np.empty((len(chunk), cfg.embed_dim))
+    if run_c.any():
+        z = _pool_batch(params, cfg.cine_encoder, "cine_encoder.",
+                        [bag.cine_instances for bag, rc, _ in chunk if rc], ("att_a", "att_b"))
+        s[run_c] = z
+    if run_d.any():
+        zt = _pool_batch(params, cfg.doppler_encoder, "doppler_encoder.",
+                         [bag.doppler_instances for bag, _, rd in chunk if rd], ("att_doppler",))
+        s[run_d & ~run_c] = zt[~run_c[run_d]]
+        both = run_c & run_d
+        if both.any():
+            zb, ztb = z[run_d[run_c]], zt[run_c[run_d]]
+            diff = _scores(params, "att_fusion", zb) - _scores(params, "att_fusion", ztb)
+            alpha = ad.logistic(diff)[:, None]
+            s[both] = alpha * zb + (1.0 - alpha) * ztb
+    logits = s @ params["output.W"].T + params["output.b"]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def predict_probs(model, bags):
+    """Class probabilities of many bags without a tape, INFERENCE_CHUNK bags per pass.
+
+    Returns ``(kept, probs)``: the scored bags in input order and their
+    [len(kept), 3] probabilities, equal to ``forward``'s to rounding. A bag
+    ``forward`` would skip is logged as a warning and left out.
+    """
+    bags = list(bags)
+    kept, chunks = [], []
+    for start in range(0, len(bags), INFERENCE_CHUNK):
+        chunk = []
+        for bag in bags[start:start + INFERENCE_CHUNK]:
+            try:
+                chunk.append((bag, *_branches(model.config, bag)))
+            except BagSkipError as exc:
+                logger.warning("skipping bag: %s", exc)
+        if chunk:
+            kept.extend(bag for bag, _, _ in chunk)
+            chunks.append(_chunk_probs(model, chunk))
+    return kept, (np.concatenate(chunks) if chunks else np.empty((0, N_CLASSES)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +424,7 @@ def save_model(model, dir_path):
         (root / rel).write_bytes(model.params[name].astype("<f8").tobytes())
         records.append({"name": name, "shape": list(model.params[name].shape), "file": rel})
     manifest = {
-        "format_version": 1,
+        "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": config_to_dict(model.config),
         "tensors": records,
     }
@@ -347,6 +440,10 @@ def load_model(dir_path):
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"checkpoint manifest is not valid JSON: {exc}") from exc
+    if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        raise FormatError(
+            f"unsupported checkpoint format_version {manifest.get('format_version')!r}"
+        )
     config = config_from_dict(manifest.get("config", {}))
     expected = dict(param_specs(config))
     params = {}
@@ -360,7 +457,7 @@ def load_model(dir_path):
                 f"checkpoint tensor {name!r}: shape {list(shape)} does not match "
                 f"config ({list(expected[name])})"
             )
-        fpath = root / rec.get("file", "")
+        fpath = root / checked_relative_path(rec.get("file"), f"checkpoint tensor {name!r}")
         if not fpath.is_file():
             raise FormatError(f"checkpoint tensor {name!r}: missing file {rec.get('file')!r}")
         arr = np.frombuffer(fpath.read_bytes(), dtype="<f8")

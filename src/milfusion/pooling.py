@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
-from .errors import ConfigError, ContractError, DimensionError, DomainError
+from .errors import ConfigError, ContractError, DimensionError
 
 
 @dataclass
@@ -62,21 +60,11 @@ def _stack(embeddings):
     return ad.reshape(ad.concat(embeddings), (len(embeddings), m))
 
 
-def attention_scores(att, H):
-    """Per-instance raw scores w' tanh(U h_k) for a [K, M] embedding matrix."""
-    k = H.shape[0]
-    hidden = ad.tanh(ad.matmul(H, ad.transpose(att.U)))  # [K, L]
-    scores = ad.matmul(hidden, ad.reshape(att.w, (att.w.size, 1)))  # [K, 1]
-    return ad.reshape(scores, (k,))
-
-
 def attention_pool(att, embeddings):
     """Softmax-attention pooling: representation = sum_k a_k h_k."""
     H = _stack(embeddings)
-    k, m = H.shape
-    weights = ad.softmax(attention_scores(att, H))
-    rep = ad.reshape(ad.matmul(ad.reshape(weights, (1, k)), H), (m,))
-    return PooledResult(rep, weights)
+    weights = ad.softmax(ad.attention_scores(H, att.U, att.w))
+    return PooledResult(ad.weighted_sum(weights, H), weights)
 
 
 def supervised_attention_pool(att_a, att_b, embeddings):
@@ -86,13 +74,10 @@ def supervised_attention_pool(att_a, att_b, embeddings):
     weights, kept live so the supervision loss can differentiate through it.
     """
     H = _stack(embeddings)
-    k, m = H.shape
-    a = ad.softmax(attention_scores(att_a, H))
-    b = ad.softmax(attention_scores(att_b, H))
-    prod = ad.mul(a, b)
-    weights = ad.scalar_mul(ad.recip(ad.total(prod)), prod)
-    rep = ad.reshape(ad.matmul(ad.reshape(weights, (1, k)), H), (m,))
-    return PooledResult(rep, weights), a
+    a = ad.softmax(ad.attention_scores(H, att_a.U, att_a.w))
+    b = ad.softmax(ad.attention_scores(H, att_b.U, att_b.w))
+    weights = ad.normalized_product(a, b)
+    return PooledResult(ad.weighted_sum(weights, H), weights), a
 
 
 def relevance_renormalize(raw, tau):
@@ -114,9 +99,4 @@ def sa_loss(R, A):
     """
     if R.size != A.size:
         raise ContractError(f"length mismatch: R has {R.size}, A has {A.size}")
-    r = R.data.copy()
-    if np.any(r <= 0.0):
-        raise DomainError("sa_loss needs strictly positive reference weights")
-    entropy = float(np.dot(r, np.log(r)))  # sum r_k log r_k, constant in A
-    cross = ad.total(ad.mul(ad.Tensor.const(r), ad.log(A)))
-    return ad.add(ad.Tensor.const([entropy]), ad.neg(cross))
+    return ad.kl_divergence(R.data, A)

@@ -15,15 +15,24 @@ more than 10 points below the best round so far.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import backward
 from .data import iterate_split, with_label
-from .errors import BagSkipError, ConfigError, NumericError, UsageError
+from .errors import ConfigError, NumericError, UsageError
 from .metrics import PredictionSet, PredRow, balanced_accuracy
-from .model import MMILModel, forward, init_model, params_digest, total_loss
+from .model import (  # noqa: F401 -- forward stays bound here for bench/spans.py
+    MMILModel,
+    forward,
+    init_model,
+    param_specs,
+    param_views,
+    params_digest,
+    predict_probs,
+    total_loss,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -56,25 +65,10 @@ class PseudoLabelRecord:
     confidence: float  # max component of the probability vector
 
 
-@dataclass
-class CurriculumState:
-    round: int
-    selected_fraction: float
-    selected_ids: set
-    history: list = field(default_factory=list)
-
-
 def predictions_for(model, bags):
     """Inference over bags as a PredictionSet; degenerate bags are skipped."""
-    rows = []
-    for bag in bags:
-        try:
-            out = forward(model, bag)
-        except BagSkipError as exc:
-            logger.warning("skipping bag during evaluation: %s", exc)
-            continue
-        rows.append(PredRow(bag.id, bag.label, out.probs.value()))
-    return PredictionSet(rows)
+    kept, probs = predict_probs(model, bags)
+    return PredictionSet([PredRow(bag.id, bag.label, p) for bag, p in zip(kept, probs)])
 
 
 def validation_balanced_accuracy(model, bags):
@@ -101,14 +95,24 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
         "init_weights_sha256": params_digest(model.params),
         "epochs": [],
     }
-    velocity = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    # One flat buffer each for the parameters, the velocity and the gradient:
+    # the update is elementwise, so a few whole-buffer numpy ops give bitwise
+    # the same result as one update per named array. model.params are views
+    # into ``theta``. The update writes into ``scratch`` instead of allocating
+    # temporaries, which cost several times the arithmetic at this size.
+    names = [name for name, _ in param_specs(model_config)]
+    theta = np.concatenate([model.params[name].reshape(-1) for name in names])
+    model = MMILModel(model_config, param_views(model_config, theta))
+    velocity = np.zeros_like(theta)
+    grad = np.empty_like(theta)
+    scratch = np.empty_like(theta)
     rng = np.random.default_rng(train_config.seed)
     lr = train_config.learning_rate
     mom = train_config.momentum
     wd = train_config.weight_decay
 
     best_bacc = -np.inf
-    best_params = {k: v.copy() for k, v in model.params.items()}
+    best_theta = theta.copy()
     best_epoch = 0
     since_best = 0
     for epoch in range(1, train_config.max_epochs + 1):
@@ -121,13 +125,15 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
             if not np.isfinite(loss_value):
                 raise NumericError(f"non-finite loss on bag {bag.id!r}: {loss_value!r}")
             epoch_loss += loss_value
-            backward(out.tape, loss)
-            for name, leaf in out.param_leaves.items():
-                grad = out.tape.gradients[leaf.node_id].data.reshape(model.params[name].shape)
-                v = velocity[name]
-                v *= mom
-                v += grad + wd * model.params[name]
-                model.params[name] -= lr * v
+            gradients = backward(out.tape, loss)
+            np.concatenate([gradients[out.param_leaves[name].node_id].data for name in names],
+                           out=grad)
+            velocity *= mom
+            np.multiply(theta, wd, out=scratch)
+            scratch += grad
+            velocity += scratch  # v += grad + wd * theta
+            np.multiply(velocity, lr, out=scratch)
+            theta -= scratch  # theta -= lr * v
         val_bacc = validation_balanced_accuracy(model, val_bags) if val_bags else 0.0
         history["epochs"].append(
             {
@@ -138,7 +144,7 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
         )
         if val_bacc > best_bacc:
             best_bacc = val_bacc
-            best_params = {k: v.copy() for k, v in model.params.items()}
+            best_theta = theta.copy()
             best_epoch = epoch
             since_best = 0
         else:
@@ -147,21 +153,16 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
                 break
     history["best_epoch"] = best_epoch
     history["best_val_balanced_accuracy"] = float(best_bacc) if val_bags else None
-    return MMILModel(model_config, best_params), history
+    return MMILModel(model_config, param_views(model_config, best_theta)), history
 
 
 def pseudo_label(model, unlabeled_bags):
     """One (bag id, argmax class, max probability) record per non-skipped bag."""
-    records = []
-    for bag in unlabeled_bags:
-        try:
-            out = forward(model, bag)
-        except BagSkipError as exc:
-            logger.warning("pseudo-labeling skipped a bag: %s", exc)
-            continue
-        probs = out.probs.value()
-        records.append(PseudoLabelRecord(bag.id, int(np.argmax(probs)), float(probs.max())))
-    return records
+    kept, probs = predict_probs(model, unlabeled_bags)
+    classes = np.argmax(probs, axis=1)
+    confidences = probs.max(axis=1)
+    return [PseudoLabelRecord(bag.id, int(c), float(p))
+            for bag, c, p in zip(kept, classes, confidences)]
 
 
 def select_confident(records, fraction):
@@ -175,6 +176,31 @@ def select_confident(records, fraction):
     count = int(np.floor(fraction * len(records) + 1e-9))
     ranked = sorted(records, key=lambda r: (-r.confidence, r.bag_id))
     return {r.bag_id for r in ranked[:count]}
+
+
+def _round_row(round_num, fraction, selected_count, history, pl_accuracy):
+    """One ``rounds.jsonl`` record: a round's selection and its training outcome."""
+    return {
+        "round": round_num,
+        "fraction": fraction,
+        "selected_count": selected_count,
+        "val_balanced_accuracy": history["best_val_balanced_accuracy"],
+        "pseudo_label_accuracy": pl_accuracy,
+        "init_seed": history["init_seed"],
+        "init_weights_sha256": history["init_weights_sha256"],
+    }
+
+
+def run_supervised_only(dataset, model_config, train_config):
+    """Supervised training on the train split, reported as a single round 1.
+
+    Returns (model, [report row]) in the shape of :func:`run_curriculum`.
+    """
+    model, history = train_supervised(
+        train_config.seed + 1, iterate_split(dataset, "train"),
+        iterate_split(dataset, "val"), model_config, train_config,
+    )
+    return model, [_round_row(1, 0.0, 0, history, None)]
 
 
 def run_curriculum(dataset, model_config, train_config, hidden_truth=None,
@@ -195,39 +221,21 @@ def run_curriculum(dataset, model_config, train_config, hidden_truth=None,
 
     if not unlabeled:
         logger.warning("no unlabeled bags: degrading to supervised-only training")
-        model, history = train_supervised(
-            train_config.seed + 1, labeled, val_bags, model_config, train_config
-        )
-        row = {
-            "round": 1,
-            "fraction": 0.0,
-            "selected_count": 0,
-            "val_balanced_accuracy": history["best_val_balanced_accuracy"],
-            "pseudo_label_accuracy": None,
-            "init_seed": history["init_seed"],
-            "init_weights_sha256": history["init_weights_sha256"],
-        }
-        return model, [row]
+        return run_supervised_only(dataset, model_config, train_config)
 
     report = []
     best = None  # (bacc, round, model)
     prev_model = None
     for round_num, fraction in enumerate(ROUND_FRACTIONS, start=1):
-        if round_num == 1:
-            state = CurriculumState(round_num, fraction, set(), report)
-            extra, pl_accuracy = [], None
-        else:
+        extra, pl_accuracy = [], None
+        if round_num > 1:
             records = pseudo_label(prev_model, unlabeled)
-            state = CurriculumState(
-                round_num, fraction, select_confident(records, fraction), report
-            )
+            selected = select_confident(records, fraction)
             by_id = {r.bag_id: r for r in records}
             extra = [with_label(b, by_id[b.id].predicted_class)
-                     for b in unlabeled if b.id in state.selected_ids]
-            pl_accuracy = None
-            if hidden_truth and state.selected_ids:
-                hits = [by_id[i].predicted_class == hidden_truth.get(i)
-                        for i in state.selected_ids]
+                     for b in unlabeled if b.id in selected]
+            if hidden_truth and selected:
+                hits = [by_id[i].predicted_class == hidden_truth.get(i) for i in selected]
                 pl_accuracy = float(np.mean(hits))
 
         model, history = train_supervised(
@@ -235,17 +243,7 @@ def run_curriculum(dataset, model_config, train_config, hidden_truth=None,
             model_config, train_config,
         )
         bacc = history["best_val_balanced_accuracy"]
-        report.append(
-            {
-                "round": state.round,
-                "fraction": state.selected_fraction,
-                "selected_count": len(extra),
-                "val_balanced_accuracy": bacc,
-                "pseudo_label_accuracy": pl_accuracy,
-                "init_seed": history["init_seed"],
-                "init_weights_sha256": history["init_weights_sha256"],
-            }
-        )
+        report.append(_round_row(round_num, fraction, len(extra), history, pl_accuracy))
         logger.info(
             "curriculum round %d: %d pseudo-labeled bags, val balanced accuracy %.4f",
             round_num, len(extra), bacc,

@@ -99,14 +99,6 @@ def test_elementwise_shape_mismatch():
         ad.mul(ad.Tensor.const([[1.0]]), ad.Tensor.const([1.0]))
 
 
-def test_elementwise_dispatcher():
-    out = ad.elementwise("add", ad.Tensor.const([1.0]), ad.Tensor.const([2.0]))
-    assert out.data[0] == 3.0
-    assert ad.elementwise("tanh", ad.Tensor.const([0.0])).data[0] == 0.0
-    with pytest.raises(ContractError):
-        ad.elementwise("conv2d", ad.Tensor.const([1.0]))
-
-
 def test_scalar_mul_constant_and_tensor_scalar():
     x = ad.Tensor.const([1.0, -2.0])
     assert ad.scalar_mul(3.0, x).value().tolist() == [3.0, -6.0]
@@ -241,6 +233,12 @@ def test_gradients_match_finite_differences(seed):
     r4 = ad.Tensor.const(_rand(rng, 4))
     r23 = ad.Tensor.const(_rand(rng, 2, 3))
     r32 = ad.Tensor.const(_rand(rng, 3, 2))
+    # constants of the fused-op cases, from their own stream so that the
+    # inputs of the other cases do not move
+    fused_rng = np.random.default_rng([seed, 1])
+    r2 = ad.Tensor.const(_rand(fused_rng, 2))
+    r33 = ad.Tensor.const(_rand(fused_rng, 3, 3))
+    pos3 = ad.Tensor.const(np.abs(_rand(fused_rng, 3)) + 0.2)
 
     cases = {
         "matmul_left": (lambda t, x: ad.total(ad.mul(ad.reshape(ad.matmul(x, r32), (4,)), r4)), _rand(rng, 2, 3)),
@@ -266,15 +264,69 @@ def test_gradients_match_finite_differences(seed):
                                          ad.Tensor.const(np.arange(6.0)))),
             _rand(rng, 3),
         ),
-        "transpose": (lambda t, x: ad.total(ad.mul(ad.reshape(ad.transpose(x), (6,)),
-                                                   ad.Tensor.const(np.arange(6.0)))), _rand(rng, 2, 3)),
         "pick": (lambda t, x: ad.mul(ad.pick(x, 1), ad.pick(x, 1)), _rand(rng, 3)),
+        # fused ops, one case per differentiable input
+        "linear_x_tanh": (lambda t, x: ad.total(ad.mul(
+            ad.reshape(ad.linear(x, r32, r2, "tanh"), (4,)), r4)), _rand(rng, 2, 3)),
+        "linear_W_relu": (lambda t, x: ad.total(ad.mul(
+            ad.reshape(ad.linear(r23, x, r2, "relu"), (4,)), r4)), _rand(rng, 3, 2)),
+        "linear_b_tanh": (lambda t, x: ad.total(ad.mul(
+            ad.reshape(ad.linear(r23, r32, x, "tanh"), (4,)), r4)), _rand(rng, 2)),
+        "attention_scores_H": (lambda t, x: ad.total(ad.mul(
+            ad.attention_scores(x, r23, r2), r3)), _rand(rng, 3, 3)),
+        "attention_scores_U": (lambda t, x: ad.total(ad.mul(
+            ad.attention_scores(r33, x, r2), r3)), _rand(rng, 2, 3)),
+        "attention_scores_w": (lambda t, x: ad.total(ad.mul(
+            ad.attention_scores(r33, r23, x), r3)), _rand(rng, 2)),
+        "weighted_sum_a": (lambda t, x: ad.total(ad.mul(ad.weighted_sum(x, r32), r2)),
+                           _rand(rng, 3)),
+        "weighted_sum_H": (lambda t, x: ad.total(ad.mul(ad.weighted_sum(r3, x), r2)),
+                           _rand(rng, 3, 2)),
+        "normalized_product_a": (lambda t, x: ad.total(ad.mul(
+            ad.normalized_product(x, pos3), r3)), np.abs(_rand(rng, 3)) + 0.2),
+        "normalized_product_b": (lambda t, x: ad.total(ad.mul(
+            ad.normalized_product(pos3, x), r3)), np.abs(_rand(rng, 3)) + 0.2),
+        "gated_blend_z": (lambda t, x: ad.total(ad.mul(
+            ad.gated_blend(x, r3, r23, r2)[0], r3)), _rand(rng, 3)),
+        "gated_blend_zt": (lambda t, x: ad.total(ad.mul(
+            ad.gated_blend(r3, x, r23, r2)[0], r3)), _rand(rng, 3)),
+        "gated_blend_U": (lambda t, x: ad.total(ad.mul(
+            ad.gated_blend(r3, pos3, x, r2)[0], r3)), _rand(rng, 2, 3)),
+        "gated_blend_w": (lambda t, x: ad.total(ad.mul(
+            ad.gated_blend(r3, pos3, r23, x)[0], r3)), _rand(rng, 2)),
+        "affine_W": (lambda t, x: ad.total(ad.mul(ad.affine(x, r3, r2), r2)), _rand(rng, 2, 3)),
+        "affine_x": (lambda t, x: ad.total(ad.mul(ad.affine(r23, x, r2), r2)), _rand(rng, 3)),
+        "affine_b": (lambda t, x: ad.total(ad.mul(ad.affine(r23, r3, x), r2)), _rand(rng, 2)),
+        "nll": (lambda t, x: ad.nll(ad.softmax(x), 2), _rand(rng, 4)),
+        "kl_divergence": (lambda t, x: ad.kl_divergence(pos3.data / pos3.data.sum(),
+                                                        ad.softmax(x)), _rand(rng, 3)),
     }
     for name, (build, x0) in cases.items():
         try:
             fd_check(build, np.asarray(x0))
         except AssertionError as exc:
             raise AssertionError(f"{name}: {exc}") from None
+
+
+def test_fused_ops_reject_mismatched_shapes():
+    c = lambda *shape: ad.Tensor.const(np.ones(shape))
+    calls = [
+        lambda: ad.linear(c(2, 3), c(2, 3), c(3), "tanh"),
+        lambda: ad.linear(c(2, 3), c(3, 2), c(3), "tanh"),
+        lambda: ad.attention_scores(c(3), c(2, 3), c(2)),
+        lambda: ad.attention_scores(c(4, 3), c(2, 3), c(3)),
+        lambda: ad.weighted_sum(c(3), c(2, 4)),
+        lambda: ad.normalized_product(c(3), c(2)),
+        lambda: ad.gated_blend(c(3), c(2), c(2, 3), c(2)),
+        lambda: ad.affine(c(2, 3), c(2), c(2)),
+        lambda: ad.nll(c(2, 2), 0),
+        lambda: ad.kl_divergence(np.full(2, 0.5), c(3)),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionError):
+            call()
+    with pytest.raises(ContractError):
+        ad.linear(c(2, 3), c(3, 2), c(2), "gelu")
 
 
 def test_relu_mask_analytic():

@@ -233,6 +233,18 @@ def test_eval_missing_checkpoint(workdir):
     assert code == 2
 
 
+def test_eval_float_label_exits_with_format_error(workdir, trained, capsys):
+    manifest_path = workdir / "data" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    rec = next(b for b in manifest["bags"] if b["split"] == "test" and b["label"] == 1)
+    rec["label"] = 1.0
+    manifest_path.write_text(json.dumps(manifest))
+    code = main(["eval", "--checkpoint", str(trained), "--data", str(workdir / "data"),
+                 "--seed", "1", "--n-boot", "5", "--out", str(workdir / "e")])
+    assert code == 2
+    assert rec["id"] in capsys.readouterr().err
+
+
 def test_eval_unknown_split(workdir, trained):
     code = main(["eval", "--checkpoint", str(trained), "--data", str(workdir / "data"),
                  "--split", "dev", "--seed", "1", "--out", str(workdir / "e2")])

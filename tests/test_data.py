@@ -195,6 +195,34 @@ def test_shape_mismatch_is_format_error(tmp_path):
         load(tmp_path)
 
 
+@pytest.mark.parametrize("label", [1.0, True, "1"])
+def test_non_integer_label_is_format_error(tmp_path, label):
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    rec = next(b for b in manifest["bags"] if b["label"] == 1)
+    rec["label"] = label
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=rec["id"]):
+        load(tmp_path)
+
+
+@pytest.mark.parametrize("entry", ["../outside.bin", "features/../../outside.bin",
+                                   "{root}/outside.bin", None])
+def test_feature_file_outside_the_directory_is_format_error(tmp_path, entry):
+    ds, _ = generate_synthetic(small_config())
+    root = tmp_path / "data"
+    save(ds, root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    inst = manifest["bags"][0]["instances"][0]
+    # a readable file of the right size, so only the path check can refuse it
+    (tmp_path / "outside.bin").write_bytes((root / inst["file"]).read_bytes())
+    inst["file"] = entry if entry is None else entry.format(root=tmp_path)
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=manifest["bags"][0]["id"]):
+        load(root)
+
+
 def test_malformed_manifest_json(tmp_path):
     tmp_path.joinpath("manifest.json").write_text("{not json")
     with pytest.raises(FormatError):

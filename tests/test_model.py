@@ -286,6 +286,33 @@ def test_checkpoint_shape_mismatch(tmp_path):
         load_model(tmp_path / "ckpt")
 
 
+@pytest.mark.parametrize("entry", ["../outside.bin", "{root}/outside.bin"])
+def test_checkpoint_tensor_file_outside_is_format_error(tmp_path, entry):
+    import json
+
+    model = random_model(tiny_model_config(), seed=15)
+    save_model(model, tmp_path / "ckpt")
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    rec = manifest["tensors"][0]
+    (tmp_path / "outside.bin").write_bytes((tmp_path / "ckpt" / rec["file"]).read_bytes())
+    rec["file"] = entry.format(root=tmp_path)
+    (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=rec["name"]):
+        load_model(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("version", [2, "1", None])
+def test_checkpoint_format_version_is_checked(tmp_path, version):
+    import json
+
+    save_model(random_model(tiny_model_config(), seed=16), tmp_path / "ckpt")
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    manifest["format_version"] = version
+    (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="format_version"):
+        load_model(tmp_path / "ckpt")
+
+
 def test_checkpoint_missing(tmp_path):
     with pytest.raises(FormatError):
         load_model(tmp_path / "nope")
