@@ -245,6 +245,18 @@ def test_eval_float_label_exits_with_format_error(workdir, trained, capsys):
     assert rec["id"] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_row", ["b1,1,nan,nan,nan", "b1,1,-0.5,0.5,1.0"])
+def test_eval_refuses_bad_probabilities(tmp_path, capsys, bad_row):
+    path = tmp_path / "predictions.csv"
+    path.write_text("bag_id,true_label,p0,p1,p2\nb0,0,0.8,0.1,0.1\n"
+                    f"{bad_row}\nb2,2,0.1,0.1,0.8\n")
+    code = main(["eval", "--predictions", str(path), "--seed", "1", "--n-boot", "5",
+                 "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert "'b1'" in capsys.readouterr().err
+    assert not (tmp_path / "e" / "report.json").exists()
+
+
 def test_eval_unknown_split(workdir, trained):
     code = main(["eval", "--checkpoint", str(trained), "--data", str(workdir / "data"),
                  "--split", "dev", "--seed", "1", "--out", str(workdir / "e2")])

@@ -1,11 +1,17 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from milfusion.errors import FormatError, MetricError
+from milfusion import metrics
+from milfusion.errors import ContractError, FormatError, MetricError
 from milfusion.metrics import (
     PredictionSet,
     PredRow,
     SCREENING_TASKS,
+    SplitMix64,
     aupr,
     auroc,
     balanced_accuracy,
@@ -13,7 +19,10 @@ from milfusion.metrics import (
     compute_report,
     confusion_matrix,
     load_predictions,
+    save_confusion_csv,
     save_predictions,
+    save_report,
+    stream_indices,
     task_metric,
 )
 
@@ -301,13 +310,83 @@ def test_bootstrap_retries_on_rare_class():
 def test_bootstrap_persistent_failure_raises():
     preds = rows_from([0, 1, 2], [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
 
-    def impossible(p):
-        if any("#" in r.bag_id for r in p.rows):  # every resample
-            raise MetricError("nope")
-        return 1.0
+    def impossible(p, weights=None):
+        if weights is None:
+            return 1.0
+        return np.full(len(weights), np.nan)  # undefined on every resample
 
     with pytest.raises(MetricError):
         bootstrap_ci(impossible, preds, n_boot=5, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 13, -5, 2**64 - 1])
+def test_stream_indices_follow_documented_stream(seed):
+    for n in (1, 7, 1000):
+        want = splitmix_draws(seed, 60, n)
+        assert stream_indices(seed, 0, 60, n).tolist() == want
+        assert SplitMix64(seed).indices(n, 60) == want
+    # a block that starts mid-stream continues it
+    assert stream_indices(seed, 25, 35, 7).tolist() == splitmix_draws(seed, 60, 7)[25:]
+
+
+def test_stream_indices_past_draw_2_to_the_32():
+    # draw i of seed s is draw i - start of seed s + start * gamma (mod 2^64)
+    start = 2**32 + 3
+    want = splitmix_draws(13 + start * 0x9E3779B97F4A7C15, 50, 97)
+    assert stream_indices(13, start, 50, 97).tolist() == want
+
+
+RARE_CLASS = ([0, 0, 1, 1, 1, 2],
+              [[0.8, 0.1, 0.1]] * 2 + [[0.1, 0.8, 0.1]] * 3 + [[0.1, 0.1, 0.8]])
+
+
+@pytest.mark.parametrize("block_elements", [1, 12, 25])
+def test_bootstrap_retries_cross_block_boundaries(monkeypatch, block_elements):
+    # 1, 2 and 4 attempts per block on 6 rows; about 60% of attempts lose class 2
+    monkeypatch.setattr(metrics, "BOOTSTRAP_BLOCK_ELEMENTS", block_elements)
+    preds = rows_from(*RARE_CLASS)
+    got = bootstrap_ci(balanced_accuracy, preds, n_boot=150, seed=12)
+    want = bf_bootstrap(lambda rows: bf_balanced_accuracy(SimpleNamespace(rows=rows)),
+                        preds, n_boot=150, seed=12)
+    assert got == want
+
+
+def undefined_on(undefined):
+    """A metric that is 1.0 on the rows and NaN on attempt k if undefined(k)."""
+    attempts = 0
+
+    def metric(preds, weights=None):
+        nonlocal attempts
+        if weights is None:
+            return 1.0
+        k = np.arange(attempts, attempts + len(weights))
+        attempts += len(weights)
+        return np.where(undefined(k), np.nan, 1.0)
+    return metric
+
+
+@pytest.mark.parametrize("block_elements", [3, 6])
+def test_bootstrap_redraws_exactly_100_times(monkeypatch, block_elements):
+    monkeypatch.setattr(metrics, "BOOTSTRAP_BLOCK_ELEMENTS", block_elements)
+    preds = rows_from([0, 1, 2], [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+    # one and two attempts per block; 100 undefined attempts before each of
+    # the two resamples succeeds
+    twice = undefined_on(lambda k: (k != 100) & (k != 201))
+    assert bootstrap_ci(twice, preds, n_boot=2, seed=0) == (1.0, 1.0, 1.0)
+    with pytest.raises(MetricError):
+        bootstrap_ci(undefined_on(lambda k: k <= 100), preds, n_boot=1, seed=0)
+    with pytest.raises(MetricError):  # the run of 101 starts after a defined resample
+        bootstrap_ci(undefined_on(lambda k: (k >= 1) & (k <= 101)), preds, n_boot=2, seed=0)
+
+
+def test_weighted_metrics_agree_with_point_estimates():
+    rng = np.random.default_rng(14)
+    preds = random_preds(rng, 30)
+    weights = np.ones((2, 30), dtype=np.int64)
+    weights[1] = 2  # every row twice: every metric here is invariant
+    for fn in [balanced_accuracy] + [task_metric(t, k) for t in SCREENING_TASKS
+                                     for k in ("auroc", "aupr")]:
+        assert fn(preds, weights).tolist() == [fn(preds)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +436,94 @@ def test_compute_report_blocks():
         assert block["lo"] <= block["hi"]
 
 
+def bf_score(task_name, p):
+    if task_name == "no_vs_some":
+        return p[1] + p[2]
+    if task_name == "early_vs_sig":
+        return 0.5 if p[1] + p[2] == 0 else p[2] / (p[1] + p[2])
+    return p[2]
+
+
+def bf_task_metric(task, curve):
+    def metric(rows):
+        kept = [r for r in rows if r.true_label in task.keep_labels]
+        if not kept:
+            raise MetricError("no rows")
+        return curve([bf_score(task.name, r.probs) for r in kept],
+                     [1 if r.true_label in task.positive_labels else 0 for r in kept])
+    return metric
+
+
+def bf_report(preds, n_boot, seed):
+    """compute_report from the oracles: bf_bootstrap over every block."""
+    report = {}
+    point, lo, hi = bf_bootstrap(lambda rows: bf_balanced_accuracy(SimpleNamespace(rows=rows)),
+                                 preds, n_boot, seed)
+    report["balanced_accuracy"] = {"point": point, "lo": lo, "hi": hi}
+    block = 1
+    for task in SCREENING_TASKS:
+        for kind, curve in (("auroc", bf_auroc), ("aupr", bf_aupr)):
+            point, lo, hi = bf_bootstrap(bf_task_metric(task, curve), preds, n_boot, seed + block)
+            report[f"{task.name}_{kind}"] = {"point": point, "lo": lo, "hi": hi}
+            block += 1
+    mat = [[0, 0, 0] for _ in range(3)]
+    for r in preds.rows:
+        mat[r.true_label][int(np.argmax(r.probs))] += 1
+    report["confusion_matrix"] = mat
+    return report
+
+
+TIE_GRID = [[0.2, 0.3, 0.5], [0.5, 0.25, 0.25], [0.1, 0.1, 0.8], [0.6, 0.2, 0.2],
+            [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]
+
+
+def tied_rare_preds(rng, n):
+    """Scores with many ties and a rare class 2, so resamples get redrawn."""
+    labels = rng.choice([0, 1, 2], size=n, p=[0.55, 0.38, 0.07])
+    labels[-1] = 2
+    return rows_from(labels.tolist(), [TIE_GRID[i] for i in rng.integers(0, 6, size=n)])
+
+
+@pytest.mark.parametrize("case, n, n_boot", [("tied", 20, 300), ("random", 30, 200),
+                                             ("tied", 10, 5000)])
+def test_compute_report_matches_oracle_bitwise(case, n, n_boot):
+    rng = np.random.default_rng(n)
+    preds = tied_rare_preds(rng, n) if case == "tied" else random_preds(rng, n)
+    assert compute_report(preds, n_boot=n_boot, seed=21) == bf_report(preds, n_boot, 21)
+
+
+def test_early_vs_sig_score_is_half_when_p1_p2_zero():
+    labels = [1, 1, 2, 2, 0, 1]
+    probs = [[1.0, 0.0, 0.0], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6], [0.3, 0.3, 0.4],
+             [0.7, 0.2, 0.1], [0.5, 0.4, 0.1]]
+    preds = rows_from(labels, probs)
+    early = next(t for t in SCREENING_TASKS if t.name == "early_vs_sig")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores, _ = early.scores_labels(preds)
+        report = compute_report(preds, n_boot=300, seed=4)
+    assert scores[0] == 0.5
+    assert report == bf_report(preds, 300, 4)
+
+
+probability_rows = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)).filter(
+    lambda t: sum(t) > 0).map(lambda t: [k / sum(t) for k in t])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 2), probability_rows), min_size=1, max_size=9),
+       st.integers(-2**63, 2**64 - 1), st.integers(1, 30))
+def test_report_equals_oracle_or_both_raise(rows, seed, n_boot):
+    preds = rows_from([label for label, _ in rows], [p for _, p in rows])
+    try:
+        want = bf_report(preds, n_boot, seed)
+    except MetricError:
+        with pytest.raises(MetricError):
+            compute_report(preds, n_boot=n_boot, seed=seed)
+    else:
+        assert compute_report(preds, n_boot=n_boot, seed=seed) == want
+
+
 # ---------------------------------------------------------------------------
 # prediction csv
 
@@ -374,6 +541,27 @@ def test_prediction_csv_round_trip(tmp_path):
         assert np.array_equal(a.probs, b.probs)  # bitwise via repr round-trip
 
 
+def test_failed_writes_keep_the_previous_file(tmp_path):
+    rng = np.random.default_rng(10)
+    broken = random_preds(rng, 6)
+    broken.rows[4].probs = None  # the write fails after four rows
+    cases = [
+        (save_predictions, random_preds(rng, 6), broken, "preds.csv"),
+        (save_report, {"a": 1.0}, {"a": 1.0, "b": object()}, "report.json"),
+        (save_confusion_csv, np.eye(3, dtype=int), [[1, 0, 0], [0, 1, 0], [0]],
+         "confusion.csv"),
+    ]
+    for save, good, bad, name in cases:
+        path = tmp_path / name
+        save(good, path)
+        before = path.read_bytes()
+        with pytest.raises((TypeError, IndexError)):
+            save(bad, path)
+        assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "confusion.csv", "preds.csv", "report.json"]  # no temporary file left
+
+
 def test_prediction_csv_bad_header(tmp_path):
     path = tmp_path / "preds.csv"
     path.write_text("id,label,a,b,c\nx,0,0.3,0.3,0.4\n")
@@ -386,6 +574,27 @@ def test_prediction_csv_malformed_row(tmp_path):
     path.write_text("bag_id,true_label,p0,p1,p2\nx,zero,0.3,0.3,0.4\n")
     with pytest.raises(FormatError):
         load_predictions(path)
+
+
+@pytest.mark.parametrize("probs", [[np.nan] * 3, [-0.5, 0.5, 1.0], [0.5, np.nan, 0.5],
+                                   [np.inf, 0.0, 0.0], [1.0, -0.0001, 0.0001]])
+def test_prediction_set_refuses_non_finite_or_negative(probs):
+    with pytest.raises(FormatError, match="finite and non-negative"):
+        rows_from([0, 1], [[0.2, 0.3, 0.5], probs])
+
+
+def test_prediction_csv_refuses_nan_row(tmp_path):
+    path = tmp_path / "preds.csv"
+    path.write_text("bag_id,true_label,p0,p1,p2\nx,0,0.3,0.3,0.4\ny,1,nan,nan,nan\n")
+    with pytest.raises(FormatError, match="'y'"):
+        load_predictions(path)
+
+
+def test_scalar_curves_refuse_nan_scores_and_non_binary_labels():
+    with pytest.raises(ContractError):
+        auroc([0.2, np.nan], [0, 1])
+    with pytest.raises(ContractError):
+        aupr([0.2, 0.4, 0.6], [0, 1, 2])
 
 
 def test_prediction_set_validation():
