@@ -23,6 +23,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .data import (
@@ -33,9 +34,9 @@ from .data import (
     load_hidden_truth,
     save,
 )
-from .encoders import EncoderConfig
 from .errors import MilError, UsageError, exit_code_for
 from .metrics import (
+    _atomic_text,
     compute_report,
     confusion_matrix,
     load_predictions,
@@ -43,7 +44,7 @@ from .metrics import (
     save_predictions,
     save_report,
 )
-from .model import ModelConfig, config_to_dict, load_model, save_model
+from .model import ModelConfig, config_from_dict, load_model, save_model
 from .training import (
     TrainConfig,
     predictions_for,
@@ -72,12 +73,15 @@ def _read_config_file(path):
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
+    bad = [key for key in ("dataset", "model", "train") if not isinstance(cfg.get(key, {}), dict)]
+    if bad:
+        raise UsageError(f"config sections must be JSON objects: {bad}")
     return cfg
 
 
-def _echo_config(out_dir, resolved):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config_used.json").write_text(json.dumps(resolved, indent=1))
+def _save_config(resolved, path):
+    with _atomic_text(path) as f:
+        json.dump(resolved, f, indent=1)
 
 
 def _require(args, name):
@@ -92,88 +96,69 @@ def _require(args, name):
 
 
 def _synthetic_config(file_cfg, args):
-    cfg = dict(file_cfg.get("dataset", file_cfg))
-    cfg["seed"] = args.seed if args.seed is not None else cfg.get("seed")
-    if cfg.get("seed") is None:
-        raise UsageError("--seed is required")
-    known = {f for f in SyntheticConfig.__dataclass_fields__}
-    unknown = set(cfg) - known
-    if unknown:
-        raise UsageError(f"unknown dataset config keys: {sorted(unknown)}")
-    for key in ("class_priors", "cine_bag_size", "doppler_bag_size",
-                "cine_shape", "doppler_shape"):
-        if key in cfg:
-            cfg[key] = tuple(cfg[key])
-    return SyntheticConfig(**cfg)
+    section = {**file_cfg.get("dataset", file_cfg), "seed": args.seed}
+    return config_from_dict(SyntheticConfig, section, UsageError, "dataset")
 
 
 def _infer_input_dims(dataset):
-    cine_dim = doppler_dim = None
-    for bag in dataset.bags:
-        if cine_dim is None and bag.cine_instances:
-            shp = bag.cine_instances[0].shape
-            if len(shp) >= 2:  # frame mean drops the leading axis
-                cine_dim = int(math.prod(shp[1:]))
-        if doppler_dim is None and bag.doppler_instances:
-            doppler_dim = int(bag.doppler_instances[0].features.size)
-        if cine_dim and doppler_dim:
-            break
-    return cine_dim, doppler_dim
+    """(cine, doppler) encoder input sizes, read off each modality's first instance
+    (the cine frame mean drops the leading axis)."""
+    cine = next((b.cine_instances[0] for b in dataset.bags if b.cine_instances), None)
+    doppler = next((b.doppler_instances[0] for b in dataset.bags if b.doppler_instances), None)
+    return (math.prod(cine.shape[1:]) if cine and len(cine.shape) >= 2 else None,
+            doppler.features.size if doppler else None)
 
 
-_MODEL_KEYS = {"cine_input_dim", "doppler_input_dim", "hidden_sizes", "embed_dim",
-               "activation", "attention_dim", "lambda_sa", "tau", "use_cine",
-               "use_doppler"}
+# The flat ``model`` section sets these for both encoders.
+_ENCODER_KEYS = ("hidden_sizes", "embed_dim", "activation")
 
 
 def _model_config(file_cfg, args, dataset):
-    cfg = dict(file_cfg.get("model", {}))
-    unknown = set(cfg) - _MODEL_KEYS
-    if unknown:
-        raise UsageError(f"unknown model config keys: {sorted(unknown)}")
-    cine_dim, doppler_dim = _infer_input_dims(dataset)
-    cine_kwargs = {
-        "modality": "cine",
-        "input_dim": cfg.get("cine_input_dim", cine_dim),
-        "hidden_sizes": tuple(cfg.get("hidden_sizes", (64,))),
-        "embed_dim": cfg.get("embed_dim", 32),
-        "activation": cfg.get("activation", "tanh"),
-    }
-    doppler_kwargs = dict(cine_kwargs, modality="doppler",
-                          input_dim=cfg.get("doppler_input_dim", doppler_dim))
-    if cine_kwargs["input_dim"] is None or doppler_kwargs["input_dim"] is None:
-        raise UsageError(
-            "could not infer encoder input dims from the dataset; set "
-            "model.cine_input_dim / model.doppler_input_dim in the config file"
-        )
-    lambda_sa = args.lambda_sa if args.lambda_sa is not None else cfg.get("lambda_sa", 10.0)
-    tau = args.tau if args.tau is not None else cfg.get("tau", 0.5)
-    use_doppler = cfg.get("use_doppler", True) and not args.ablate_doppler
-    return ModelConfig(
-        cine_encoder=EncoderConfig(**cine_kwargs),
-        doppler_encoder=EncoderConfig(**doppler_kwargs),
-        attention_dim=cfg.get("attention_dim", 32),
-        lambda_sa=float(lambda_sa),
-        tau=float(tau),
-        use_cine=bool(cfg.get("use_cine", True)),
-        use_doppler=bool(use_doppler),
-    )
+    section = dict(file_cfg.get("model", {}))
+    nested = sorted(section.keys() & {"cine_encoder", "doppler_encoder"})
+    if nested:
+        raise UsageError(f"model: unknown keys {nested}")
+    shared = {key: section.pop(key) for key in _ENCODER_KEYS if key in section}
+    for modality, inferred in zip(("cine", "doppler"), _infer_input_dims(dataset)):
+        input_dim = section.pop(f"{modality}_input_dim", inferred)
+        if input_dim is None:
+            raise UsageError(f"could not infer the {modality} input dim from the dataset; "
+                             f"set model.{modality}_input_dim in the config file")
+        section[f"{modality}_encoder"] = {"modality": modality, "input_dim": input_dim,
+                                          **shared}
+    if args.lambda_sa is not None:
+        section["lambda_sa"] = args.lambda_sa
+    if args.tau is not None:
+        section["tau"] = args.tau
+    if args.ablate_doppler:
+        section["use_doppler"] = False
+    return config_from_dict(ModelConfig, section, UsageError, "model")
 
 
 def _train_config(file_cfg, args):
-    cfg = dict(file_cfg.get("train", {}))
+    section = {**file_cfg.get("train", {}), "seed": args.seed}
     if args.lr is not None:
-        cfg["learning_rate"] = args.lr
+        section["learning_rate"] = args.lr
     if args.weight_decay is not None:
-        cfg["weight_decay"] = args.weight_decay
-    cfg["seed"] = args.seed if args.seed is not None else cfg.get("seed")
-    if cfg.get("seed") is None:
-        raise UsageError("--seed is required")
-    known = {f for f in TrainConfig.__dataclass_fields__}
-    unknown = set(cfg) - known
-    if unknown:
-        raise UsageError(f"unknown train config keys: {sorted(unknown)}")
-    return TrainConfig(**cfg)
+        section["weight_decay"] = args.weight_decay
+    return config_from_dict(TrainConfig, section, UsageError, "train")
+
+
+def _run_inputs(args):
+    """The dataset and the model and train configs of a ``train`` or ``ssl`` run."""
+    file_cfg = _read_config_file(args.config)
+    dataset = load(Path(_require(args, "data")))
+    return dataset, _model_config(file_cfg, args, dataset), _train_config(file_cfg, args)
+
+
+def _run_echo(args, model_config, train_config, **extra):
+    """The resolved config of a ``train`` or ``ssl`` run, itself a valid ``--config``."""
+    model = asdict(model_config)
+    cine, doppler = model.pop("cine_encoder"), model.pop("doppler_encoder")
+    model = {"cine_input_dim": cine["input_dim"], "doppler_input_dim": doppler["input_dim"],
+             **{key: cine[key] for key in _ENCODER_KEYS}, **model}
+    return {"command": args.command, "data": str(args.data), **extra,
+            "model": model, "train": asdict(train_config)}
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +171,7 @@ def _cmd_gen_data(args):
     config = _synthetic_config(file_cfg, args)
     dataset, hidden_truth = generate_synthetic(config)
     save(dataset, out, hidden_truth)
-    resolved = {f: getattr(config, f) for f in SyntheticConfig.__dataclass_fields__}
-    _echo_config(out, {"command": "gen-data", "dataset": resolved})
+    _save_config({"command": "gen-data", "dataset": asdict(config)}, out / "config_used.json")
     counts = {}
     hist = {0: 0, 1: 0, 2: 0}
     for bag in dataset.bags:
@@ -202,7 +186,7 @@ def _cmd_gen_data(args):
 
 
 def _write_history_csv(history, path):
-    with open(path, "w", newline="") as f:
+    with _atomic_text(path) as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "train_loss", "val_balanced_accuracy"])
         for row in history["epochs"]:
@@ -210,26 +194,23 @@ def _write_history_csv(history, path):
                              repr(row["val_balanced_accuracy"])])
 
 
+def _write_rounds(report, path):
+    with _atomic_text(path) as f:
+        for row in report:
+            f.write(json.dumps(row) + "\n")
+
+
 def _cmd_train(args):
-    file_cfg = _read_config_file(args.config)
     out = Path(_require(args, "out"))
-    dataset = load(Path(_require(args, "data")))
-    model_config = _model_config(file_cfg, args, dataset)
-    train_config = _train_config(file_cfg, args)
-    train_bags = iterate_split(dataset, "train")
-    val_bags = iterate_split(dataset, "val")
+    dataset, model_config, train_config = _run_inputs(args)
     model, history = train_supervised(
-        train_config.seed + 1, train_bags, val_bags, model_config, train_config
+        train_config.seed + 1, iterate_split(dataset, "train"), iterate_split(dataset, "val"),
+        model_config, train_config
     )
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "checkpoint")
     _write_history_csv(history, out / "history.csv")
-    _echo_config(out, {
-        "command": "train",
-        "data": str(args.data),
-        "model": config_to_dict(model_config),
-        "train": {f: getattr(train_config, f) for f in TrainConfig.__dataclass_fields__},
-    })
+    _save_config(_run_echo(args, model_config, train_config), out / "config_used.json")
     print(f"best validation balanced accuracy: {history['best_val_balanced_accuracy']:.4f} "
           f"(epoch {history['best_epoch']})")
     print(f"checkpoint written to {out / 'checkpoint'}")
@@ -237,30 +218,19 @@ def _cmd_train(args):
 
 
 def _cmd_ssl(args):
-    file_cfg = _read_config_file(args.config)
     out = Path(_require(args, "out"))
-    data_dir = Path(_require(args, "data"))
-    dataset = load(data_dir)
-    model_config = _model_config(file_cfg, args, dataset)
-    train_config = _train_config(file_cfg, args)
+    dataset, model_config, train_config = _run_inputs(args)
     if args.ablate_ssl:
         logger.warning("--ablate-ssl: running supervised-only training")
         model, report = run_supervised_only(dataset, model_config, train_config)
     else:
-        hidden_truth = load_hidden_truth(data_dir)
+        hidden_truth = load_hidden_truth(Path(args.data))
         model, report = run_curriculum(dataset, model_config, train_config, hidden_truth)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "checkpoint")
-    with open(out / "rounds.jsonl", "w") as f:
-        for row in report:
-            f.write(json.dumps(row) + "\n")
-    _echo_config(out, {
-        "command": "ssl",
-        "data": str(data_dir),
-        "ablate_ssl": bool(args.ablate_ssl),
-        "model": config_to_dict(model_config),
-        "train": {f: getattr(train_config, f) for f in TrainConfig.__dataclass_fields__},
-    })
+    _write_rounds(report, out / "rounds.jsonl")
+    _save_config(_run_echo(args, model_config, train_config, ablate_ssl=bool(args.ablate_ssl)),
+                 out / "config_used.json")
     best = max(report, key=lambda r: r["val_balanced_accuracy"])
     print(f"rounds: {len(report)}; best round {best['round']} "
           f"(val balanced accuracy {best['val_balanced_accuracy']:.4f})")
@@ -292,8 +262,8 @@ def _cmd_eval(args):
     out.mkdir(parents=True, exist_ok=True)
     save_report(report, out / "report.json")
     save_confusion_csv(confusion_matrix(preds), out / "confusion_matrix.csv")
-    _echo_config(out, {"command": "eval", "seed": args.seed, "n_boot": args.n_boot,
-                       **source})
+    _save_config({"command": "eval", "seed": args.seed, "n_boot": args.n_boot, **source},
+                 out / "config_used.json")
     bacc = report["balanced_accuracy"]
     print(f"balanced accuracy: {bacc['point']:.4f} [{bacc['lo']:.4f}, {bacc['hi']:.4f}]")
     for key in ("no_vs_some_auroc", "early_vs_sig_auroc", "sig_vs_nosig_auroc"):
@@ -308,8 +278,8 @@ def _cmd_predict(args):
     preds = _split_predictions(args)
     out.mkdir(parents=True, exist_ok=True)
     save_predictions(preds, out / "predictions.csv")
-    _echo_config(out, {"command": "predict", "checkpoint": str(args.checkpoint),
-                       "data": str(args.data), "split": args.split})
+    _save_config({"command": "predict", "checkpoint": str(args.checkpoint),
+                  "data": str(args.data), "split": args.split}, out / "config_used.json")
     print(f"wrote {len(preds)} predictions to {out / 'predictions.csv'}")
     return 0
 

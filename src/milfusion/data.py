@@ -139,11 +139,11 @@ class SyntheticConfig:
     n_val: int = 60
     n_test: int = 60
     n_unlabeled: int = 500
-    class_priors: tuple = (1 / 3, 1 / 3, 1 / 3)
-    cine_bag_size: tuple = (5, 15)
-    doppler_bag_size: tuple = (2, 6)
-    cine_shape: tuple = (4, 8, 8)
-    doppler_shape: tuple = (12, 16)
+    class_priors: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3)
+    cine_bag_size: tuple[int, ...] = (5, 15)
+    doppler_bag_size: tuple[int, ...] = (2, 6)
+    cine_shape: tuple[int, ...] = (4, 8, 8)
+    doppler_shape: tuple[int, ...] = (12, 16)
     signal_strength: object = 3.0
     relevant_fraction: float = 0.5
     noise_std: float = 1.0
@@ -151,13 +151,14 @@ class SyntheticConfig:
     def signal(self, modality):
         s = self.signal_strength
         if isinstance(s, dict):
-            try:
-                return float(s[modality])
-            except KeyError:
-                raise ConfigError(f"signal_strength mapping lacks {modality!r}") from None
+            if modality not in s:
+                raise ConfigError(f"signal_strength mapping lacks {modality!r}")
+            s = s[modality]
+        if isinstance(s, bool) or not isinstance(s, (int, float)):
+            raise ConfigError(f"signal_strength for {modality} must be a number, got {s!r}")
         return float(s)
 
-    def validate(self):
+    def __post_init__(self):
         if self.seed is None:
             raise ConfigError("seed is required")
         for name in ("n_labeled", "n_val", "n_test"):
@@ -169,9 +170,9 @@ class SyntheticConfig:
         if priors.shape != (3,) or np.any(priors < 0) or abs(priors.sum() - 1.0) > 1e-9:
             raise ConfigError(f"class_priors must be 3 nonnegative values summing to 1, got {self.class_priors}")
         for name in ("cine_bag_size", "doppler_bag_size"):
-            lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
-                raise ConfigError(f"{name} range [{lo}, {hi}] is empty or negative")
+            size = getattr(self, name)
+            if len(size) != 2 or size[0] < 0 or size[1] < size[0]:
+                raise ConfigError(f"{name} must be a range [lo, hi] with 0 <= lo <= hi, got {size}")
         if self.cine_bag_size[0] + self.doppler_bag_size[0] < 1:
             raise ConfigError("bags could come out empty: both size ranges start at 0")
         if len(self.cine_shape) != 3 or len(self.doppler_shape) != 2:
@@ -201,7 +202,6 @@ def generate_synthetic(config):
     Returns ``(dataset, hidden_truth)`` where ``hidden_truth`` maps unlabeled
     bag ids to their withheld labels (diagnostics only).
     """
-    config.validate()
     ss = np.random.SeedSequence(config.seed)
     rng_dirs, rng_labels, rng_sizes, rng_select, rng_noise, rng_rel = (
         np.random.default_rng(child) for child in ss.spawn(6)
@@ -294,6 +294,21 @@ def save(dataset, dir_path, hidden_truth=None):
         (root / "hidden_truth.json").write_text(json.dumps(hidden_truth, indent=1))
 
 
+def checked_json(value, kind, owner):
+    """A manifest entry, checked to be a JSON object (``kind=dict``) or list (``kind=list``)."""
+    if not isinstance(value, kind):
+        raise FormatError(f"{owner} must be a JSON {'object' if kind is dict else 'list'}, "
+                          f"got {type(value).__name__}")
+    return value
+
+
+def checked_shape(shape, owner):
+    """A manifest ``shape`` entry, checked to be a list of positive integers."""
+    if not (isinstance(shape, list) and all(type(d) is int and d >= 1 for d in shape)):
+        raise FormatError(f"{owner}: shape must be a list of positive integers, got {shape!r}")
+    return tuple(shape)
+
+
 def checked_relative_path(rel, owner):
     """A manifest ``file`` entry, checked to name a path inside the manifest's directory.
 
@@ -318,30 +333,37 @@ def load(dir_path):
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"manifest.json is not valid JSON: {exc}") from exc
+    checked_json(manifest, dict, "manifest.json")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {manifest.get('format_version')!r}")
 
     bags, assignment = [], {}
-    for rec in manifest.get("bags", []):
-        bag_id = rec.get("id")
+    for index, rec in enumerate(checked_json(manifest.get("bags", []), list, "manifest bags")):
+        bag_id = checked_json(rec, dict, f"manifest bags[{index}]").get("id")
         if not isinstance(bag_id, str):
             raise FormatError(f"bag record without a string id: {rec!r}")
+        owner = f"bag {bag_id!r}"
         cine, doppler = [], []
-        for inst in rec.get("instances", []):
-            modality = inst.get("modality")
+        for inst in checked_json(rec.get("instances", []), list, f"{owner} instances"):
+            modality = checked_json(inst, dict, f"{owner} instance").get("modality")
             if modality not in MODALITIES:
-                raise FormatError(f"bag {bag_id!r}: unknown modality {modality!r}")
-            shape = tuple(int(d) for d in inst.get("shape", ()))
-            fpath = root / checked_relative_path(inst.get("file"), f"bag {bag_id!r}")
+                raise FormatError(f"{owner}: unknown modality {modality!r}")
+            shape = checked_shape(inst.get("shape"), owner)
+            fpath = root / checked_relative_path(inst.get("file"), owner)
             if not fpath.is_file():
-                raise FormatError(f"bag {bag_id!r}: missing feature file {inst.get('file')!r}")
+                raise FormatError(f"{owner}: missing feature file {inst.get('file')!r}")
             features = np.frombuffer(fpath.read_bytes(), dtype="<f8")
             if features.size != math.prod(shape):
                 raise FormatError(
-                    f"bag {bag_id!r}: file {inst.get('file')!r} holds {features.size} "
+                    f"{owner}: file {inst.get('file')!r} holds {features.size} "
                     f"values but shape {list(shape)} needs {math.prod(shape)}"
                 )
-            instance = Instance(modality, features.copy(), shape, inst.get("relevance"))
+            relevance = inst.get("relevance")
+            if relevance is not None and not (type(relevance) in (int, float)
+                                              and 0 <= relevance <= 1):
+                raise FormatError(f"{owner}: relevance must be null or a number in [0, 1], "
+                                  f"got {relevance!r}")
+            instance = Instance(modality, features.copy(), shape, relevance)
             (cine if modality == "cine" else doppler).append(instance)
         bags.append(Bag(bag_id, cine, doppler, label=rec.get("label")))
         assignment[bag_id] = rec.get("split")
@@ -357,7 +379,10 @@ def load_hidden_truth(dir_path):
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"hidden_truth.json is not valid JSON: {exc}") from exc
-    return {str(k): int(v) for k, v in raw.items()}
+    if not isinstance(raw, dict) or any(
+            isinstance(v, bool) or not isinstance(v, int) for v in raw.values()):
+        raise FormatError("hidden_truth.json must map bag ids to integer labels")
+    return raw
 
 
 def with_label(bag, label):

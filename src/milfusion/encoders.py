@@ -20,7 +20,7 @@ from .errors import ConfigError, ContractError
 class EncoderConfig:
     modality: str
     input_dim: int  # flattened size after preprocessing (cine: H*W, doppler: H*W)
-    hidden_sizes: tuple = (64,)
+    hidden_sizes: tuple[int, ...] = (64,)
     embed_dim: int = 32
     activation: str = "tanh"
 

@@ -26,13 +26,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, replace
+import sys
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import checked_relative_path
+from .data import checked_json, checked_relative_path, checked_shape
 from .encoders import Encoder, EncoderConfig, encode_rows, init_encoder_arrays, preprocess
 from .errors import BagSkipError, ConfigError, ContractError, DataError, FormatError
 from .pooling import (
@@ -364,55 +366,52 @@ def predict_probs(model, bags):
 # as the dataset format)
 
 
-def _encoder_config_dict(cfg):
-    return {
-        "modality": cfg.modality,
-        "input_dim": cfg.input_dim,
-        "hidden_sizes": list(cfg.hidden_sizes),
-        "embed_dim": cfg.embed_dim,
-        "activation": cfg.activation,
-    }
+_JSON_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+                    str: "a string"}
 
 
-def config_to_dict(cfg):
-    return {
-        "cine_encoder": _encoder_config_dict(cfg.cine_encoder),
-        "doppler_encoder": _encoder_config_dict(cfg.doppler_encoder),
-        "attention_dim": cfg.attention_dim,
-        "lambda_sa": cfg.lambda_sa,
-        "tau": cfg.tau,
-        "use_cine": cfg.use_cine,
-        "use_doppler": cfg.use_doppler,
-    }
+def config_from_dict(cls, raw, error, where):
+    """The config dataclass ``cls`` read from the JSON object ``raw`` found at ``where``.
 
-
-def config_from_dict(d):
+    Refuses a non-object, unknown or missing keys and values of the wrong JSON
+    type (a bool is not an int, ``"false"`` is not a bool) by raising ``error``,
+    and re-raises what ``cls`` refuses as ``error``. An int is read as a float,
+    a list as a tuple, and a field typed as a config dataclass recursively.
+    """
+    if not isinstance(raw, dict):
+        raise error(f"{where} must be a JSON object, got {type(raw).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise error(f"{where}: unknown keys {unknown}")
+    missing = [name for name, f in known.items() if name not in raw and f.default is MISSING]
+    if missing:
+        raise error(f"{where}: missing keys {missing}")
+    types = typing.get_type_hints(cls)
+    kwargs = {name: _read_value(types[name], value, f"{where}.{name}", error)
+              for name, value in raw.items()}
     try:
-        cine = EncoderConfig(
-            modality=d["cine_encoder"]["modality"],
-            input_dim=int(d["cine_encoder"]["input_dim"]),
-            hidden_sizes=tuple(d["cine_encoder"]["hidden_sizes"]),
-            embed_dim=int(d["cine_encoder"]["embed_dim"]),
-            activation=d["cine_encoder"]["activation"],
-        )
-        doppler = EncoderConfig(
-            modality=d["doppler_encoder"]["modality"],
-            input_dim=int(d["doppler_encoder"]["input_dim"]),
-            hidden_sizes=tuple(d["doppler_encoder"]["hidden_sizes"]),
-            embed_dim=int(d["doppler_encoder"]["embed_dim"]),
-            activation=d["doppler_encoder"]["activation"],
-        )
-        return ModelConfig(
-            cine_encoder=cine,
-            doppler_encoder=doppler,
-            attention_dim=int(d["attention_dim"]),
-            lambda_sa=float(d["lambda_sa"]),
-            tau=float(d["tau"]),
-            use_cine=bool(d["use_cine"]),
-            use_doppler=bool(d["use_doppler"]),
-        )
-    except KeyError as exc:
-        raise FormatError(f"checkpoint config block lacks key {exc}") from exc
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise error(f"{where}: {exc}") from exc
+
+
+def _read_value(tp, value, where, error):
+    """One config value checked against its field type ``tp``."""
+    if is_dataclass(tp):
+        return config_from_dict(tp, value, error, where)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise error(f"{where} must be a list, got {value!r}")
+        item_type = typing.get_args(tp)[0]  # tuple[T, ...]
+        return tuple(_read_value(item_type, v, f"{where}[{i}]", error)
+                     for i, v in enumerate(value))
+    if tp is object:
+        return value
+    if (type(value) not in ((int, float) if tp is float else (tp,))
+            or (tp is float and not abs(value) <= sys.float_info.max)):  # NaN, inf, 1e400
+        raise error(f"{where} must be {_JSON_TYPE_NAMES[tp]}, got {value!r}")
+    return float(value) if tp is float else value
 
 
 def save_model(model, dir_path):
@@ -425,7 +424,7 @@ def save_model(model, dir_path):
         records.append({"name": name, "shape": list(model.params[name].shape), "file": rel})
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": config_to_dict(model.config),
+        "config": asdict(model.config),
         "tensors": records,
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=1))
@@ -440,18 +439,21 @@ def load_model(dir_path):
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"checkpoint manifest is not valid JSON: {exc}") from exc
+    checked_json(manifest, dict, "checkpoint manifest")
     if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise FormatError(
             f"unsupported checkpoint format_version {manifest.get('format_version')!r}"
         )
-    config = config_from_dict(manifest.get("config", {}))
+    config = config_from_dict(ModelConfig, manifest.get("config"), FormatError,
+                              "checkpoint config")
     expected = dict(param_specs(config))
     params = {}
-    for rec in manifest.get("tensors", []):
-        name = rec.get("name")
-        shape = tuple(int(d) for d in rec.get("shape", ()))
-        if name not in expected:
+    for index, rec in enumerate(checked_json(manifest.get("tensors", []), list,
+                                             "checkpoint tensors")):
+        name = checked_json(rec, dict, f"checkpoint tensors[{index}]").get("name")
+        if not isinstance(name, str) or name not in expected:
             raise FormatError(f"checkpoint tensor {name!r} is not a model parameter")
+        shape = checked_shape(rec.get("shape"), f"checkpoint tensor {name!r}")
         if shape != expected[name]:
             raise FormatError(
                 f"checkpoint tensor {name!r}: shape {list(shape)} does not match "

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -42,6 +43,21 @@ def read_bytes_map(root):
             if p.is_file()}
 
 
+def edit_json(path, key_path, value):
+    """Set one value, addressed by a path of keys and indices, in a JSON file."""
+    doc = json.loads(path.read_text())
+    node = doc
+    for key in key_path[:-1]:
+        node = node[key]
+    node[key_path[-1]] = value
+    path.write_text(json.dumps(doc))
+
+
+def error_lines(err):
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 
@@ -74,6 +90,63 @@ def test_missing_seed(tmp_path):
 
 def test_unknown_flag_is_usage_error(tmp_path):
     assert main(["gen-data", "--seed", "1", "--frobnicate"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# config files
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "ssl"])
+def test_config_used_json_reproduces_the_run(workdir, command):
+    # flags given to the first run are recorded, so the second run needs none
+    if command == "gen-data":
+        args, flags = ["gen-data", "--seed", "7"], []
+        config = workdir / "dataset.json"
+    else:
+        args = [command, "--data", str(workdir / "data"), "--seed", "3"]
+        flags = ["--lr", "1e-3", "--tau", "0.05", "--ablate-doppler"]
+        config = workdir / "run.json"
+    first, again = workdir / "first", workdir / "again"
+    assert main([*args, *flags, "--config", str(config), "--out", str(first)]) == 0
+    assert main([*args, "--config", str(first / "config_used.json"), "--out", str(again)]) == 0
+    assert (again / "config_used.json").read_bytes() == (first / "config_used.json").read_bytes()
+    if command == "gen-data":
+        assert read_bytes_map(again) == read_bytes_map(first)
+    else:
+        assert (params_digest(load_model(again / "checkpoint").params)
+                == params_digest(load_model(first / "checkpoint").params))
+
+
+def test_config_used_json_model_section_is_flat(workdir):
+    out = workdir / "trained"
+    assert main(["train", "--config", str(workdir / "run.json"), "--data", str(workdir / "data"),
+                 "--seed", "3", "--out", str(out)]) == 0
+    model = json.loads((out / "config_used.json").read_text())["model"]
+    assert model == {"cine_input_dim": 9, "doppler_input_dim": 12, "hidden_sizes": [8],
+                     "embed_dim": 4, "activation": "tanh", "attention_dim": 4,
+                     "lambda_sa": 10.0, "tau": 0.5, "use_cine": True, "use_doppler": True}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "learning_rate", "x"),
+    ("model", "hidden_sizes", 8),
+    ("dataset", "n_labeled", "12"),
+    (None, "model", "x"),
+    ("dataset", "signal_strength", "abc"),
+    ("model", "use_cine", "false"),
+    ("model", "cine_encoder", {"modality": "cine", "input_dim": 9}),
+    ("train", "max_epochs", True),
+])
+def test_wrong_typed_config_value_is_a_usage_error(workdir, capsys, section, key, value):
+    cfg = {"dataset": dict(TINY_DATASET), **copy.deepcopy(TINY_RUN)}
+    (cfg[section] if section else cfg)[key] = value
+    path = workdir / "bad.json"
+    path.write_text(json.dumps(cfg))
+    command = ["gen-data"] if section == "dataset" else ["train", "--data", str(workdir / "data")]
+    capsys.readouterr()
+    code = main([*command, "--config", str(path), "--seed", "3", "--out", str(workdir / "o")])
+    assert code == 1
+    assert len(error_lines(capsys.readouterr().err)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +328,42 @@ def test_eval_refuses_bad_probabilities(tmp_path, capsys, bad_row):
     assert code == 2
     assert "'b1'" in capsys.readouterr().err
     assert not (tmp_path / "e" / "report.json").exists()
+
+
+@pytest.mark.parametrize("key_path, value", [
+    (("config", "cine_encoder", "input_dim"), "abc"),
+    (("config", "cine_encoder"), [1]),
+    (("config", "use_doppler"), "false"),
+    (("tensors", 0, "shape"), ["a"]),
+    (("tensors", 0, "name"), [1]),
+])
+def test_bad_checkpoint_manifest_exits_2(workdir, trained, capsys, key_path, value):
+    edit_json(trained / "manifest.json", key_path, value)
+    capsys.readouterr()
+    code = main(["predict", "--checkpoint", str(trained), "--data", str(workdir / "data"),
+                 "--seed", "1", "--out", str(workdir / "p")])
+    assert code == 2
+    assert len(error_lines(capsys.readouterr().err)) == 1
+
+
+@pytest.mark.parametrize("key_path, value", [
+    (("bags", 0, "instances", 0, "shape"), ["a"]),
+    (("bags", 0, "instances", 0, "shape"), 5),
+    (("bags", 0, "instances"), 5),
+    (("bags",), 5),
+    (("bags", 0), [1]),
+    (("bags", 0, "instances", 0, "relevance"), "abc"),
+    (("bags", 0, "instances", 0, "relevance"), 1.5),
+])
+def test_bad_dataset_manifest_exits_2(workdir, capsys, key_path, value):
+    edit_json(workdir / "data" / "manifest.json", key_path, value)
+    capsys.readouterr()
+    code = main(["train", "--config", str(workdir / "run.json"), "--data",
+                 str(workdir / "data"), "--seed", "3", "--out", str(workdir / "t")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(error_lines(err)) == 1
+    assert "'train_" in err or "bags" in err  # names the bag, or the bag list
 
 
 def test_eval_unknown_split(workdir, trained):

@@ -1,7 +1,9 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from milfusion.data import (
     Bag,
@@ -14,8 +16,10 @@ from milfusion.data import (
     load_hidden_truth,
     save,
 )
-from milfusion.errors import ConfigError, FormatError, UsageError
+from milfusion.errors import ConfigError, FormatError, MilError, UsageError
+from milfusion.model import load_model, save_model
 
+from helpers import random_model, tiny_model_config
 from oracles import centroid_balanced_accuracy
 
 SMALL = dict(n_labeled=24, n_val=18, n_test=18, n_unlabeled=10)
@@ -302,3 +306,82 @@ def test_instance_invariants():
         Instance("doppler", np.zeros(4), (2, 2), relevance=0.5)
     with pytest.raises(FormatError):
         Instance("mri", np.zeros(4), (2, 2))
+
+
+def test_hidden_truth_must_map_ids_to_integer_labels(tmp_path):
+    for bad in ([1, 2], {"u0": 1.0}, {"u0": True}, {"u0": "1"}):
+        (tmp_path / "hidden_truth.json").write_text(json.dumps(bad))
+        with pytest.raises(FormatError, match="integer labels"):
+            load_hidden_truth(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# loader fuzz: one manifest field swapped for a value of another JSON type
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=4,
+)
+
+
+def json_kind(value):
+    """The JSON type of a parsed value; ints and floats are both numbers."""
+    for kind in (bool, type(None), str, list, dict):
+        if isinstance(value, kind):
+            return kind
+    return float
+
+
+def json_paths(node, path=()):
+    """Every key path into a parsed JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def saved_artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("artifacts")
+    ds, hidden = generate_synthetic(SyntheticConfig(
+        seed=5, n_labeled=1, n_val=1, n_test=1, n_unlabeled=1, cine_shape=(2, 2, 2),
+        doppler_shape=(2, 3), cine_bag_size=(1, 2), doppler_bag_size=(1, 2)))
+    save(ds, root / "data", hidden)
+    save_model(random_model(tiny_model_config(), seed=2), root / "ckpt")
+    return {"dataset": (root / "data", load), "checkpoint": (root / "ckpt", load_model)}
+
+
+@pytest.mark.parametrize("artifact", ["dataset", "checkpoint"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_loaders_raise_only_mil_error(saved_artifacts, artifact, data):
+    root, loader = saved_artifacts[artifact]
+    manifest_path = root / "manifest.json"
+    original = json.loads(manifest_path.read_text())
+    path = data.draw(st.sampled_from(list(json_paths(original))), label="path")
+    node = original
+    for key in path:
+        node = node[key]
+    value = data.draw(JSON_VALUES.filter(lambda v: json_kind(v) is not json_kind(node)),
+                      label="value")
+    edited = value
+    if path:
+        edited = copy.deepcopy(original)
+        parent = edited
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    manifest_path.write_text(json.dumps(edited))
+    try:
+        loader(root)
+    except MilError:
+        pass
+    finally:
+        manifest_path.write_text(json.dumps(original))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milfusion import metrics
+from milfusion.cli import _save_config, _write_history_csv, _write_rounds
 from milfusion.errors import ContractError, FormatError, MetricError
 from milfusion.metrics import (
     PredictionSet,
@@ -545,11 +546,15 @@ def test_failed_writes_keep_the_previous_file(tmp_path):
     rng = np.random.default_rng(10)
     broken = random_preds(rng, 6)
     broken.rows[4].probs = None  # the write fails after four rows
+    epoch = {"epoch": 1, "train_loss": 0.5, "val_balanced_accuracy": 1.0}
     cases = [
         (save_predictions, random_preds(rng, 6), broken, "preds.csv"),
         (save_report, {"a": 1.0}, {"a": 1.0, "b": object()}, "report.json"),
         (save_confusion_csv, np.eye(3, dtype=int), [[1, 0, 0], [0, 1, 0], [0]],
          "confusion.csv"),
+        (_save_config, {"a": 1}, {"a": 1, "b": object()}, "config_used.json"),
+        (_write_history_csv, {"epochs": [epoch]}, {"epochs": [epoch, None]}, "history.csv"),
+        (_write_rounds, [{"round": 1}], [{"round": 1}, {"round": object()}], "rounds.jsonl"),
     ]
     for save, good, bad, name in cases:
         path = tmp_path / name
@@ -559,7 +564,8 @@ def test_failed_writes_keep_the_previous_file(tmp_path):
             save(bad, path)
         assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "confusion.csv", "preds.csv", "report.json"]  # no temporary file left
+        "config_used.json", "confusion.csv", "history.csv", "preds.csv", "report.json",
+        "rounds.jsonl"]  # no temporary file left
 
 
 def test_prediction_csv_bad_header(tmp_path):

@@ -1,13 +1,19 @@
+import json
+import re
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from milfusion import autodiff as ad
-from milfusion.data import Bag, Instance
+from milfusion.data import Bag, Instance, SyntheticConfig
+from milfusion.encoders import EncoderConfig
 from milfusion.errors import BagSkipError, ConfigError, ContractError, DataError, FormatError
 from milfusion.model import (
     MMILModel,
     ModelConfig,
     ablated,
+    config_from_dict,
     forward,
     fuse,
     init_model,
@@ -18,6 +24,7 @@ from milfusion.model import (
     total_loss,
 )
 from milfusion.pooling import AttentionModule
+from milfusion.training import TrainConfig
 
 from helpers import (
     bag_arrays,
@@ -344,6 +351,55 @@ def test_config_validation():
 
     with pytest.raises(ConfigError):
         ModelConfig(enc, EncoderConfig("doppler", input_dim=12, embed_dim=16))
+
+
+@pytest.mark.parametrize("config", [
+    tiny_model_config(use_doppler=False, tau=2),
+    EncoderConfig("cine", input_dim=9, hidden_sizes=(5, 3)),
+    TrainConfig(learning_rate=0.1, max_epochs=3, seed=4),
+    SyntheticConfig(seed=3, class_priors=(0.5, 0.25, 0.25),
+                    signal_strength={"cine": 1.0, "doppler": 2}),
+], ids=lambda c: type(c).__name__)
+def test_config_from_dict_reads_back_asdict(config):
+    raw = json.loads(json.dumps(asdict(config)))
+    assert config_from_dict(type(config), raw, FormatError, "config") == config
+
+
+def test_config_from_dict_reads_ints_as_floats_and_lists_as_tuples():
+    raw = asdict(tiny_model_config())
+    raw.update(tau=1, lambda_sa=0)
+    raw["cine_encoder"]["hidden_sizes"] = [8]
+    config = config_from_dict(ModelConfig, raw, FormatError, "config")
+    assert type(config.tau) is float and type(config.lambda_sa) is float
+    assert config.cine_encoder.hidden_sizes == (8,)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw.update(attention_dim=True), "config.attention_dim must be an integer"),
+    (lambda raw: raw.update(attention_dim=4.0), "config.attention_dim must be an integer"),
+    (lambda raw: raw.update(use_cine="false"), "config.use_cine must be true or false"),
+    (lambda raw: raw.update(tau=float("nan")), "config.tau must be a finite number"),
+    (lambda raw: raw.update(extra=1), "config: unknown keys ['extra']"),
+    (lambda raw: raw.pop("cine_encoder"), "config: missing keys ['cine_encoder']"),
+    (lambda raw: raw.update(cine_encoder=[1]), "config.cine_encoder must be a JSON object"),
+    (lambda raw: raw["cine_encoder"].update(hidden_sizes=8),
+     "config.cine_encoder.hidden_sizes must be a list"),
+    (lambda raw: raw["cine_encoder"].update(hidden_sizes=[8.5]),
+     "config.cine_encoder.hidden_sizes[0] must be an integer"),
+    (lambda raw: raw["cine_encoder"].update(activation="gelu"),
+     "config.cine_encoder: unknown activation 'gelu'"),
+    (lambda raw: raw.update(tau=-1.0), "config: tau must be > 0"),
+])
+def test_config_from_dict_refusals_raise_the_given_error(edit, message):
+    raw = asdict(tiny_model_config())
+    edit(raw)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        config_from_dict(ModelConfig, raw, FormatError, "config")
+
+
+def test_config_from_dict_refuses_a_non_object():
+    with pytest.raises(FormatError, match="must be a JSON object, got list"):
+        config_from_dict(TrainConfig, [1], FormatError, "train")
 
 
 def test_ablated_helper():
