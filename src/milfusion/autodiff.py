@@ -1,8 +1,15 @@
 """Dense float64 tensors with a define-by-run reverse-mode tape.
 
 Design choices, deliberately boring:
-  * row-major flat storage; every operation copies, there are no views,
-    no strides and no broadcasting;
+  * row-major flat storage, no strides and no broadcasting;
+  * a tensor made from an array (a leaf or a constant) holds a read-only 1-D
+    view of it, not a copy: a trainable parameter's leaf views the parameter
+    array itself. Writing through a tensor's data raises, and the owner of the
+    array must not change it while a tape that holds the view is in use (the
+    trainer updates its parameters only after ``backward``);
+  * ``backward`` hands out gradient arrays read-only and uncopied: one array
+    may be the gradient of several nodes (``add`` passes its output gradient
+    to both inputs), which read-only arrays keep invisible to callers;
   * a tape is rebuilt for every forward pass and is confined to one thread
     (distinct tapes may run concurrently);
   * softmax subtracts the max before exponentiating; log raises a DomainError
@@ -15,27 +22,31 @@ Design choices, deliberately boring:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError
 
 
 def _flat(values, shape=None):
-    """Coerce to (1-D float64 copy, shape tuple), validating positive dims."""
+    """(read-only 1-D float64 view of ``values``, shape tuple), validating positive dims.
+
+    A float64 array in row-major order is viewed, not copied; anything else is
+    converted first.
+    """
     arr = np.asarray(values, dtype=np.float64)
-    if shape is None:
-        shape = arr.shape
-    shape = tuple(int(d) for d in shape)
-    if any(d <= 0 for d in shape):
+    shape = arr.shape if shape is None else tuple(int(d) for d in shape)
+    if min(shape, default=1) <= 0:
         raise DimensionError(f"tensor dimensions must be positive, got {list(shape)}")
-    n = 1
-    for d in shape:
-        n *= d
+    n = math.prod(shape)
     if arr.size != n:
         raise DimensionError(
             f"{arr.size} values do not fill shape {list(shape)} (needs {n})"
         )
-    return arr.reshape(-1).copy(), shape
+    data = arr.reshape(-1)
+    data.setflags(write=False)
+    return data, shape
 
 
 class TapeNode:
@@ -61,15 +72,11 @@ class Tape:
         self.nodes = []
         self.gradients = {}
 
-    def _record(self, kind, input_ids, shape, grad_fn):
-        self.nodes.append(TapeNode(kind, input_ids, shape, grad_fn))
-        return len(self.nodes) - 1
-
     def leaf(self, values, shape=None):
-        """Register a differentiable leaf (a trainable parameter)."""
+        """Register a differentiable leaf (a trainable parameter) viewing ``values``."""
         data, shp = _flat(values, shape)
-        nid = self._record("leaf", (), shp, None)
-        return Tensor(data, shp, self, nid)
+        self.nodes.append(TapeNode("leaf", (), shp, None))
+        return Tensor(data, shp, self, len(self.nodes) - 1)
 
     def grad(self, tensor):
         """Gradient of the last backward() w.r.t. ``tensor`` (a leaf or op output)."""
@@ -115,24 +122,21 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)}{tag})"
 
 
-def _shared_tape(*tensors):
-    tape = None
-    for t in tensors:
+def _emit(kind, data, shape, inputs, grad_fn):
+    """The op's output: recorded on its operands' tape, or a constant if none has one."""
+    tape, input_ids = None, []
+    for t in inputs:
+        input_ids.append(t.node_id)
         if t.tape is None:
             continue
         if tape is None:
             tape = t.tape
         elif tape is not t.tape:
             raise ContractError("operands were recorded on different tapes")
-    return tape
-
-
-def _emit(kind, data, shape, inputs, grad_fn):
-    tape = _shared_tape(*inputs)
     if tape is None:
         return Tensor(data, shape)
-    nid = tape._record(kind, tuple(t.node_id for t in inputs), shape, grad_fn)
-    return Tensor(data, shape, tape, nid)
+    tape.nodes.append(TapeNode(kind, tuple(input_ids), shape, grad_fn))
+    return Tensor(data, shape, tape, len(tape.nodes) - 1)
 
 
 def _same_shape(kind, a, b):
@@ -303,13 +307,17 @@ def pick(x, index):
     return _emit("pick", np.array([x.data[index]]), (1,), (x,), grad_fn)
 
 
+def softmax_values(x):
+    """Softmax of a 1-D array, computed with max-subtraction."""
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
 def softmax(x):
     """Softmax over a 1-D tensor, computed with max-subtraction."""
     if len(x.shape) != 1:
         raise DimensionError(f"softmax needs a 1-D tensor, got {list(x.shape)}")
-    z = x.data - x.data.max()
-    e = np.exp(z)
-    y = e / e.sum()
+    y = softmax_values(x.data)
     return _emit("softmax", y, x.shape, (x,), lambda g: (y * (g - np.dot(g, y)),))
 
 
@@ -370,7 +378,7 @@ def attention_scores(H, U, w):
     need_h, need_u, need_w = H.tape is not None, U.tape is not None, w.tape is not None
 
     def grad_fn(g):
-        gT = np.outer(g, wd) * (1.0 - T * T)
+        gT = g[:, None] * wd * (1.0 - T * T)
         return (
             (gT @ Um).reshape(-1) if need_h else None,
             (gT.T @ Hm).reshape(-1) if need_u else None,
@@ -390,7 +398,7 @@ def weighted_sum(a, H):
     need_a, need_h = a.tape is not None, H.tape is not None
 
     def grad_fn(g):
-        return (Hm @ g if need_a else None, np.outer(av, g).reshape(-1) if need_h else None)
+        return (Hm @ g if need_a else None, (av[:, None] * g).reshape(-1) if need_h else None)
 
     return _emit("weighted_sum", av @ Hm, (m,), (a, H), grad_fn)
 
@@ -439,7 +447,7 @@ def gated_blend(z, zt, U, w):
         return (
             alpha * g + Um.T @ gt if need_z else None,
             (1.0 - alpha) * g + Um.T @ gtt if need_zt else None,
-            (np.outer(gt, zd) + np.outer(gtt, ztd)).reshape(-1) if need_u else None,
+            (gt[:, None] * zd + gtt[:, None] * ztd).reshape(-1) if need_u else None,
             gd * (t - tt) if need_w else None,
         )
 
@@ -457,7 +465,7 @@ def affine(W, x, b):
     need_w, need_x = W.tape is not None, x.tape is not None
 
     def grad_fn(g):
-        return (np.outer(g, xd).reshape(-1) if need_w else None,
+        return ((g[:, None] * xd).reshape(-1) if need_w else None,
                 Wm.T @ g if need_x else None, g)
 
     return _emit("affine", Wm @ xd + b.data, (n,), (W, x, b), grad_fn)
@@ -489,10 +497,10 @@ def kl_divergence(r, A):
     """
     r = np.asarray(r, dtype=np.float64).reshape(-1)
     _check_operands(A.shape == r.shape, f"kl_divergence needs A of shape {list(r.shape)}", A)
-    if np.any(r <= 0.0):
+    if (r <= 0.0).any():
         raise DomainError("kl_divergence needs strictly positive reference weights")
     av = A.data
-    if np.any(av <= 0.0):
+    if (av <= 0.0).any():
         raise DomainError(f"log: non-positive input (min={av.min()!r})")
     value = np.dot(r, np.log(r)) - np.dot(r, np.log(av))
     return _emit("kl_divergence", np.array([value]), (1,), (A,),
@@ -506,38 +514,38 @@ def kl_divergence(r, A):
 def backward(tape, loss):
     """Populate ``tape.gradients`` with d(loss)/d(node) for reachable nodes.
 
-    Every leaf gets an entry (zeros when unreachable). Calling backward twice
-    on the same tape recomputes the same gradients.
+    Every leaf gets an entry (zeros when unreachable). The gradient arrays are
+    read-only and may be shared between entries. Calling backward twice on the
+    same tape recomputes the same gradients.
     """
     if loss.tape is not tape or loss.node_id is None:
         raise ContractError("loss tensor was not recorded on this tape")
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {list(loss.shape)}")
 
-    adjoint = {loss.node_id: np.ones(1)}
-    reached = {}
+    nodes = tape.nodes
+    adjoint = [None] * len(nodes)  # by node id: the gradient summed so far
+    adjoint[loss.node_id] = np.ones(1)
     for nid in range(loss.node_id, -1, -1):
-        g = adjoint.pop(nid, None)
+        g = adjoint[nid]
         if g is None:
             continue
-        node = tape.nodes[nid]
-        reached[nid] = g
+        g.setflags(write=False)
+        node = nodes[nid]
         if node.grad_fn is None:
             continue
         for iid, ig in zip(node.input_ids, node.grad_fn(g)):
             if iid is None or ig is None:
                 continue
-            acc = adjoint.get(iid)
+            acc = adjoint[iid]
             adjoint[iid] = ig if acc is None else acc + ig
 
     tape.gradients = {}
-    for nid, node in enumerate(tape.nodes):
-        g = reached.get(nid)
-        if g is not None:
-            tape.gradients[nid] = Tensor(g.copy(), node.shape)
-        elif node.grad_fn is None:  # unreachable leaf: zero gradient
-            n = 1
-            for d in node.shape:
-                n *= d
-            tape.gradients[nid] = Tensor(np.zeros(n), node.shape)
+    for nid, (node, g) in enumerate(zip(nodes, adjoint)):
+        if g is None:
+            if node.grad_fn is not None:
+                continue
+            g = np.zeros(math.prod(node.shape))  # unreachable leaf
+            g.setflags(write=False)
+        tape.gradients[nid] = Tensor(g, node.shape)
     return tape.gradients

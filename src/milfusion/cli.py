@@ -51,6 +51,7 @@ from .training import (
     run_curriculum,
     run_supervised_only,
     train_supervised,
+    val_split,
 )
 
 logger = logging.getLogger(__name__)
@@ -204,7 +205,7 @@ def _cmd_train(args):
     out = Path(_require(args, "out"))
     dataset, model_config, train_config = _run_inputs(args)
     model, history = train_supervised(
-        train_config.seed + 1, iterate_split(dataset, "train"), iterate_split(dataset, "val"),
+        train_config.seed + 1, iterate_split(dataset, "train"), val_split(dataset),
         model_config, train_config
     )
     out.mkdir(parents=True, exist_ok=True)

@@ -161,6 +161,8 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ConfigError("seed is required")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("n_labeled", "n_val", "n_test"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

@@ -35,7 +35,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import checked_json, checked_relative_path, checked_shape
-from .encoders import Encoder, EncoderConfig, encode_rows, init_encoder_arrays, preprocess
+from .encoders import (  # noqa: F401 -- preprocess stays bound here for bench/spans.py
+    Encoder,
+    EncoderConfig,
+    encode_rows,
+    init_encoder_arrays,
+    preprocess,
+    preprocess_rows,
+)
 from .errors import BagSkipError, ConfigError, ContractError, DataError, FormatError
 from .pooling import (
     AttentionModule,
@@ -196,8 +203,7 @@ def fuse(z, z_dop, att_fusion):
 
 
 def _encode_modality(enc, instances):
-    rows = np.stack([preprocess(enc.config, inst) for inst in instances])
-    return encode_rows(enc, ad.Tensor.const(rows))
+    return encode_rows(enc, ad.Tensor.const(preprocess_rows(enc.config, instances)))
 
 
 def _branches(cfg, bag):
@@ -261,15 +267,13 @@ def total_loss(model, bag, label):
     loss = ad.nll(out.probs, label)
     cfg = model.config
     if cfg.use_cine and cfg.lambda_sa > 0 and out.cine_A is not None:
-        raw = []
-        for inst in bag.cine_instances:
-            if inst.relevance is None:
-                raise DataError(
-                    f"bag {bag.id!r}: cine instance lacks a relevance score "
-                    "(required when lambda_sa > 0)"
-                )
-            raw.append(inst.relevance)
-        r = relevance_renormalize(ad.Tensor.const(raw), cfg.tau)
+        raw = [inst.relevance for inst in bag.cine_instances]
+        if None in raw:
+            raise DataError(
+                f"bag {bag.id!r}: cine instance lacks a relevance score "
+                "(required when lambda_sa > 0)"
+            )
+        r = relevance_renormalize(raw, cfg.tau)
         loss = ad.add(loss, ad.scalar_mul(cfg.lambda_sa, sa_loss(r, out.cine_A)))
     return loss, out
 
@@ -303,7 +307,7 @@ def _pool_batch(params, enc_cfg, prefix, groups, att_names):
     """
     counts = np.array([len(g) for g in groups])
     starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    H = np.stack([preprocess(enc_cfg, inst) for g in groups for inst in g])
+    H = preprocess_rows(enc_cfg, [inst for g in groups for inst in g])
     for i in range(len(enc_cfg.layer_dims)):
         H = ad.activate(H @ params[f"{prefix}layer{i}.W"] + params[f"{prefix}layer{i}.b"],
                         enc_cfg.activation)

@@ -81,14 +81,14 @@ def supervised_attention_pool(att_a, att_b, embeddings):
 
 
 def relevance_renormalize(raw, tau):
-    """Temperature renormalization r_k proportional to exp(raw_k / tau)."""
+    """Temperature renormalization r_k proportional to exp(raw_k / tau), as a constant tensor."""
     if tau <= 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
     if not isinstance(raw, ad.Tensor):
         raw = ad.Tensor.const(raw)
     if len(raw.shape) != 1:
         raise DimensionError(f"relevance vector must be 1-D, got {list(raw.shape)}")
-    return ad.softmax(ad.scalar_mul(1.0 / tau, raw))
+    return ad.Tensor.const(ad.softmax_values((1.0 / tau) * raw.data))
 
 
 def sa_loss(R, A):

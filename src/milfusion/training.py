@@ -15,6 +15,7 @@ more than 10 points below the best round so far.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ class TrainConfig:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.max_epochs < 1 or self.patience < 1:
             raise ConfigError("max_epochs and patience must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -122,7 +125,7 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
             bag = train_bags[i]
             loss, out = total_loss(model, bag, bag.label)
             loss_value = float(loss.data[0])
-            if not np.isfinite(loss_value):
+            if not math.isfinite(loss_value):
                 raise NumericError(f"non-finite loss on bag {bag.id!r}: {loss_value!r}")
             epoch_loss += loss_value
             gradients = backward(out.tape, loss)
@@ -191,6 +194,15 @@ def _round_row(round_num, fraction, selected_count, history, pl_accuracy):
     }
 
 
+def val_split(dataset):
+    """The val split's bags; refuses an empty one, which leaves no epoch or round to pick."""
+    bags = iterate_split(dataset, "val")
+    if not bags:
+        raise UsageError("dataset has no val split: training picks its best epoch and "
+                         "round by validation accuracy")
+    return bags
+
+
 def run_supervised_only(dataset, model_config, train_config):
     """Supervised training on the train split, reported as a single round 1.
 
@@ -198,7 +210,7 @@ def run_supervised_only(dataset, model_config, train_config):
     """
     model, history = train_supervised(
         train_config.seed + 1, iterate_split(dataset, "train"),
-        iterate_split(dataset, "val"), model_config, train_config,
+        val_split(dataset), model_config, train_config,
     )
     return model, [_round_row(1, 0.0, 0, history, None)]
 
@@ -214,9 +226,9 @@ def run_curriculum(dataset, model_config, train_config, hidden_truth=None,
     round; pass None to always run all six rounds.
     """
     labeled = iterate_split(dataset, "train")
-    val_bags = iterate_split(dataset, "val")
     if not labeled:
         raise UsageError("dataset has no labeled train split")
+    val_bags = val_split(dataset)
     unlabeled = iterate_split(dataset, "unlabeled")
 
     if not unlabeled:

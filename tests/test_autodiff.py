@@ -202,6 +202,31 @@ def test_backward_idempotent():
     assert np.array_equal(first, tape.grad(x).value())
 
 
+def test_leaf_views_its_array_read_only():
+    values = np.arange(1.0, 7.0).reshape(2, 3)
+    tape = ad.Tape()
+    x = tape.leaf(values)
+    assert np.shares_memory(x.data, values)
+    with pytest.raises(ValueError):
+        x.data[0] = 5.0
+    values[0, 0] = 9.0  # the owner of the array can still write it
+    assert x.data[0] == 9.0
+
+
+def test_gradients_are_read_only():
+    tape = ad.Tape()
+    x = tape.leaf([1.0])
+    y = tape.leaf([2.0])
+    unused = tape.leaf([3.0])
+    ad.backward(tape, ad.add(x, y))
+    gx, gy = tape.grad(x).data, tape.grad(y).data
+    assert gx.tolist() == gy.tolist() == [1.0]
+    for g in (gx, gy, tape.grad(unused).data):
+        with pytest.raises(ValueError):
+            g[0] = 5.0
+    assert gx.tolist() == gy.tolist() == [1.0]
+
+
 def test_mixed_tapes_rejected():
     t1, t2 = ad.Tape(), ad.Tape()
     with pytest.raises(ContractError):

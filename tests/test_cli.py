@@ -92,6 +92,17 @@ def test_unknown_flag_is_usage_error(tmp_path):
     assert main(["gen-data", "--seed", "1", "--frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train", "ssl"])
+def test_negative_seed_is_a_usage_error(workdir, capsys, command):
+    args = [] if command == "gen-data" else ["--data", str(workdir / "data"),
+                                             "--config", str(workdir / "run.json")]
+    capsys.readouterr()
+    code = main([command, *args, "--seed", "-1", "--out", str(workdir / "neg")])
+    assert code == 1
+    assert len(error_lines(capsys.readouterr().err)) == 1
+    assert not (workdir / "neg").exists()
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -235,6 +246,22 @@ def test_ssl_ablate_flag_skips_curriculum(workdir):
     assert len(rounds) == 1
 
 
+@pytest.mark.parametrize("command", [["train"], ["ssl"], ["ssl", "--ablate-ssl"]])
+def test_empty_val_split_is_refused_before_training(workdir, capsys, command):
+    manifest_path = workdir / "data" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for rec in manifest["bags"]:
+        if rec["split"] == "val":
+            rec["split"] = "test"
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main([*command, "--config", str(workdir / "run.json"), "--data",
+                 str(workdir / "data"), "--seed", "3", "--out", str(workdir / "noval")])
+    assert code == 1
+    assert len(error_lines(capsys.readouterr().err)) == 1
+    assert not (workdir / "noval").exists()
+
+
 def test_nan_features_exit_numeric(workdir):
     # corrupt one feature file; training must exit with the numeric-failure code
     victim = sorted((workdir / "data" / "features").glob("train_*"))[0]
@@ -297,6 +324,21 @@ def test_eval_from_predictions_matches_in_process(workdir, trained):
     r1 = json.loads((e1 / "report.json").read_text())
     r2 = json.loads((e2 / "report.json").read_text())
     assert r1 == r2  # probabilities round-trip the CSV bitwise
+
+
+@pytest.mark.parametrize("source", ["checkpoint", "predictions"])
+def test_eval_bytes_are_deterministic(workdir, trained, source):
+    if source == "checkpoint":
+        args = ["--checkpoint", str(trained), "--data", str(workdir / "data")]
+    else:
+        assert main(["predict", "--checkpoint", str(trained), "--data", str(workdir / "data"),
+                     "--seed", "1", "--out", str(workdir / "preds")]) == 0
+        args = ["--predictions", str(workdir / "preds" / "predictions.csv")]
+    outs = [workdir / "e1", workdir / "e2"]
+    for out in outs:  # any integer seeds the bootstrap, a negative one too
+        assert main(["eval", *args, "--seed", "-1", "--n-boot", "40", "--out", str(out)]) == 0
+    for name in ("report.json", "confusion_matrix.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_eval_missing_checkpoint(workdir):

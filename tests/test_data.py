@@ -133,6 +133,7 @@ def test_per_modality_signal_strength():
         dict(noise_std=-1.0),
         dict(relevant_fraction=1.5),
         dict(signal_strength={"cine": 1.0}),
+        dict(seed=-1),
     ],
 )
 def test_invalid_generator_config(overrides):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from milfusion import autodiff as ad
-from milfusion.data import Instance
+from milfusion.data import Instance, generate_synthetic
 from milfusion.encoders import (
     Encoder,
     EncoderConfig,
@@ -10,10 +10,12 @@ from milfusion.encoders import (
     glorot_bound,
     init_weights,
     preprocess,
+    preprocess_rows,
 )
 from milfusion.errors import ConfigError, ContractError
 
 from oracles import max_rel_err, numeric_gradient
+from test_acceptance import REFERENCE_DATA, REFERENCE_MODEL
 
 CINE_CFG = EncoderConfig("cine", input_dim=4, hidden_sizes=(5,), embed_dim=3)
 DOP_CFG = EncoderConfig("doppler", input_dim=6, hidden_sizes=(5,), embed_dim=3)
@@ -114,6 +116,36 @@ def test_wrong_input_dim():
 def test_cine_needs_frame_axis():
     with pytest.raises(ContractError):
         preprocess(CINE_CFG, Instance("cine", np.zeros(4), (4,), relevance=0.1))
+
+
+@pytest.mark.parametrize("prep", [preprocess, lambda cfg, inst: preprocess_rows(cfg, [inst])])
+@pytest.mark.parametrize("cfg, instance", [
+    (CINE_CFG, Instance("cine", np.zeros(4), (4,), relevance=0.1)),  # no frame axis
+    (CINE_CFG, Instance("doppler", np.zeros(4), (2, 2))),  # wrong modality
+    (CINE_CFG, Instance("cine", np.zeros(6), (2, 3), relevance=0.1)),  # wrong input_dim
+    (DOP_CFG, Instance("doppler", np.zeros(4), (2, 2))),  # wrong input_dim
+])
+def test_preprocess_refuses_an_instance_the_encoder_cannot_take(prep, cfg, instance):
+    with pytest.raises(ContractError):
+        prep(cfg, instance)
+
+
+def test_batched_rows_equal_the_per_instance_rows_on_the_reference_dataset():
+    dataset, _ = generate_synthetic(REFERENCE_DATA)
+    for bag in dataset.bags:
+        for cfg, instances in ((REFERENCE_MODEL.cine_encoder, bag.cine_instances),
+                               (REFERENCE_MODEL.doppler_encoder, bag.doppler_instances)):
+            if instances:
+                want = np.stack([preprocess(cfg, inst) for inst in instances])
+                assert preprocess_rows(cfg, instances).tobytes() == want.tobytes()
+
+
+def test_batched_rows_of_instances_with_different_frame_counts():
+    rng = np.random.default_rng(5)
+    instances = [cine_instance(rng.standard_normal((n, 2, 2))) for n in (3, 5, 1, 5)]
+    instances.append(cine_instance(np.full((2, 2, 2), -0.0)))
+    want = np.stack([preprocess(CINE_CFG, inst) for inst in instances])
+    assert preprocess_rows(CINE_CFG, instances).tobytes() == want.tobytes()
 
 
 def test_invalid_configs():

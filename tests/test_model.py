@@ -253,6 +253,17 @@ def test_full_model_gradient_check(seed):
     assert max_rel_err(got, want) < 1e-3
 
 
+def test_forward_leaves_view_the_parameters_read_only():
+    config = tiny_model_config()
+    model = random_model(config, seed=1)
+    out = forward(model, make_bag(np.random.default_rng(4)))
+    assert set(out.param_leaves) == set(model.params)
+    for name, leaf in out.param_leaves.items():
+        assert np.shares_memory(leaf.data, model.params[name]), name
+        with pytest.raises(ValueError):
+            leaf.data[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # init / checkpoints
 

@@ -149,6 +149,8 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1e-3)
     with pytest.raises(ConfigError):
         TrainConfig(max_epochs=0)
+    with pytest.raises(ConfigError):
+        TrainConfig(seed=-1)
     TrainConfig(learning_rate=0.0)  # null update is allowed
 
 
@@ -342,5 +344,13 @@ def test_curriculum_requires_train_split():
     from milfusion.data import Dataset
 
     ds = Dataset([bag], {"v0": "val"})
+    with pytest.raises(UsageError):
+        run_curriculum(ds, tiny_model_config(), tiny_train_config())
+
+
+def test_curriculum_requires_val_split():
+    ds, _ = tiny_dataset(n_val=1)
+    val_id = iterate_split(ds, "val")[0].id
+    ds.split_assignment[val_id] = "test"
     with pytest.raises(UsageError):
         run_curriculum(ds, tiny_model_config(), tiny_train_config())
