@@ -5,8 +5,8 @@ Design choices, deliberately boring:
   * a tensor made from an array (a leaf or a constant) holds a read-only 1-D
     view of it, not a copy: a trainable parameter's leaf views the parameter
     array itself. Writing through a tensor's data raises, and the owner of the
-    array must not change it while a tape that holds the view is in use (the
-    trainer updates its parameters only after ``backward``);
+    array must not change it while a tape that holds the view is in use
+    (update parameters only after ``backward``);
   * ``backward`` hands out gradient arrays read-only and uncopied: one array
     may be the gradient of several nodes (``add`` passes its output gradient
     to both inputs), which read-only arrays keep invisible to callers;
@@ -17,7 +17,9 @@ Design choices, deliberately boring:
   * the model's layers are fused ops, one node each with a hand-written
     backward pass (an encoder layer, attention scores, the attention-weighted
     sum, the dual-attention combine, the fusion gate, the output layer, the
-    cross-entropy and the supervision KL), so a training bag records ~38 nodes.
+    cross-entropy and the supervision KL), so one bag's ``total_loss`` records
+    ~38 nodes. Training runs ``model.bag_step``, which computes the same loss
+    and gradient without a tape.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .data import (
 )
 from .errors import MilError, UsageError, exit_code_for
 from .metrics import (
-    _atomic_text,
+    atomic_file,
     compute_report,
     confusion_matrix,
     load_predictions,
@@ -81,7 +81,7 @@ def _read_config_file(path):
 
 
 def _save_config(resolved, path):
-    with _atomic_text(path) as f:
+    with atomic_file(path) as f:
         json.dump(resolved, f, indent=1)
 
 
@@ -187,7 +187,7 @@ def _cmd_gen_data(args):
 
 
 def _write_history_csv(history, path):
-    with _atomic_text(path) as f:
+    with atomic_file(path) as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "train_loss", "val_balanced_accuracy"])
         for row in history["epochs"]:
@@ -196,7 +196,7 @@ def _write_history_csv(history, path):
 
 
 def _write_rounds(report, path):
-    with _atomic_text(path) as f:
+    with atomic_file(path) as f:
         for row in report:
             f.write(json.dumps(row) + "\n")
 

@@ -345,7 +345,7 @@ def load(dir_path):
         if not isinstance(bag_id, str):
             raise FormatError(f"bag record without a string id: {rec!r}")
         owner = f"bag {bag_id!r}"
-        cine, doppler = [], []
+        entries, offset = [], 0  # (modality, shape, relevance, file, path, start, end)
         for inst in checked_json(rec.get("instances", []), list, f"{owner} instances"):
             modality = checked_json(inst, dict, f"{owner} instance").get("modality")
             if modality not in MODALITIES:
@@ -354,18 +354,31 @@ def load(dir_path):
             fpath = root / checked_relative_path(inst.get("file"), owner)
             if not fpath.is_file():
                 raise FormatError(f"{owner}: missing feature file {inst.get('file')!r}")
-            features = np.frombuffer(fpath.read_bytes(), dtype="<f8")
-            if features.size != math.prod(shape):
-                raise FormatError(
-                    f"{owner}: file {inst.get('file')!r} holds {features.size} "
-                    f"values but shape {list(shape)} needs {math.prod(shape)}"
-                )
             relevance = inst.get("relevance")
             if relevance is not None and not (type(relevance) in (int, float)
                                               and 0 <= relevance <= 1):
                 raise FormatError(f"{owner}: relevance must be null or a number in [0, 1], "
                                   f"got {relevance!r}")
-            instance = Instance(modality, features.copy(), shape, relevance)
+            size = math.prod(shape)
+            entries.append((modality, shape, relevance, inst.get("file"), fpath,
+                            offset, offset + size))
+            offset += size
+        # the bag's files read straight into one array, checked finite at once;
+        # its instances view slices of it
+        values = np.empty(offset, dtype="<f8")
+        for *_, file, fpath, start, end in entries:
+            with open(fpath, "rb") as f:
+                complete = f.readinto(values[start:end]) == 8 * (end - start) and not f.read(1)
+            if not complete:
+                raise FormatError(f"{owner}: file {file!r} holds {fpath.stat().st_size} bytes "
+                                  f"but its shape needs {8 * (end - start)} (float64 values)")
+        if not np.isfinite(values).all():
+            bad = next(file for *_, file, _, start, end in entries
+                       if not np.isfinite(values[start:end]).all())
+            raise FormatError(f"{owner}: file {bad!r} holds non-finite feature values")
+        cine, doppler = [], []
+        for modality, shape, relevance, _, _, start, end in entries:
+            instance = Instance(modality, values[start:end], shape, relevance)
             (cine if modality == "cine" else doppler).append(instance)
         bags.append(Bag(bag_id, cine, doppler, label=rec.get("label")))
         assignment[bag_id] = rec.get("split")

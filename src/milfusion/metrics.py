@@ -407,13 +407,13 @@ CSV_HEADER = ["bag_id", "true_label", "p0", "p1", "p2"]
 
 
 @contextmanager
-def _atomic_text(path):
-    """A text file that replaces ``path`` only once the block completes;
-    if it raises, ``path`` keeps its previous content."""
+def atomic_file(path, binary=False):
+    """A text (or binary) file that replaces ``path`` only once the block
+    completes; if it raises, ``path`` keeps its previous content."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="") as f:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="") as f:
             yield f
         os.replace(tmp, path)
     finally:
@@ -421,7 +421,7 @@ def _atomic_text(path):
 
 
 def save_predictions(preds, path):
-    with _atomic_text(path) as f:
+    with atomic_file(path) as f:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
         for row in preds.rows:
@@ -456,12 +456,12 @@ def load_predictions(path):
 
 def save_report(report, path):
     text = json.dumps(report, indent=1)
-    with _atomic_text(path) as f:
+    with atomic_file(path) as f:
         f.write(text)
 
 
 def save_confusion_csv(mat, path):
-    with _atomic_text(path) as f:
+    with atomic_file(path) as f:
         writer = csv.writer(f)
         writer.writerow(["true\\pred", "0", "1", "2"])
         for c in range(N_CLASSES):

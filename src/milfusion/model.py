@@ -12,9 +12,17 @@ probabilities plus lambda times the attention supervision loss (skipped when
 the cine branch is disabled, lambda is zero, or the bag has no cine
 instances).
 
-Inference over many bags (``predict_probs``) computes the same probabilities
-without a tape: a chunk of bags at a time, one matmul per layer over the
-chunk's stacked instances and a per-bag (segment) softmax for attention.
+Three paths compute this model:
+  * the specification, on the tape: ``forward`` and ``total_loss``, with
+    ``autodiff.backward`` for the gradient. The acceptance tests check them
+    against finite differences and straight-line oracles;
+  * the training step, ``bag_step``: the loss and the gradient of one bag in
+    straight-line numpy, bitwise those of the taped path, written into the
+    trainer's gradient buffer;
+  * batched inference, ``predict_probs``: the class probabilities of a chunk
+    of bags at a time, one matmul per layer over the chunk's stacked
+    instances and a per-bag (segment) softmax for attention, equal to
+    ``forward``'s to rounding.
 
 Degenerate bags: when an enabled modality has no instances in a bag, the
 forward pass falls back to the other enabled modality (alpha forced to 1 or
@@ -26,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import sys
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
@@ -43,7 +52,8 @@ from .encoders import (  # noqa: F401 -- preprocess stays bound here for bench/s
     preprocess,
     preprocess_rows,
 )
-from .errors import BagSkipError, ConfigError, ContractError, DataError, FormatError
+from .errors import BagSkipError, ConfigError, ContractError, DataError, DomainError, FormatError
+from .metrics import atomic_file
 from .pooling import (
     AttentionModule,
     attention_pool,
@@ -134,9 +144,6 @@ class MMILModel:
                 )
         self.config = config
         self.params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-
-    def copy(self):
-        return MMILModel(self.config, {k: v.copy() for k, v in self.params.items()})
 
 
 def init_model(config, seed):
@@ -276,6 +283,163 @@ def total_loss(model, bag, label):
         r = relevance_renormalize(raw, cfg.tau)
         loss = ad.add(loss, ad.scalar_mul(cfg.lambda_sa, sa_loss(r, out.cine_A)))
     return loss, out
+
+
+# ---------------------------------------------------------------------------
+# tape-free training step
+
+
+def _encoder_forward(params, enc_cfg, prefix, rows):
+    """Each encoder layer's input rows and, last, the encoder's output [K, M]."""
+    hs = [rows]
+    for i in range(len(enc_cfg.layer_dims)):
+        hs.append(ad.activate(hs[-1] @ params[f"{prefix}layer{i}.W"]
+                              + params[f"{prefix}layer{i}.b"], enc_cfg.activation))
+    return hs
+
+
+def _encoder_backward(params, enc_cfg, prefix, hs, G, grads):
+    """``linear``'s backward pass through every encoder layer, last layer first."""
+    for i in reversed(range(len(enc_cfg.layer_dims))):
+        y, W = hs[i + 1], params[f"{prefix}layer{i}.W"]
+        G = (1.0 - y * y) * G if enc_cfg.activation == "tanh" else np.where(y > 0.0, G, 0.0)
+        np.matmul(hs[i].T, G, out=grads[f"{prefix}layer{i}.W"])
+        np.add.reduce(G, axis=0, out=grads[f"{prefix}layer{i}.b"])
+        if i:  # the input rows are constants
+            G = G @ W.T
+
+
+def _scores_forward(params, name, H):
+    """(tanh(H U'), the attention scores w' tanh(U h_k)) of the rows of H."""
+    T = np.tanh(H @ params[f"{name}.U"].T)
+    return T, T @ params[f"{name}.w"]
+
+
+def _scores_backward(params, name, H, T, g, grads):
+    """``attention_scores``' backward pass; returns the gradient of H."""
+    gT = g[:, None] * params[f"{name}.w"] * (1.0 - T * T)
+    np.matmul(gT.T, H, out=grads[f"{name}.U"])
+    np.matmul(T.T, g, out=grads[f"{name}.w"])
+    return gT @ params[f"{name}.U"]
+
+
+def _softmax_backward(y, g):
+    return y * (g - np.dot(g, y))
+
+
+def _zero(grads, prefixes):
+    for name, view in grads.items():
+        if name.startswith(prefixes):
+            view.fill(0.0)
+
+
+def bag_step(model, bag, grad_views):
+    """One training step's loss on ``bag`` (its own label), without a tape.
+
+    Writes the gradient of every parameter into ``grad_views[name]`` (as
+    made by ``param_views``) and returns the loss as a float. Loss and
+    gradient are bitwise those of ``total_loss`` + ``backward``: the forward
+    pass and the fused ops' backward expressions are the same numpy
+    expressions, run in the tape's reverse node order, and a node with
+    several consumers sums their gradients in that order. A parameter the bag
+    does not reach gets exact zeros. Raises what ``total_loss`` raises.
+    """
+    label = bag.label
+    if label not in (0, 1, 2):
+        raise ContractError(f"label must be in {{0,1,2}}, got {label!r}")
+    cfg, params, grads = model.config, model.params, grad_views
+    run_cine, run_doppler = _branches(cfg, bag)
+
+    if run_cine:
+        hc = _encoder_forward(params, cfg.cine_encoder, "cine_encoder.",
+                              preprocess_rows(cfg.cine_encoder, bag.cine_instances))
+        H = hc[-1]
+        Ta, scores = _scores_forward(params, "att_a", H)
+        a = ad.softmax_values(scores)
+        Tb, scores = _scores_forward(params, "att_b", H)
+        b = ad.softmax_values(scores)
+        p = a * b
+        total_p = p.sum()
+        if total_p == 0.0:
+            raise DomainError("normalized_product: the products sum to zero")
+        inv = 1.0 / total_p
+        c = inv * p
+        z = c @ H
+    if run_doppler:
+        hd = _encoder_forward(params, cfg.doppler_encoder, "doppler_encoder.",
+                              preprocess_rows(cfg.doppler_encoder, bag.doppler_instances))
+        Hd = hd[-1]
+        Td, scores = _scores_forward(params, "att_doppler", Hd)
+        d = ad.softmax_values(scores)
+        zt = d @ Hd
+    if run_cine and run_doppler:
+        Uf, wf = params["att_fusion.U"], params["att_fusion.w"]
+        t = np.tanh(Uf @ z)
+        tt = np.tanh(Uf @ zt)
+        alpha = float(ad.logistic(np.array([wf @ t - wf @ tt]))[0])
+        s = alpha * z + (1.0 - alpha) * zt
+    else:
+        s = z if run_cine else zt
+    Wo = params["output.W"]
+    probs = ad.softmax_values(Wo @ s + params["output.b"])
+    py = probs[label]
+    if py <= 0.0:
+        raise DomainError(f"log: non-positive input ({py!r})")
+    loss = -np.log(py)
+
+    ga = None  # the KL term's gradient of a, which the tape sums first
+    if run_cine and cfg.lambda_sa > 0:
+        raw = [inst.relevance for inst in bag.cine_instances]
+        if None in raw:
+            raise DataError(
+                f"bag {bag.id!r}: cine instance lacks a relevance score "
+                "(required when lambda_sa > 0)"
+            )
+        r = relevance_renormalize(raw, cfg.tau).data
+        if (r <= 0.0).any():
+            raise DomainError("kl_divergence needs strictly positive reference weights")
+        if (a <= 0.0).any():
+            raise DomainError(f"log: non-positive input (min={a.min()!r})")
+        lam = float(cfg.lambda_sa)
+        loss = loss + lam * (np.dot(r, np.log(r)) - np.dot(r, np.log(a)))
+        ga = (r * -lam) / a
+
+    g = np.zeros(N_CLASSES)
+    g[label] = -1.0 / py
+    g = _softmax_backward(probs, g)
+    np.multiply(g[:, None], s, out=grads["output.W"])
+    grads["output.b"][...] = g
+    g = Wo.T @ g
+    if run_cine and run_doppler:
+        gd = (np.dot(g, z) - np.dot(g, zt)) * (alpha * (1.0 - alpha))
+        gt = gd * wf * (1.0 - t * t)
+        gtt = -gd * wf * (1.0 - tt * tt)
+        gz = alpha * g + Uf.T @ gt
+        gzt = (1.0 - alpha) * g + Uf.T @ gtt
+        np.add(gt[:, None] * z, gtt[:, None] * zt, out=grads["att_fusion.U"])
+        np.multiply(gd, t - tt, out=grads["att_fusion.w"])
+    else:
+        gz = gzt = g
+        _zero(grads, ("att_fusion.",))
+
+    if run_cine:
+        gc = H @ gz
+        gH = c[:, None] * gz
+        gp = inv * (gc - np.dot(gc, c))
+        ga = gp * b if ga is None else ga + gp * b
+        gH = gH + _scores_backward(params, "att_b", H, Tb, _softmax_backward(b, gp * a), grads)
+        gH = gH + _scores_backward(params, "att_a", H, Ta, _softmax_backward(a, ga), grads)
+        _encoder_backward(params, cfg.cine_encoder, "cine_encoder.", hc, gH, grads)
+    else:
+        _zero(grads, ("cine_encoder.", "att_a.", "att_b."))
+    if run_doppler:
+        gH = d[:, None] * gzt
+        gH = gH + _scores_backward(params, "att_doppler", Hd, Td,
+                                   _softmax_backward(d, Hd @ gzt), grads)
+        _encoder_backward(params, cfg.doppler_encoder, "doppler_encoder.", hd, gH, grads)
+    else:
+        _zero(grads, ("doppler_encoder.", "att_doppler."))
+    return float(loss)
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +583,29 @@ def _read_value(tp, value, where, error):
 
 
 def save_model(model, dir_path):
+    """Write a checkpoint: every tensor, then a manifest naming them with their digest.
+
+    Each file replaces its previous version atomically, and the manifest goes
+    last, so an interrupted save leaves either a complete checkpoint or
+    tensors that do not match the manifest's ``params_digest``, which
+    ``load_model`` refuses.
+    """
     root = Path(dir_path)
     (root / "tensors").mkdir(parents=True, exist_ok=True)
     records = []
     for name in sorted(model.params):
         rel = f"tensors/{name.replace('.', '_')}.bin"
-        (root / rel).write_bytes(model.params[name].astype("<f8").tobytes())
+        with atomic_file(root / rel, binary=True) as f:
+            f.write(model.params[name].astype("<f8").tobytes())
         records.append({"name": name, "shape": list(model.params[name].shape), "file": rel})
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": asdict(model.config),
+        "params_digest": params_digest(model.params),
         "tensors": records,
     }
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    with atomic_file(root / "manifest.json") as f:
+        f.write(json.dumps(manifest, indent=1))
 
 
 def load_model(dir_path):
@@ -466,14 +640,20 @@ def load_model(dir_path):
         fpath = root / checked_relative_path(rec.get("file"), f"checkpoint tensor {name!r}")
         if not fpath.is_file():
             raise FormatError(f"checkpoint tensor {name!r}: missing file {rec.get('file')!r}")
-        arr = np.frombuffer(fpath.read_bytes(), dtype="<f8")
-        if arr.size != int(np.prod(shape)):
+        raw = fpath.read_bytes()
+        if len(raw) != 8 * math.prod(shape):
             raise FormatError(f"checkpoint tensor {name!r}: file size does not match shape")
-        params[name] = arr.reshape(shape).copy()
+        params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     if set(params) != set(expected):
         raise FormatError(
             f"checkpoint lacks tensors: {sorted(set(expected) - set(params))}"
         )
+    digest = manifest.get("params_digest")
+    if not isinstance(digest, str):
+        raise FormatError(f"checkpoint manifest lacks a params_digest string, got {digest!r}")
+    if params_digest(params) != digest:
+        raise FormatError(f"checkpoint tensors under {root} do not match the manifest's "
+                          "params_digest")
     return MMILModel(config, params)
 
 

@@ -1,8 +1,11 @@
 """Supervised trainer (SGD with momentum, one bag per step) and the
 curriculum-labeling semi-supervised controller.
 
-Update rule per parameter:  v <- momentum * v + grad + weight_decay * theta;
-theta <- theta - lr * v.
+Training step per bag: ``model.bag_step`` writes the bag's loss gradient into
+a flat buffer laid out like the parameters, without building a tape (it is
+bitwise ``total_loss`` + ``backward``), and the trainer refuses a non-finite
+loss with NumericError. Update rule per parameter:
+v <- momentum * v + grad + weight_decay * theta; theta <- theta - lr * v.
 
 Curriculum schedule: six rounds selecting the top 0%, 20%, 40%, 60%, 80% and
 100% most-confident pseudo-labeled bags. Every round trains a fresh model from
@@ -20,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import backward
+from .autodiff import backward  # noqa: F401 -- bench/spans.py patches training.backward
 from .data import iterate_split, with_label
 from .errors import ConfigError, NumericError, UsageError
 from .metrics import PredictionSet, PredRow, balanced_accuracy
-from .model import (  # noqa: F401 -- forward stays bound here for bench/spans.py
+from .model import (  # noqa: F401 -- bench/spans.py patches forward and total_loss here
     MMILModel,
+    bag_step,
     forward,
     init_model,
     param_specs,
@@ -101,13 +105,15 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
     # One flat buffer each for the parameters, the velocity and the gradient:
     # the update is elementwise, so a few whole-buffer numpy ops give bitwise
     # the same result as one update per named array. model.params are views
-    # into ``theta``. The update writes into ``scratch`` instead of allocating
-    # temporaries, which cost several times the arithmetic at this size.
+    # into ``theta`` and ``bag_step`` writes through views into ``grad``. The
+    # update writes into ``scratch`` instead of allocating temporaries, which
+    # cost several times the arithmetic at this size.
     names = [name for name, _ in param_specs(model_config)]
     theta = np.concatenate([model.params[name].reshape(-1) for name in names])
     model = MMILModel(model_config, param_views(model_config, theta))
     velocity = np.zeros_like(theta)
     grad = np.empty_like(theta)
+    grad_views = param_views(model_config, grad)
     scratch = np.empty_like(theta)
     rng = np.random.default_rng(train_config.seed)
     lr = train_config.learning_rate
@@ -123,14 +129,10 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
         epoch_loss = 0.0
         for i in order:
             bag = train_bags[i]
-            loss, out = total_loss(model, bag, bag.label)
-            loss_value = float(loss.data[0])
+            loss_value = bag_step(model, bag, grad_views)
             if not math.isfinite(loss_value):
                 raise NumericError(f"non-finite loss on bag {bag.id!r}: {loss_value!r}")
             epoch_loss += loss_value
-            gradients = backward(out.tape, loss)
-            np.concatenate([gradients[out.param_leaves[name].node_id].data for name in names],
-                           out=grad)
             velocity *= mom
             np.multiply(theta, wd, out=scratch)
             scratch += grad

@@ -263,18 +263,47 @@ def test_empty_val_split_is_refused_before_training(workdir, capsys, command):
 
 
 def test_nan_features_exit_numeric(workdir):
-    # corrupt one feature file; training must exit with the numeric-failure code
+    # corrupt one feature file; the loader refuses it before training (a
+    # non-finite loss inside training still exits 3, see tests/test_step.py)
     victim = sorted((workdir / "data" / "features").glob("train_*"))[0]
     n = len(victim.read_bytes()) // 8
     victim.write_bytes(np.full(n, np.nan).tobytes())
     code = main(["train", "--config", str(workdir / "run.json"),
                  "--data", str(workdir / "data"), "--seed", "3",
                  "--out", str(workdir / "nan")])
-    assert code == 3
+    assert code == 2
 
 
 # ---------------------------------------------------------------------------
 # predict / eval
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_non_finite_features_are_refused_by_the_loader(workdir, trained, capsys, command):
+    victim = sorted((workdir / "data" / "features").glob("test_*"))[0]
+    values = np.frombuffer(victim.read_bytes(), dtype="<f8").copy()
+    values[1] = np.inf
+    victim.write_bytes(values.tobytes())
+    capsys.readouterr()
+    code = main([command, "--checkpoint", str(trained), "--data", str(workdir / "data"),
+                 "--seed", "1", "--out", str(workdir / "out")])
+    assert code == 2
+    (line,) = error_lines(capsys.readouterr().err)
+    assert victim.name in line and f"'{victim.name[:8]}'" in line  # the file and its bag
+    assert "non-finite" in line
+
+
+def test_corrupt_checkpoint_tensor_exits_2(workdir, trained, capsys):
+    victim = sorted((trained / "tensors").glob("*.bin"))[0]
+    raw = bytearray(victim.read_bytes())
+    raw[3] ^= 0x01
+    victim.write_bytes(bytes(raw))
+    capsys.readouterr()
+    code = main(["predict", "--checkpoint", str(trained), "--data", str(workdir / "data"),
+                 "--seed", "1", "--out", str(workdir / "p")])
+    assert code == 2
+    (line,) = error_lines(capsys.readouterr().err)
+    assert "params_digest" in line
 
 
 @pytest.fixture()

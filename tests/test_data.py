@@ -200,6 +200,33 @@ def test_shape_mismatch_is_format_error(tmp_path):
         load(tmp_path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_is_format_error(tmp_path, value):
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    rec = manifest["bags"][3]
+    inst = rec["instances"][-1]
+    path = tmp_path / inst["file"]
+    values = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+    values[-1] = value
+    path.write_bytes(values.tobytes())
+    with pytest.raises(FormatError, match=f"'{rec['id']}'.*'{inst['file']}'.*non-finite"):
+        load(tmp_path)
+
+
+@pytest.mark.parametrize("cut", [3, 8])
+def test_truncated_feature_file_is_format_error(tmp_path, cut):
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    rec = manifest["bags"][1]
+    path = tmp_path / rec["instances"][0]["file"]
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(FormatError, match=f"'{rec['id']}'.*bytes"):
+        load(tmp_path)
+
+
 @pytest.mark.parametrize("label", [1.0, True, "1"])
 def test_non_integer_label_is_format_error(tmp_path, label):
     ds, _ = generate_synthetic(small_config())

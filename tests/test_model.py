@@ -336,6 +336,40 @@ def test_checkpoint_missing(tmp_path):
         load_model(tmp_path / "nope")
 
 
+@pytest.mark.parametrize("digest", [None, 5, "0" * 64, "missing"])
+def test_checkpoint_digest_is_checked(tmp_path, digest):
+    save_model(random_model(tiny_model_config(), seed=17), tmp_path / "ckpt")
+    path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if digest == "missing":
+        del manifest["params_digest"]
+    else:
+        manifest["params_digest"] = digest
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="params_digest"):
+        load_model(tmp_path / "ckpt")
+
+
+def test_truncated_checkpoint_tensor_is_format_error(tmp_path):
+    save_model(random_model(tiny_model_config(), seed=20), tmp_path / "ckpt")
+    victim = sorted((tmp_path / "ckpt" / "tensors").glob("*.bin"))[0]
+    victim.write_bytes(victim.read_bytes()[:-3])
+    with pytest.raises(FormatError, match="file size does not match shape"):
+        load_model(tmp_path / "ckpt")
+
+
+def test_checkpoint_is_replaced_whole(tmp_path):
+    first = random_model(tiny_model_config(), seed=18)
+    second = random_model(tiny_model_config(), seed=19)
+    save_model(first, tmp_path / "ckpt")
+    save_model(second, tmp_path / "ckpt")
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    assert manifest["params_digest"] == params_digest(second.params)
+    assert params_digest(load_model(tmp_path / "ckpt").params) == params_digest(second.params)
+    leftovers = [p.name for p in (tmp_path / "ckpt").rglob("*") if p.name.endswith(".tmp")]
+    assert leftovers == []
+
+
 def test_model_param_validation():
     config = tiny_model_config()
     good = init_model(config, 0).params
