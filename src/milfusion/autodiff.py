@@ -189,12 +189,8 @@ def relu(x):
 
 def logistic(x):
     """Elementwise 1 / (1 + exp(-x)) of an array, evaluated without overflow."""
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    y[~pos] = e / (1.0 + e)
-    return y
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x):

@@ -2,10 +2,12 @@
 
 On-disk layout of a dataset directory:
 
-    manifest.json        {"bags": [{"id", "label", "split",
-                          "instances": [{"modality", "shape", "relevance", "file"}]}],
-                          "format_version": 1}
-    features/*.bin       raw little-endian float64, row-major, one file per instance
+    manifest.json        {"bags": [{"id", "label", "split", "file",
+                          "instances": [{"modality", "shape", "relevance"}]}],
+                          "format_version": 2}
+    features/<id>.bin    one file per bag: its instances' raw little-endian float64
+                         values, row-major, back to back in the order of "instances"
+                         (cine, then doppler)
     hidden_truth.json    diagnostics only: true labels of unlabeled bags; never read
                          by any training path
 
@@ -32,7 +34,7 @@ from .errors import ConfigError, FormatError, UsageError
 
 SPLITS = ("train", "val", "test", "unlabeled")
 MODALITIES = ("cine", "doppler")
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -270,24 +272,21 @@ def save(dataset, dir_path, hidden_truth=None):
     (root / "features").mkdir(parents=True, exist_ok=True)
     records = []
     for bag in dataset.bags:
-        inst_records = []
-        for j, inst in enumerate(bag.cine_instances + bag.doppler_instances):
-            rel_path = f"features/{bag.id}_{j:03d}.bin"
-            (root / rel_path).write_bytes(inst.features.astype("<f8").tobytes())
-            inst_records.append(
-                {
-                    "modality": inst.modality,
-                    "shape": list(inst.shape),
-                    "relevance": inst.relevance,
-                    "file": rel_path,
-                }
-            )
+        instances = bag.cine_instances + bag.doppler_instances
+        rel_path = f"features/{bag.id}.bin"
+        values = np.concatenate([inst.features for inst in instances], dtype="<f8")
+        (root / rel_path).write_bytes(values.tobytes())
         records.append(
             {
                 "id": bag.id,
                 "label": bag.label,
                 "split": dataset.split_assignment[bag.id],
-                "instances": inst_records,
+                "file": rel_path,
+                "instances": [
+                    {"modality": inst.modality, "shape": list(inst.shape),
+                     "relevance": inst.relevance}
+                    for inst in instances
+                ],
             }
         )
     manifest = {"bags": records, "format_version": FORMAT_VERSION}
@@ -311,23 +310,25 @@ def checked_shape(shape, owner):
     return tuple(shape)
 
 
-def checked_relative_path(rel, owner):
-    """A manifest ``file`` entry, checked to name a path inside the manifest's directory.
+def contained_path(root, rel, owner):
+    """A manifest ``file`` entry as a resolved path, checked to lie inside ``root``.
 
-    A string check (not absolute, no ``..`` component) rather than a
-    filesystem ``resolve()``, so loading thousands of files stays cheap.
+    ``root`` must be resolved already. Resolving follows symlinks, so a link
+    (to a file or to a directory on the way) that leads out of ``root`` is
+    refused like a ``..`` that does.
     """
-    if not isinstance(rel, str) or not rel:
-        raise FormatError(f"{owner}: file entry must be a non-empty string, got {rel!r}")
-    parts = rel.replace("\\", "/").split("/")
-    if rel.startswith(("/", "\\")) or ".." in parts:
+    if not isinstance(rel, str) or not rel or "\0" in rel:
+        raise FormatError(f"{owner}: file entry must be a non-empty string without NUL, "
+                          f"got {rel!r}")
+    path = (root / rel).resolve()
+    if Path(rel).is_absolute() or not path.is_relative_to(root):
         raise FormatError(f"{owner}: file {rel!r} points outside the directory")
-    return rel
+    return path
 
 
 def load(dir_path):
     """Read a dataset directory written by :func:`save`."""
-    root = Path(dir_path)
+    root = Path(dir_path).resolve()
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise FormatError(f"no manifest.json under {root}")
@@ -345,39 +346,35 @@ def load(dir_path):
         if not isinstance(bag_id, str):
             raise FormatError(f"bag record without a string id: {rec!r}")
         owner = f"bag {bag_id!r}"
-        entries, offset = [], 0  # (modality, shape, relevance, file, path, start, end)
+        file = rec.get("file")
+        fpath = contained_path(root, file, owner)
+        if not fpath.is_file():
+            raise FormatError(f"{owner}: missing feature file {file!r}")
+        entries, offset = [], 0  # (modality, shape, relevance, start, end)
         for inst in checked_json(rec.get("instances", []), list, f"{owner} instances"):
             modality = checked_json(inst, dict, f"{owner} instance").get("modality")
             if modality not in MODALITIES:
                 raise FormatError(f"{owner}: unknown modality {modality!r}")
             shape = checked_shape(inst.get("shape"), owner)
-            fpath = root / checked_relative_path(inst.get("file"), owner)
-            if not fpath.is_file():
-                raise FormatError(f"{owner}: missing feature file {inst.get('file')!r}")
             relevance = inst.get("relevance")
             if relevance is not None and not (type(relevance) in (int, float)
                                               and 0 <= relevance <= 1):
                 raise FormatError(f"{owner}: relevance must be null or a number in [0, 1], "
                                   f"got {relevance!r}")
             size = math.prod(shape)
-            entries.append((modality, shape, relevance, inst.get("file"), fpath,
-                            offset, offset + size))
+            entries.append((modality, shape, relevance, offset, offset + size))
             offset += size
-        # the bag's files read straight into one array, checked finite at once;
-        # its instances view slices of it
+        # the bag's file reads straight into one array; its instances view slices of it
         values = np.empty(offset, dtype="<f8")
-        for *_, file, fpath, start, end in entries:
-            with open(fpath, "rb") as f:
-                complete = f.readinto(values[start:end]) == 8 * (end - start) and not f.read(1)
-            if not complete:
-                raise FormatError(f"{owner}: file {file!r} holds {fpath.stat().st_size} bytes "
-                                  f"but its shape needs {8 * (end - start)} (float64 values)")
+        with open(fpath, "rb") as f:
+            complete = f.readinto(values) == values.nbytes and not f.read(1)
+        if not complete:
+            raise FormatError(f"{owner}: file {file!r} holds {fpath.stat().st_size} bytes "
+                              f"but its instance shapes need {values.nbytes} (float64 values)")
         if not np.isfinite(values).all():
-            bad = next(file for *_, file, _, start, end in entries
-                       if not np.isfinite(values[start:end]).all())
-            raise FormatError(f"{owner}: file {bad!r} holds non-finite feature values")
+            raise FormatError(f"{owner}: file {file!r} holds non-finite feature values")
         cine, doppler = [], []
-        for modality, shape, relevance, _, _, start, end in entries:
+        for modality, shape, relevance, start, end in entries:
             instance = Instance(modality, values[start:end], shape, relevance)
             (cine if modality == "cine" else doppler).append(instance)
         bags.append(Bag(bag_id, cine, doppler, label=rec.get("label")))

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import checked_json, checked_relative_path, checked_shape
+from .data import checked_json, checked_shape, contained_path
 from .encoders import (  # noqa: F401 -- preprocess stays bound here for bench/spans.py
     Encoder,
     EncoderConfig,
@@ -458,11 +458,6 @@ def _segment_softmax(scores, starts, counts):
     return e / np.repeat(np.add.reduceat(e, starts), counts)
 
 
-def _scores(params, name, H):
-    """Attention scores w' tanh(U h) of the rows of H under module ``name``."""
-    return np.tanh(H @ params[f"{name}.U"].T) @ params[f"{name}.w"]
-
-
 def _pool_batch(params, enc_cfg, prefix, groups, att_names):
     """Pooled [B, M] representations of B bags' instance lists.
 
@@ -471,13 +466,12 @@ def _pool_batch(params, enc_cfg, prefix, groups, att_names):
     """
     counts = np.array([len(g) for g in groups])
     starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    H = preprocess_rows(enc_cfg, [inst for g in groups for inst in g])
-    for i in range(len(enc_cfg.layer_dims)):
-        H = ad.activate(H @ params[f"{prefix}layer{i}.W"] + params[f"{prefix}layer{i}.b"],
-                        enc_cfg.activation)
-    weights = _segment_softmax(_scores(params, att_names[0], H), starts, counts)
+    H = _encoder_forward(params, enc_cfg, prefix,
+                         preprocess_rows(enc_cfg, [inst for g in groups for inst in g]))[-1]
+    weights = _segment_softmax(_scores_forward(params, att_names[0], H)[1], starts, counts)
     if len(att_names) == 2:
-        prod = weights * _segment_softmax(_scores(params, att_names[1], H), starts, counts)
+        prod = weights * _segment_softmax(_scores_forward(params, att_names[1], H)[1],
+                                          starts, counts)
         weights = np.repeat(1.0 / np.add.reduceat(prod, starts), counts) * prod
     return np.add.reduceat(weights[:, None] * H, starts, axis=0)
 
@@ -499,7 +493,8 @@ def _chunk_probs(model, chunk):
         both = run_c & run_d
         if both.any():
             zb, ztb = z[run_d[run_c]], zt[run_c[run_d]]
-            diff = _scores(params, "att_fusion", zb) - _scores(params, "att_fusion", ztb)
+            diff = (_scores_forward(params, "att_fusion", zb)[1]
+                    - _scores_forward(params, "att_fusion", ztb)[1])
             alpha = ad.logistic(diff)[:, None]
             s[both] = alpha * zb + (1.0 - alpha) * ztb
     logits = s @ params["output.W"].T + params["output.b"]
@@ -609,7 +604,7 @@ def save_model(model, dir_path):
 
 
 def load_model(dir_path):
-    root = Path(dir_path)
+    root = Path(dir_path).resolve()
     path = root / "manifest.json"
     if not path.is_file():
         raise FormatError(f"no checkpoint manifest under {root}")
@@ -637,7 +632,7 @@ def load_model(dir_path):
                 f"checkpoint tensor {name!r}: shape {list(shape)} does not match "
                 f"config ({list(expected[name])})"
             )
-        fpath = root / checked_relative_path(rec.get("file"), f"checkpoint tensor {name!r}")
+        fpath = contained_path(root, rec.get("file"), f"checkpoint tensor {name!r}")
         if not fpath.is_file():
             raise FormatError(f"checkpoint tensor {name!r}: missing file {rec.get('file')!r}")
         raw = fpath.read_bytes()

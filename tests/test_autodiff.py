@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -359,3 +361,17 @@ def test_relu_mask_analytic():
     x = tape.leaf([-1.0, 0.0, 2.0])
     ad.backward(tape, ad.total(ad.relu(x)))
     assert tape.grad(x).value().tolist() == [0.0, 0.0, 1.0]
+
+
+def test_logistic_bytes_match_the_two_branch_form():
+    edges = np.array([0.0, 1e-320, 709.0, 745.0, 1e308, np.inf])
+    x = np.concatenate([edges, -edges, np.random.default_rng(0).normal(0, 20, 500_000)])
+    want = np.empty_like(x)
+    pos = x >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    want[~pos] = e / (1.0 + e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's default: underflow is silent, overflow warns
+        got = ad.logistic(x)
+    assert got.tobytes() == want.tobytes()

@@ -16,7 +16,7 @@ from milfusion.data import (
     load_hidden_truth,
     save,
 )
-from milfusion.errors import ConfigError, FormatError, MilError, UsageError
+from milfusion.errors import ConfigError, FormatError, MilError, UsageError, exit_code_for
 from milfusion.model import load_model, save_model
 
 from helpers import random_model, tiny_model_config
@@ -206,12 +206,11 @@ def test_non_finite_feature_is_format_error(tmp_path, value):
     save(ds, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     rec = manifest["bags"][3]
-    inst = rec["instances"][-1]
-    path = tmp_path / inst["file"]
+    path = tmp_path / rec["file"]
     values = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
     values[-1] = value
     path.write_bytes(values.tobytes())
-    with pytest.raises(FormatError, match=f"'{rec['id']}'.*'{inst['file']}'.*non-finite"):
+    with pytest.raises(FormatError, match=f"'{rec['id']}'.*'{rec['file']}'.*non-finite"):
         load(tmp_path)
 
 
@@ -221,7 +220,7 @@ def test_truncated_feature_file_is_format_error(tmp_path, cut):
     save(ds, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     rec = manifest["bags"][1]
-    path = tmp_path / rec["instances"][0]["file"]
+    path = tmp_path / rec["file"]
     path.write_bytes(path.read_bytes()[:-cut])
     with pytest.raises(FormatError, match=f"'{rec['id']}'.*bytes"):
         load(tmp_path)
@@ -246,13 +245,40 @@ def test_feature_file_outside_the_directory_is_format_error(tmp_path, entry):
     root = tmp_path / "data"
     save(ds, root)
     manifest = json.loads((root / "manifest.json").read_text())
-    inst = manifest["bags"][0]["instances"][0]
+    rec = manifest["bags"][0]
     # a readable file of the right size, so only the path check can refuse it
-    (tmp_path / "outside.bin").write_bytes((root / inst["file"]).read_bytes())
-    inst["file"] = entry if entry is None else entry.format(root=tmp_path)
+    (tmp_path / "outside.bin").write_bytes((root / rec["file"]).read_bytes())
+    rec["file"] = entry if entry is None else entry.format(root=tmp_path)
     (root / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match=manifest["bags"][0]["id"]):
         load(root)
+
+
+@pytest.mark.parametrize("link", ["file", "directory"])
+def test_symlink_out_of_the_directory_is_format_error(tmp_path, link):
+    ds, _ = generate_synthetic(small_config())
+    root = tmp_path / "data"
+    save(ds, root)
+    rec = json.loads((root / "manifest.json").read_text())["bags"][0]
+    # the link leads to the bag's own bytes, so only the path check can refuse it
+    if link == "file":
+        (root / rec["file"]).rename(tmp_path / "outside.bin")
+        (root / rec["file"]).symlink_to(tmp_path / "outside.bin")
+    else:
+        (root / "features").rename(tmp_path / "features")
+        (root / "features").symlink_to(tmp_path / "features", target_is_directory=True)
+    with pytest.raises(FormatError, match=f"{rec['id']}.*outside the directory") as info:
+        load(root)
+    assert exit_code_for(info.value) == 2
+
+
+def test_symlink_inside_the_directory_is_followed(tmp_path):
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    rec = json.loads((tmp_path / "manifest.json").read_text())["bags"][0]
+    (tmp_path / rec["file"]).rename(tmp_path / "moved.bin")
+    (tmp_path / rec["file"]).symlink_to(tmp_path / "moved.bin")
+    assert load(tmp_path) == ds
 
 
 def test_malformed_manifest_json(tmp_path):
@@ -271,10 +297,10 @@ def test_manifest_schema_keys(tmp_path):
     save(ds, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert set(manifest) == {"bags", "format_version"}
-    assert manifest["format_version"] == 1
+    assert manifest["format_version"] == 2
     rec = manifest["bags"][0]
-    assert set(rec) == {"id", "label", "split", "instances"}
-    assert set(rec["instances"][0]) == {"modality", "shape", "relevance", "file"}
+    assert set(rec) == {"id", "label", "split", "file", "instances"}
+    assert set(rec["instances"][0]) == {"modality", "shape", "relevance"}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,14 @@ import pytest
 from milfusion import autodiff as ad
 from milfusion.data import Bag, Instance, SyntheticConfig
 from milfusion.encoders import EncoderConfig
-from milfusion.errors import BagSkipError, ConfigError, ContractError, DataError, FormatError
+from milfusion.errors import (
+    BagSkipError,
+    ConfigError,
+    ContractError,
+    DataError,
+    FormatError,
+    exit_code_for,
+)
 from milfusion.model import (
     MMILModel,
     ModelConfig,
@@ -317,6 +324,18 @@ def test_checkpoint_tensor_file_outside_is_format_error(tmp_path, entry):
     (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match=rec["name"]):
         load_model(tmp_path / "ckpt")
+
+
+def test_checkpoint_tensor_symlinked_outside_is_format_error(tmp_path):
+    model = random_model(tiny_model_config(), seed=15)
+    save_model(model, tmp_path / "ckpt")
+    rec = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())["tensors"][0]
+    tensor = tmp_path / "ckpt" / rec["file"]
+    tensor.rename(tmp_path / "outside.bin")
+    tensor.symlink_to(tmp_path / "outside.bin")
+    with pytest.raises(FormatError, match=f"{rec['name']}.*outside the directory") as info:
+        load_model(tmp_path / "ckpt")
+    assert exit_code_for(info.value) == 2
 
 
 @pytest.mark.parametrize("version", [2, "1", None])

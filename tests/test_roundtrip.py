@@ -1,0 +1,116 @@
+"""Property tests: ``load`` inverts ``save`` and ``load_model`` inverts ``save_model``, bitwise."""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from milfusion.data import SPLITS, Bag, Dataset, Instance, load, save
+from milfusion.encoders import EncoderConfig
+from milfusion.errors import FormatError, exit_code_for
+from milfusion.model import ModelConfig, load_model, params_digest, save_model
+
+from helpers import random_model
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+# every finite float64, -0.0 and subnormals included
+FEATURE_VALUES = st.floats(allow_nan=False, allow_infinity=False)
+RELEVANCE = st.none() | st.sampled_from([0, 1, 0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def instances(draw, modality):
+    if modality == "cine":  # frame counts vary from instance to instance
+        shape, relevance = (draw(st.integers(1, 4)), 2, 3), draw(RELEVANCE)
+    else:
+        shape, relevance = (3, 2), None
+    values = draw(arrays(np.float64, math.prod(shape), elements=FEATURE_VALUES))
+    return Instance(modality, values, shape, relevance)
+
+
+@st.composite
+def datasets(draw):
+    bags, splits = [], {}
+    for i in range(draw(st.integers(1, 5))):
+        kinds = draw(st.sampled_from([("cine",), ("doppler",), ("cine", "doppler")]))
+        cine, doppler = (draw(st.lists(instances(m), min_size=1, max_size=3)) if m in kinds
+                         else [] for m in ("cine", "doppler"))
+        split = draw(st.sampled_from(SPLITS))
+        label = None if split == "unlabeled" else draw(st.integers(0, 2))
+        bags.append(Bag(f"bag{i}", cine, doppler, label=label))
+        splits[bags[-1].id] = split
+    return Dataset(bags, splits)
+
+
+def fields(dataset):
+    """Everything a dataset holds, features as raw bytes and relevance with its type."""
+    return [
+        (bag.id, bag.label, dataset.split_assignment[bag.id],
+         [(inst.modality, inst.shape, inst.relevance, type(inst.relevance),
+           inst.features.dtype.str, inst.features.tobytes())
+          for inst in bag.cine_instances + bag.doppler_instances])
+        for bag in dataset.bags
+    ]
+
+
+@PROPERTY
+@given(dataset=datasets())
+def test_dataset_round_trip_is_bitwise(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        save(dataset, tmp)
+        loaded = load(tmp)
+        files = sorted(p.name for p in (Path(tmp) / "features").iterdir())
+    assert loaded == dataset
+    assert fields(loaded) == fields(dataset)
+    assert files == sorted(f"{bag.id}.bin" for bag in dataset.bags)  # one file per bag
+
+
+@st.composite
+def model_configs(draw):
+    activation = draw(st.sampled_from(["tanh", "relu"]))
+    embed_dim = draw(st.integers(1, 4))
+
+    def encoder(modality, input_dim):
+        hidden = draw(st.lists(st.integers(1, 5), max_size=2))
+        return EncoderConfig(modality, input_dim, tuple(hidden), embed_dim, activation)
+
+    use_cine, use_doppler = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+    return ModelConfig(encoder("cine", 6), encoder("doppler", 6),
+                       attention_dim=draw(st.integers(1, 4)),
+                       lambda_sa=draw(st.floats(0.0, 20.0)), tau=draw(st.floats(0.01, 2.0)),
+                       use_cine=use_cine, use_doppler=use_doppler)
+
+
+@PROPERTY
+@given(config=model_configs(), seed=st.integers(0, 2**32 - 1))
+def test_checkpoint_round_trip_is_bitwise(config, seed):
+    model = random_model(config, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, tmp)
+        loaded = load_model(tmp)
+        digest = json.loads((Path(tmp) / "manifest.json").read_text())["params_digest"]
+    assert loaded.config == model.config
+    assert set(loaded.params) == set(model.params)
+    for name, value in model.params.items():
+        assert loaded.params[name].shape == value.shape
+        assert loaded.params[name].tobytes() == value.tobytes()
+    assert params_digest(loaded.params) == params_digest(model.params) == digest
+
+
+def test_version_1_dataset_is_refused(tmp_path):
+    inst = Instance("doppler", np.arange(6.0), (3, 2))
+    save(Dataset([Bag("b0", [], [inst], label=0)], {"b0": "train"}), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    # the version-1 layout: the feature file entries sit on the instances
+    manifest["format_version"] = 1
+    manifest["bags"][0]["instances"][0]["file"] = manifest["bags"][0].pop("file")
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="format_version 1") as info:
+        load(tmp_path)
+    assert exit_code_for(info.value) == 2
