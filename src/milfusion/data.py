@@ -19,12 +19,20 @@ clamp(N(0.95, 0.02)) on planted cine instances, clamp(N(0.05, 0.02)) otherwise.
 Labels, bag sizes, noise, relevance values and class directions are drawn from
 independent seeded streams, so changing class priors cannot change bag-size
 statistics.
+
+A bag id is a plain file name (no ``/``, ``\\`` or NUL; not empty, ``.`` or
+``..``), so ``save`` writes only inside its directory. ``load`` checks every
+``file`` entry to name a regular file inside the directory: each distinct
+directory of the entries is resolved once per load, then each file gets one
+``os.lstat``, and only a symlinked file is resolved in full (``ContainedFiles``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -54,13 +62,15 @@ class Instance:
     def __post_init__(self):
         if self.modality not in MODALITIES:
             raise FormatError(f"unknown modality {self.modality!r}")
-        self.features = np.asarray(self.features, dtype=np.float64).reshape(-1)
-        self.shape = tuple(int(d) for d in self.shape)
-        n = math.prod(self.shape)
-        if n != self.features.size:
+        features = self.features
+        if not (type(features) is np.ndarray and features.dtype == np.float64
+                and features.ndim == 1):
+            self.features = features = np.asarray(features, dtype=np.float64).reshape(-1)
+        self.shape = tuple(map(int, self.shape))
+        if math.prod(self.shape) != features.size:
             raise FormatError(
                 f"instance shape {list(self.shape)} does not match "
-                f"{self.features.size} feature values"
+                f"{features.size} feature values"
             )
         if self.relevance is not None and self.modality != "cine":
             raise FormatError("relevance is only allowed on cine instances")
@@ -86,6 +96,9 @@ class Bag:
     label: int | None = None
 
     def __post_init__(self):
+        if (not isinstance(self.id, str) or self.id in ("", ".", "..")
+                or "/" in self.id or "\\" in self.id or "\0" in self.id):
+            raise FormatError(f"bag id {self.id!r} is not a plain file name")
         if len(self.cine_instances) + len(self.doppler_instances) < 1:
             raise FormatError(f"bag {self.id!r} has no instances")
         if self.label is not None and (
@@ -310,20 +323,61 @@ def checked_shape(shape, owner):
     return tuple(shape)
 
 
-def contained_path(root, rel, owner):
-    """A manifest ``file`` entry as a resolved path, checked to lie inside ``root``.
+def _outside(owner, rel):
+    return FormatError(f"{owner}: file {rel!r} points outside the directory")
 
-    ``root`` must be resolved already. Resolving follows symlinks, so a link
-    (to a file or to a directory on the way) that leads out of ``root`` is
-    refused like a ``..`` that does.
+
+class ContainedFiles:
+    """Manifest ``file`` entries, each checked to name a regular file inside ``root``.
+
+    ``root`` must be resolved already. Each distinct directory part of the
+    entries is resolved once (symlinks followed) and must lie inside
+    ``root``; then each file gets one ``os.lstat``, and a file that is a
+    symlink is resolved in full and checked again. So a link, to a file or to
+    a directory on the way, that leads out of ``root`` is refused like a ``..``
+    that does.
     """
-    if not isinstance(rel, str) or not rel or "\0" in rel:
-        raise FormatError(f"{owner}: file entry must be a non-empty string without NUL, "
-                          f"got {rel!r}")
-    path = (root / rel).resolve()
-    if Path(rel).is_absolute() or not path.is_relative_to(root):
-        raise FormatError(f"{owner}: file {rel!r} points outside the directory")
-    return path
+
+    def __init__(self, root):
+        self.root = os.fspath(root)
+        self._below = os.path.join(self.root, "")  # the prefix of every path below root
+        self._dirs = {}  # directory part of an entry -> its resolved path
+
+    def _inside(self, path):
+        return path == self.root or path.startswith(self._below)
+
+    def path(self, rel, owner, missing):
+        """``rel`` as a resolved path string.
+
+        FormatError if ``rel`` is not a non-empty string, points outside
+        ``root``, or names no regular file (``"{owner}: {missing} {rel!r}"``).
+        """
+        if not isinstance(rel, str) or not rel or "\0" in rel:
+            raise FormatError(f"{owner}: file entry must be a non-empty string without NUL, "
+                              f"got {rel!r}")
+        if os.path.isabs(rel):
+            raise _outside(owner, rel)
+        head, name = os.path.split(rel)
+        if name in ("", ".", ".."):  # rel ends in a directory step: resolve all of it
+            head, name = rel, ""
+        directory = self._dirs.get(head)
+        if directory is None:
+            directory = self._dirs[head] = os.path.realpath(os.path.join(self.root, head))
+        if not self._inside(directory):
+            raise _outside(owner, rel)
+        path = os.path.join(directory, name) if name else directory
+        try:
+            mode = os.lstat(path).st_mode
+            if stat.S_ISLNK(mode):
+                path = os.path.realpath(path)
+                if not self._inside(path):
+                    raise _outside(owner, rel)
+                mode = os.stat(path).st_mode
+        except OSError:  # nothing there, or a dangling link
+            mode = 0
+        if not stat.S_ISREG(mode):
+            raise FormatError(f"{owner}: {missing} {rel!r}")
+        return path
 
 
 def load(dir_path):
@@ -340,6 +394,7 @@ def load(dir_path):
     if manifest.get("format_version") != FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {manifest.get('format_version')!r}")
 
+    files = ContainedFiles(root)
     bags, assignment = [], {}
     for index, rec in enumerate(checked_json(manifest.get("bags", []), list, "manifest bags")):
         bag_id = checked_json(rec, dict, f"manifest bags[{index}]").get("id")
@@ -347,15 +402,21 @@ def load(dir_path):
             raise FormatError(f"bag record without a string id: {rec!r}")
         owner = f"bag {bag_id!r}"
         file = rec.get("file")
-        fpath = contained_path(root, file, owner)
-        if not fpath.is_file():
-            raise FormatError(f"{owner}: missing feature file {file!r}")
+        fpath = files.path(file, owner, "missing feature file")
+        # the checks of checked_json and checked_shape, inlined for the common
+        # case; anything else goes to them for the refusal and its message
         entries, offset = [], 0  # (modality, shape, relevance, start, end)
         for inst in checked_json(rec.get("instances", []), list, f"{owner} instances"):
-            modality = checked_json(inst, dict, f"{owner} instance").get("modality")
+            if type(inst) is not dict:
+                checked_json(inst, dict, f"{owner} instance")
+            modality = inst.get("modality")
             if modality not in MODALITIES:
                 raise FormatError(f"{owner}: unknown modality {modality!r}")
-            shape = checked_shape(inst.get("shape"), owner)
+            shape = inst.get("shape")
+            if type(shape) is list and all(type(d) is int and d >= 1 for d in shape):
+                shape = tuple(shape)
+            else:
+                shape = checked_shape(shape, owner)
             relevance = inst.get("relevance")
             if relevance is not None and not (type(relevance) in (int, float)
                                               and 0 <= relevance <= 1):
@@ -369,7 +430,7 @@ def load(dir_path):
         with open(fpath, "rb") as f:
             complete = f.readinto(values) == values.nbytes and not f.read(1)
         if not complete:
-            raise FormatError(f"{owner}: file {file!r} holds {fpath.stat().st_size} bytes "
+            raise FormatError(f"{owner}: file {file!r} holds {os.stat(fpath).st_size} bytes "
                               f"but its instance shapes need {values.nbytes} (float64 values)")
         if not np.isfinite(values).all():
             raise FormatError(f"{owner}: file {file!r} holds non-finite feature values")
@@ -394,6 +455,10 @@ def load_hidden_truth(dir_path):
     if not isinstance(raw, dict) or any(
             isinstance(v, bool) or not isinstance(v, int) for v in raw.values()):
         raise FormatError("hidden_truth.json must map bag ids to integer labels")
+    for bag_id, label in raw.items():
+        if label not in (0, 1, 2):
+            raise FormatError(f"hidden_truth.json: bag {bag_id!r} has label {label}, "
+                              "expected 0, 1 or 2")
     return raw
 
 

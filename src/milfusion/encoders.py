@@ -70,20 +70,16 @@ def init_weights(config, seed):
     return Encoder(config, {name: ad.Tensor.const(a) for name, a in arrays.items()})
 
 
-def _frame_count(config, instance):
-    """Frames averaged into ``instance``'s input row (0 for doppler), after checking that
-    the instance fits the encoder."""
-    if instance.modality != config.modality:
-        raise ContractError(
-            f"{config.modality} encoder got a {instance.modality} instance"
-        )
-    frames, size = 0, instance.features.size
-    if instance.modality == "cine":
-        if len(instance.shape) < 2:
-            raise ContractError(
-                f"cine instance needs a frame axis, got shape {list(instance.shape)}"
-            )
-        frames, size = instance.shape[0], math.prod(instance.shape[1:])
+def _frame_count(config, modality, shape):
+    """Frames averaged into the input row of an instance of ``modality`` and ``shape``
+    (0 for doppler), after checking that such an instance fits the encoder."""
+    if modality != config.modality:
+        raise ContractError(f"{config.modality} encoder got a {modality} instance")
+    frames, size = 0, math.prod(shape)
+    if modality == "cine":
+        if len(shape) < 2:
+            raise ContractError(f"cine instance needs a frame axis, got shape {list(shape)}")
+        frames, size = shape[0], math.prod(shape[1:])
     if size != config.input_dim:
         raise ContractError(
             f"instance flattens to {size} values, encoder expects {config.input_dim}"
@@ -93,7 +89,7 @@ def _frame_count(config, instance):
 
 def preprocess(config, instance):
     """Flatten an instance to the encoder's input row (cine: frame mean first)."""
-    if _frame_count(config, instance) == 0:
+    if _frame_count(config, instance.modality, instance.shape) == 0:
         return instance.features.reshape(-1)
     # the sum-then-divide of ndarray.mean, without its per-call overhead
     frames = instance.features.reshape(instance.shape)
@@ -103,16 +99,22 @@ def preprocess(config, instance):
 def preprocess_rows(config, instances):
     """The [K, input_dim] input rows of K instances in one pass, bitwise ``preprocess``'s.
 
+    Whether an instance fits the encoder depends only on its modality and
+    shape, so each distinct pair is checked once, in order of first
+    occurrence: the first instance that does not fit names the error.
+
     The cine frames are summed by one ``np.add.reduce`` over the frame axis of
     a [K, frames, input_dim] stack, which adds frame by frame, in order and
     from 0.0, as ``preprocess`` does. Instances with fewer frames than the
     most are padded with zero frames at the end: the running sum is never
     -0.0, so adding 0.0 leaves it unchanged.
     """
-    counts = [_frame_count(config, inst) for inst in instances]
+    for modality, shape in dict.fromkeys([(inst.modality, inst.shape) for inst in instances]):
+        _frame_count(config, modality, shape)
     flat = np.concatenate([inst.features for inst in instances])
     if config.modality == "doppler":
         return flat.reshape(-1, config.input_dim)
+    counts = [inst.shape[0] for inst in instances]
     most = max(counts)
     if min(counts) == most:
         return np.add.reduce(flat.reshape(len(counts), most, config.input_dim), axis=1) / most

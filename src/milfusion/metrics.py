@@ -65,6 +65,31 @@ class PredRow:
     probs: np.ndarray  # [3]
 
 
+_LABELS = {0, 1, 2}
+
+
+def _check_rows(rows):
+    """Check prediction rows one by one, flattening each row's probabilities to
+    float64; the first offending row raises FormatError."""
+    ids = set()
+    for row in rows:
+        if row.bag_id in ids:
+            raise FormatError(f"duplicate bag id {row.bag_id!r} in predictions")
+        ids.add(row.bag_id)
+        row.probs = np.asarray(row.probs, dtype=np.float64).reshape(-1)
+        if row.probs.size != N_CLASSES:
+            raise FormatError(f"bag {row.bag_id!r}: needs 3 probabilities")
+        if not (np.all(np.isfinite(row.probs)) and np.all(row.probs >= 0.0)):
+            raise FormatError(f"bag {row.bag_id!r}: probabilities must be finite "
+                              f"and non-negative, got {row.probs.tolist()!r}")
+        if abs(float(row.probs.sum()) - 1.0) > 1e-6:
+            raise FormatError(
+                f"bag {row.bag_id!r}: probabilities sum to {row.probs.sum()!r}"
+            )
+        if row.true_label not in (0, 1, 2):
+            raise FormatError(f"bag {row.bag_id!r}: bad label {row.true_label!r}")
+
+
 class PredictionSet:
     """Rows of (bag_id, true_label, probability 3-vector); ids unique.
 
@@ -73,26 +98,29 @@ class PredictionSet:
 
     def __init__(self, rows):
         self.rows = list(rows)
-        ids = set()
-        for row in self.rows:
-            if row.bag_id in ids:
-                raise FormatError(f"duplicate bag id {row.bag_id!r} in predictions")
-            ids.add(row.bag_id)
-            row.probs = np.asarray(row.probs, dtype=np.float64).reshape(-1)
-            if row.probs.size != N_CLASSES:
-                raise FormatError(f"bag {row.bag_id!r}: needs 3 probabilities")
-            if not (np.all(np.isfinite(row.probs)) and np.all(row.probs >= 0.0)):
-                raise FormatError(f"bag {row.bag_id!r}: probabilities must be finite "
-                                  f"and non-negative, got {row.probs.tolist()!r}")
-            if abs(float(row.probs.sum()) - 1.0) > 1e-6:
-                raise FormatError(
-                    f"bag {row.bag_id!r}: probabilities sum to {row.probs.sum()!r}"
-                )
-            if row.true_label not in (0, 1, 2):
-                raise FormatError(f"bag {row.bag_id!r}: bad label {row.true_label!r}")
-        self.labels = np.array([row.true_label for row in self.rows], dtype=np.int64)
-        self.probs = np.array([row.probs for row in self.rows],
-                              dtype=np.float64).reshape(len(self.rows), N_CLASSES)
+        n = len(self.rows)
+        labels = [row.true_label for row in self.rows]
+        # The checks of _check_rows on whole arrays. A three-value row sums
+        # left to right both in ndarray.sum and along axis 1, so the sum test
+        # is bitwise the same; anything odd goes to _check_rows.
+        try:
+            probs = np.array([row.probs for row in self.rows],
+                             dtype=np.float64).reshape(n, N_CLASSES)
+            valid = (len({row.bag_id for row in self.rows}) == n
+                     and set(labels) <= _LABELS
+                     and bool(np.isfinite(probs).all()) and bool((probs >= 0.0).all())
+                     and bool((np.abs(probs.sum(axis=1) - 1.0) <= 1e-6).all()))
+        except (TypeError, ValueError):
+            valid = False
+        if valid:
+            for row, row_probs in zip(self.rows, probs):
+                row.probs = row_probs
+        else:
+            _check_rows(self.rows)
+            probs = np.array([row.probs for row in self.rows],
+                             dtype=np.float64).reshape(n, N_CLASSES)
+        self.labels = np.array(labels, dtype=np.int64)
+        self.probs = probs
 
     def __len__(self):
         return len(self.rows)

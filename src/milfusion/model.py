@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import checked_json, checked_shape, contained_path
+from .data import ContainedFiles, checked_json, checked_shape
 from .encoders import (  # noqa: F401 -- preprocess stays bound here for bench/spans.py
     Encoder,
     EncoderConfig,
@@ -620,6 +620,7 @@ def load_model(dir_path):
     config = config_from_dict(ModelConfig, manifest.get("config"), FormatError,
                               "checkpoint config")
     expected = dict(param_specs(config))
+    files = ContainedFiles(root)
     params = {}
     for index, rec in enumerate(checked_json(manifest.get("tensors", []), list,
                                              "checkpoint tensors")):
@@ -632,10 +633,8 @@ def load_model(dir_path):
                 f"checkpoint tensor {name!r}: shape {list(shape)} does not match "
                 f"config ({list(expected[name])})"
             )
-        fpath = contained_path(root, rec.get("file"), f"checkpoint tensor {name!r}")
-        if not fpath.is_file():
-            raise FormatError(f"checkpoint tensor {name!r}: missing file {rec.get('file')!r}")
-        raw = fpath.read_bytes()
+        fpath = files.path(rec.get("file"), f"checkpoint tensor {name!r}", "missing file")
+        raw = Path(fpath).read_bytes()
         if len(raw) != 8 * math.prod(shape):
             raise FormatError(f"checkpoint tensor {name!r}: file size does not match shape")
         params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()

@@ -1,5 +1,7 @@
 import copy
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -281,6 +283,75 @@ def test_symlink_inside_the_directory_is_followed(tmp_path):
     assert load(tmp_path) == ds
 
 
+def test_bag_files_in_two_directories_load(tmp_path):
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    (tmp_path / "other").mkdir()
+    for rec in manifest["bags"][::2]:
+        moved = f"other/{rec['id']}.bin"
+        (tmp_path / rec["file"]).rename(tmp_path / moved)
+        rec["file"] = moved
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert load(tmp_path) == ds
+
+
+def test_symlinked_directory_inside_the_directory_is_followed(tmp_path):
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    (tmp_path / "alias").symlink_to(tmp_path / "features", target_is_directory=True)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for rec in manifest["bags"][:3]:
+        rec["file"] = rec["file"].replace("features/", "alias/")
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert load(tmp_path) == ds
+
+
+def test_directory_part_leading_outside_is_format_error(tmp_path):
+    ds, _ = generate_synthetic(small_config())
+    root = tmp_path / "data"
+    save(ds, root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    rec = manifest["bags"][1]
+    # the bag's own bytes, reached through a directory outside the dataset
+    shutil.copytree(root / "features", tmp_path / "elsewhere")
+    rec["file"] = rec["file"].replace("features/", "features/../../elsewhere/")
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=f"{rec['id']}.*outside the directory") as info:
+        load(root)
+    assert exit_code_for(info.value) == 2
+
+
+@pytest.mark.parametrize("target", ["inside", "outside"])
+def test_dangling_symlink(tmp_path, target):
+    ds, _ = generate_synthetic(small_config())
+    root = tmp_path / "data"
+    save(ds, root)
+    rec = json.loads((root / "manifest.json").read_text())["bags"][2]
+    (root / rec["file"]).unlink()
+    (root / rec["file"]).symlink_to((root if target == "inside" else tmp_path) / "gone.bin")
+    message = "missing feature file" if target == "inside" else "outside the directory"
+    with pytest.raises(FormatError, match=f"{rec['id']}.*{message}") as info:
+        load(root)
+    assert exit_code_for(info.value) == 2
+
+
+def test_load_resolves_each_directory_once(tmp_path, monkeypatch):
+    """Full path resolutions during load do not grow with the bag count."""
+    counts = {}
+    for n in (5, 50):
+        ds, _ = generate_synthetic(small_config(n_labeled=n - 3, n_val=1, n_test=1,
+                                                n_unlabeled=1))
+        save(ds, tmp_path / str(n))
+        calls = []
+        real = os.path.realpath
+        with monkeypatch.context() as patch:
+            patch.setattr(os.path, "realpath", lambda *a, **k: calls.append(a) or real(*a, **k))
+            assert len(load(tmp_path / str(n)).bags) == n
+        counts[n] = len(calls)
+    assert counts[5] == counts[50] <= 3
+
+
 def test_malformed_manifest_json(tmp_path):
     tmp_path.joinpath("manifest.json").write_text("{not json")
     with pytest.raises(FormatError):
@@ -360,6 +431,36 @@ def test_instance_invariants():
         Instance("doppler", np.zeros(4), (2, 2), relevance=0.5)
     with pytest.raises(FormatError):
         Instance("mri", np.zeros(4), (2, 2))
+
+
+@pytest.mark.parametrize("bag_id", ["", ".", "..", "a/b", "../../escaped", "a\\b",
+                                    "a\0b", 7])
+def test_bag_id_must_be_a_plain_file_name(tmp_path, bag_id):
+    inst = Instance("doppler", np.zeros(4), (2, 2))
+    root = tmp_path / "deep" / "data"
+    with pytest.raises(FormatError, match="plain file name"):
+        save(Dataset([Bag(bag_id, [], [inst], label=0)], {bag_id: "train"}), root)
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+@pytest.mark.parametrize("bag_id", ["../../escaped", "a/b", ".."])
+def test_manifest_bag_id_that_is_not_a_plain_file_name_is_refused(tmp_path, bag_id):
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["bags"][0]["id"] = bag_id  # its file entry still names a valid file
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="plain file name") as info:
+        load(tmp_path)
+    assert exit_code_for(info.value) == 2
+
+
+@pytest.mark.parametrize("label", [5, 3, -1])
+def test_hidden_truth_labels_must_be_classes(tmp_path, label):
+    (tmp_path / "hidden_truth.json").write_text(json.dumps({"unlabeled_000": 0,
+                                                            "unlabeled_001": label}))
+    with pytest.raises(FormatError, match=f"'unlabeled_001'.*{label}"):
+        load_hidden_truth(tmp_path)
 
 
 def test_hidden_truth_must_map_ids_to_integer_labels(tmp_path):

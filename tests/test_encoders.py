@@ -130,6 +130,16 @@ def test_preprocess_refuses_an_instance_the_encoder_cannot_take(prep, cfg, insta
         prep(cfg, instance)
 
 
+def test_batched_rows_name_the_first_instance_that_does_not_fit():
+    good = cine_instance(np.zeros((2, 2, 2)))
+    wrong_shape = Instance("cine", np.zeros(6), (1, 6), relevance=0.1)
+    wrong_modality = Instance("doppler", np.zeros(4), (2, 2))
+    with pytest.raises(ContractError, match="flattens to 6 values, encoder expects 4"):
+        preprocess_rows(CINE_CFG, [good, good, wrong_shape, wrong_modality, wrong_shape])
+    with pytest.raises(ContractError, match="cine encoder got a doppler instance"):
+        preprocess_rows(CINE_CFG, [good, wrong_modality, wrong_shape])
+
+
 def test_batched_rows_equal_the_per_instance_rows_on_the_reference_dataset():
     dataset, _ = generate_synthetic(REFERENCE_DATA)
     for bag in dataset.bags:

@@ -609,3 +609,41 @@ def test_prediction_set_validation():
     with pytest.raises(FormatError):
         PredictionSet([PredRow("a", 0, np.array([1.0, 0.0, 0.0])),
                        PredRow("a", 1, np.array([0.0, 1.0, 0.0]))])
+
+
+def test_prediction_set_names_the_first_offending_row():
+    probs = [[0.2, 0.3, 0.5]] * 7
+    probs[2] = [-0.5, 0.5, 1.0]
+    rows = [PredRow(f"b{i}", i % 3, np.array(p)) for i, p in enumerate(probs)]
+    rows[5].bag_id = "b1"  # a duplicate id after the bad row
+    with pytest.raises(FormatError, match="'b2': probabilities must be finite"):
+        PredictionSet(rows)
+    rows[2].probs = np.array([0.2, 0.3, 0.5])
+    with pytest.raises(FormatError, match="duplicate bag id 'b1'"):
+        PredictionSet(rows)
+
+
+@pytest.mark.parametrize("probs", [
+    [[0.2, 0.3, 0.5], [0.5, 0.5]],  # ragged
+    [[0.2, 0.3, 0.4, 0.1], [0.1, 0.3, 0.5, 0.1]],  # four wide
+    [[0.2, 0.3, 0.5], [0.25, 0.25, 0.25, 0.25]],
+])
+def test_prediction_set_refuses_rows_without_three_probabilities(probs):
+    with pytest.raises(FormatError, match="'b1': needs 3 probabilities"
+                       if len(probs[0]) == 3 else "'b0': needs 3 probabilities"):
+        rows_from([0, 1], probs)
+
+
+def test_prediction_set_flattens_rows_as_the_row_checks_do():
+    rows = [PredRow("a", 0, [[0.5, 0.25, 0.25]]), PredRow("b", 2, np.array([0.0, 0.0, 1.0]))]
+    preds = PredictionSet(rows)
+    assert preds.probs.tolist() == [[0.5, 0.25, 0.25], [0.0, 0.0, 1.0]]
+    assert [row.probs.shape for row in preds.rows] == [(3,), (3,)]
+    assert preds.labels.tolist() == [0, 2]
+
+
+def test_row_sums_along_an_axis_equal_the_sums_of_single_rows():
+    """The bulk sum check in PredictionSet relies on this, bitwise."""
+    rng = np.random.default_rng(3)
+    probs = rng.uniform(0, 1, size=(5000, 3)) * rng.uniform(1e-8, 1e8, size=(5000, 1))
+    assert probs.sum(axis=1).tobytes() == np.array([row.sum() for row in probs]).tobytes()
