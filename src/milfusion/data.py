@@ -2,12 +2,14 @@
 
 On-disk layout of a dataset directory:
 
-    manifest.json        {"bags": [{"id", "label", "split", "file",
-                          "instances": [{"modality", "shape", "relevance"}]}],
-                          "format_version": 2}
-    features/<id>.bin    one file per bag: its instances' raw little-endian float64
-                         values, row-major, back to back in the order of "instances"
-                         (cine, then doppler)
+    manifest.json        {"format_version": 3, "bags": [{"id", "label", "split",
+                          "cine_shapes", "relevance", "doppler_shapes"}]}, one bag
+                          record per line; "relevance" has one entry (null or a
+                          number in [0, 1]) per cine shape
+    features.bin         every bag's instance values as raw little-endian float64,
+                         row-major, back to back in manifest order (per bag: its
+                         cine instances, then its doppler instances); offsets
+                         follow from the shapes
     hidden_truth.json    diagnostics only: true labels of unlabeled bags; never read
                          by any training path
 
@@ -21,10 +23,10 @@ independent seeded streams, so changing class priors cannot change bag-size
 statistics.
 
 A bag id is a plain file name (no ``/``, ``\\`` or NUL; not empty, ``.`` or
-``..``), so ``save`` writes only inside its directory. ``load`` checks every
-``file`` entry to name a regular file inside the directory: each distinct
-directory of the entries is resolved once per load, then each file gets one
-``os.lstat``, and only a symlinked file is resolved in full (``ContainedFiles``).
+``..``). ``load`` reads each file through ``ContainedFiles``, so a symlink that
+leads out of the directory is refused; it checks each distinct shape once per
+load, reads ``features.bin`` into one array with one size check and one finite
+check, and makes every instance a view of that array.
 """
 
 from __future__ import annotations
@@ -33,16 +35,23 @@ import json
 import math
 import os
 import stat
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, UsageError
+from .metrics import atomic_file
 
 SPLITS = ("train", "val", "test", "unlabeled")
 MODALITIES = ("cine", "doppler")
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+FEATURES = "features.bin"
+BAG_FIELDS = frozenset({"id", "label", "split", "cine_shapes", "relevance", "doppler_shapes"})
+_LIST, _INT = frozenset({list}), frozenset({int})
 
 
 @dataclass
@@ -280,32 +289,32 @@ def generate_synthetic(config):
 
 
 def save(dataset, dir_path, hidden_truth=None):
-    """Write a dataset directory; see the module docstring for the layout."""
+    """Write a dataset directory; see the module docstring for the layout.
+
+    Each file replaces its previous version atomically, and the manifest goes
+    last, so an interrupted save leaves the previous manifest in place.
+    """
     root = Path(dir_path)
-    (root / "features").mkdir(parents=True, exist_ok=True)
+    root.mkdir(parents=True, exist_ok=True)
     records = []
-    for bag in dataset.bags:
-        instances = bag.cine_instances + bag.doppler_instances
-        rel_path = f"features/{bag.id}.bin"
-        values = np.concatenate([inst.features for inst in instances], dtype="<f8")
-        (root / rel_path).write_bytes(values.tobytes())
-        records.append(
-            {
+    with atomic_file(root / FEATURES, binary=True) as f:
+        for bag in dataset.bags:
+            cine, doppler = bag.cine_instances, bag.doppler_instances
+            f.write(np.concatenate([inst.features for inst in cine + doppler], dtype="<f8"))
+            records.append({
                 "id": bag.id,
                 "label": bag.label,
                 "split": dataset.split_assignment[bag.id],
-                "file": rel_path,
-                "instances": [
-                    {"modality": inst.modality, "shape": list(inst.shape),
-                     "relevance": inst.relevance}
-                    for inst in instances
-                ],
-            }
-        )
-    manifest = {"bags": records, "format_version": FORMAT_VERSION}
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=1))
+                "cine_shapes": [list(inst.shape) for inst in cine],
+                "relevance": [inst.relevance for inst in cine],
+                "doppler_shapes": [list(inst.shape) for inst in doppler],
+            })
     if hidden_truth is not None:
-        (root / "hidden_truth.json").write_text(json.dumps(hidden_truth, indent=1))
+        with atomic_file(root / "hidden_truth.json") as f:
+            f.write(json.dumps(hidden_truth, indent=1))
+    with atomic_file(root / "manifest.json") as f:  # one bag record per line
+        lines = ",\n".join(map(json.dumps, records))
+        f.write(f'{{"format_version": {FORMAT_VERSION}, "bags": [\n{lines}\n]}}\n')
 
 
 def checked_json(value, kind, owner):
@@ -323,18 +332,27 @@ def checked_shape(shape, owner):
     return tuple(shape)
 
 
+def read_json(path, name):
+    """The parsed content of a JSON file; FormatError if it does not parse."""
+    try:
+        with open(path, "rb") as f:
+            return json.loads(f.read())
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise FormatError(f"{name} is not valid JSON: {exc}") from exc
+
+
 def _outside(owner, rel):
     return FormatError(f"{owner}: file {rel!r} points outside the directory")
 
 
 class ContainedFiles:
-    """Manifest ``file`` entries, each checked to name a regular file inside ``root``.
+    """Files named relative to ``root``, each checked to be a regular file inside it.
 
     ``root`` must be resolved already. Each distinct directory part of the
-    entries is resolved once (symlinks followed) and must lie inside
-    ``root``; then each file gets one ``os.lstat``, and a file that is a
-    symlink is resolved in full and checked again. So a link, to a file or to
-    a directory on the way, that leads out of ``root`` is refused like a ``..``
+    names is resolved once (symlinks followed) and must lie inside ``root``;
+    then each file gets one ``os.lstat``, and a file that is a symlink is
+    resolved in full and checked again. So a link, to a file or to a
+    directory on the way, that leads out of ``root`` is refused like a ``..``
     that does.
     """
 
@@ -346,11 +364,12 @@ class ContainedFiles:
     def _inside(self, path):
         return path == self.root or path.startswith(self._below)
 
-    def path(self, rel, owner, missing):
+    def path(self, rel, owner, missing=None):
         """``rel`` as a resolved path string.
 
-        FormatError if ``rel`` is not a non-empty string, points outside
-        ``root``, or names no regular file (``"{owner}: {missing} {rel!r}"``).
+        FormatError if ``rel`` is not a non-empty string or points outside
+        ``root``. If it names no regular file, the result is None, or with a
+        ``missing`` text the FormatError ``"{owner}: {missing} {rel!r}"``.
         """
         if not isinstance(rel, str) or not rel or "\0" in rel:
             raise FormatError(f"{owner}: file entry must be a non-empty string without NUL, "
@@ -375,83 +394,122 @@ class ContainedFiles:
                 mode = os.stat(path).st_mode
         except OSError:  # nothing there, or a dangling link
             mode = 0
-        if not stat.S_ISREG(mode):
+        if stat.S_ISREG(mode):
+            return path
+        if missing is not None:
             raise FormatError(f"{owner}: {missing} {rel!r}")
-        return path
+        return None
+
+
+def _shape_sizes(entries, owner, field, known):
+    """``(shape, value count)`` for each entry of one of a bag's shape lists.
+
+    The types of all dimensions in the list are checked at once, since a
+    dimension ``4.0`` or ``true`` would hash like ``4`` or ``1``; then each
+    distinct shape is checked once per load and kept in ``known``.
+    """
+    if not (type(entries) is list and set(map(type, entries)) <= _LIST
+            and set(map(type, chain.from_iterable(entries))) <= _INT):
+        for entry in checked_json(entries, list, f"{owner} {field}"):
+            checked_shape(entry, owner)  # raises for the first entry at fault
+    try:
+        return [known[shape] for shape in map(tuple, entries)]
+    except KeyError:  # a shape not seen before in this load
+        for shape in map(tuple, entries):
+            if shape not in known:
+                known[shape] = (checked_shape(list(shape), owner), math.prod(shape))
+        return [known[shape] for shape in map(tuple, entries)]
+
+
+def _views(modality, values, start, sizes, relevance):
+    """Instances of ``modality`` that view consecutive slices of ``values`` from
+    ``start`` on, one per ``(shape, size)``, and the index after the last.
+
+    ``load`` has made ``Instance.__post_init__``'s checks for the whole
+    dataset already, so the instances are built without it.
+    """
+    views = []
+    for (shape, size), value in zip(sizes, relevance):
+        view = object.__new__(Instance)
+        view.modality, view.features = modality, values[start:start + size]
+        view.shape, view.relevance = shape, value
+        views.append(view)
+        start += size
+    return views, start
 
 
 def load(dir_path):
     """Read a dataset directory written by :func:`save`."""
     root = Path(dir_path).resolve()
-    manifest_path = root / "manifest.json"
-    if not manifest_path.is_file():
+    files = ContainedFiles(root)
+    manifest_path = files.path("manifest.json", "dataset")
+    if manifest_path is None:
         raise FormatError(f"no manifest.json under {root}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest.json is not valid JSON: {exc}") from exc
-    checked_json(manifest, dict, "manifest.json")
+    manifest = checked_json(read_json(manifest_path, "manifest.json"), dict, "manifest.json")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {manifest.get('format_version')!r}")
 
-    files = ContainedFiles(root)
-    bags, assignment = [], {}
+    # the manifest first: every bag's shapes, hence its place in the feature file
+    known = {}  # shape tuple -> (shape, value count)
+    layout, ends, end = [], [], 0  # per bag: its fields, and where its values end
     for index, rec in enumerate(checked_json(manifest.get("bags", []), list, "manifest bags")):
         bag_id = checked_json(rec, dict, f"manifest bags[{index}]").get("id")
         if not isinstance(bag_id, str):
             raise FormatError(f"bag record without a string id: {rec!r}")
         owner = f"bag {bag_id!r}"
-        file = rec.get("file")
-        fpath = files.path(file, owner, "missing feature file")
-        # the checks of checked_json and checked_shape, inlined for the common
-        # case; anything else goes to them for the refusal and its message
-        entries, offset = [], 0  # (modality, shape, relevance, start, end)
-        for inst in checked_json(rec.get("instances", []), list, f"{owner} instances"):
-            if type(inst) is not dict:
-                checked_json(inst, dict, f"{owner} instance")
-            modality = inst.get("modality")
-            if modality not in MODALITIES:
-                raise FormatError(f"{owner}: unknown modality {modality!r}")
-            shape = inst.get("shape")
-            if type(shape) is list and all(type(d) is int and d >= 1 for d in shape):
-                shape = tuple(shape)
-            else:
-                shape = checked_shape(shape, owner)
-            relevance = inst.get("relevance")
-            if relevance is not None and not (type(relevance) in (int, float)
-                                              and 0 <= relevance <= 1):
+        if not rec.keys() <= BAG_FIELDS:
+            raise FormatError(f"{owner}: unknown fields {sorted(rec.keys() - BAG_FIELDS)}")
+        cine = _shape_sizes(rec.get("cine_shapes", []), owner, "cine_shapes", known)
+        doppler = _shape_sizes(rec.get("doppler_shapes", []), owner, "doppler_shapes", known)
+        relevance = rec.get("relevance", [])
+        if type(relevance) is not list or len(relevance) != len(cine):
+            raise FormatError(f"{owner}: relevance must be a list with one entry per cine "
+                              f"shape ({len(cine)}), got {relevance!r}")
+        for value in relevance:
+            if value is not None and not (type(value) in (int, float) and 0 <= value <= 1):
                 raise FormatError(f"{owner}: relevance must be null or a number in [0, 1], "
-                                  f"got {relevance!r}")
-            size = math.prod(shape)
-            entries.append((modality, shape, relevance, offset, offset + size))
-            offset += size
-        # the bag's file reads straight into one array; its instances view slices of it
-        values = np.empty(offset, dtype="<f8")
-        with open(fpath, "rb") as f:
-            complete = f.readinto(values) == values.nbytes and not f.read(1)
-        if not complete:
-            raise FormatError(f"{owner}: file {file!r} holds {os.stat(fpath).st_size} bytes "
-                              f"but its instance shapes need {values.nbytes} (float64 values)")
-        if not np.isfinite(values).all():
-            raise FormatError(f"{owner}: file {file!r} holds non-finite feature values")
-        cine, doppler = [], []
-        for modality, shape, relevance, start, end in entries:
-            instance = Instance(modality, values[start:end], shape, relevance)
-            (cine if modality == "cine" else doppler).append(instance)
-        bags.append(Bag(bag_id, cine, doppler, label=rec.get("label")))
-        assignment[bag_id] = rec.get("split")
+                                  f"got {value!r}")
+        end += sum(map(itemgetter(1), cine)) + sum(map(itemgetter(1), doppler))
+        layout.append((bag_id, rec.get("label"), rec.get("split"), cine, relevance, doppler))
+        ends.append(end)
+
+    # then the feature file, read straight into one array, which every instance views
+    def at_fault(value_index):  # the owner of the bag whose values hold this index
+        return f"bag {layout[bisect_right(ends, value_index)][0]!r}"
+
+    first = at_fault(0) if layout else "dataset"
+    fpath = files.path(FEATURES, first, "missing feature file")
+    values = np.empty(end, dtype="<f8")
+    with open(fpath, "rb") as f:
+        got, size = f.readinto(values), os.fstat(f.fileno()).st_size
+    if got < values.nbytes:
+        need = 8 * ends[bisect_right(ends, got // 8)]
+        raise FormatError(f"{at_fault(got // 8)}: file {FEATURES!r} holds {got} bytes, but the "
+                          f"instance shapes up to this bag need {need} (float64 values)")
+    if size > values.nbytes:
+        raise FormatError(f"{first}: file {FEATURES!r} holds {size} bytes, but the instance "
+                          f"shapes of the {len(layout)} bags in the manifest need "
+                          f"{values.nbytes} (float64 values)")
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise FormatError(f"{at_fault(int(np.argmin(finite)))}: file {FEATURES!r} holds "
+                          "non-finite feature values")
+
+    bags, assignment, start = [], {}, 0
+    for bag_id, label, split, cine, relevance, doppler in layout:
+        cine, start = _views("cine", values, start, cine, relevance)
+        doppler, start = _views("doppler", values, start, doppler, repeat(None))
+        bags.append(Bag(bag_id, cine, doppler, label=label))
+        assignment[bag_id] = split
     return Dataset(bags, assignment)
 
 
 def load_hidden_truth(dir_path):
     """Diagnostics-only side table of true labels for unlabeled bags, or None."""
-    path = Path(dir_path) / "hidden_truth.json"
-    if not path.is_file():
+    path = ContainedFiles(Path(dir_path).resolve()).path("hidden_truth.json", "dataset")
+    if path is None:
         return None
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"hidden_truth.json is not valid JSON: {exc}") from exc
+    raw = read_json(path, "hidden_truth.json")
     if not isinstance(raw, dict) or any(
             isinstance(v, bool) or not isinstance(v, int) for v in raw.values()):
         raise FormatError("hidden_truth.json must map bag ids to integer labels")

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import ContainedFiles, checked_json, checked_shape
+from .data import ContainedFiles, checked_json, checked_shape, read_json
 from .encoders import (  # noqa: F401 -- preprocess stays bound here for bench/spans.py
     Encoder,
     EncoderConfig,
@@ -605,14 +605,11 @@ def save_model(model, dir_path):
 
 def load_model(dir_path):
     root = Path(dir_path).resolve()
-    path = root / "manifest.json"
-    if not path.is_file():
+    files = ContainedFiles(root)
+    path = files.path("manifest.json", "checkpoint")
+    if path is None:
         raise FormatError(f"no checkpoint manifest under {root}")
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"checkpoint manifest is not valid JSON: {exc}") from exc
-    checked_json(manifest, dict, "checkpoint manifest")
+    manifest = checked_json(read_json(path, "checkpoint manifest"), dict, "checkpoint manifest")
     if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise FormatError(
             f"unsupported checkpoint format_version {manifest.get('format_version')!r}"
@@ -620,7 +617,6 @@ def load_model(dir_path):
     config = config_from_dict(ModelConfig, manifest.get("config"), FormatError,
                               "checkpoint config")
     expected = dict(param_specs(config))
-    files = ContainedFiles(root)
     params = {}
     for index, rec in enumerate(checked_json(manifest.get("tensors", []), list,
                                              "checkpoint tensors")):

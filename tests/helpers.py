@@ -78,3 +78,22 @@ def unflatten_params(flat, specs):
         params[name] = flat[off:off + size].reshape(shape).copy()
         off += size
     return params
+
+
+def bag_value_ranges(manifest):
+    """Each bag's ``(start, end)`` in the float64 values of a dataset's ``features.bin``."""
+    ranges, end = {}, 0
+    for rec in manifest["bags"]:
+        start = end
+        for shape in rec["cine_shapes"] + rec["doppler_shapes"]:
+            end += int(np.prod(shape))
+        ranges[rec["id"]] = (start, end)
+    return ranges
+
+
+def write_feature_values(data_dir, index, value):
+    """Set the float64 values at ``index`` of a dataset's ``features.bin``."""
+    path = data_dir / "features.bin"
+    values = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
+    values[index] = value
+    path.write_bytes(values.tobytes())

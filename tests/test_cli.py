@@ -9,6 +9,8 @@ from milfusion.data import load
 from milfusion.metrics import load_predictions
 from milfusion.model import load_model, params_digest
 
+from helpers import bag_value_ranges, write_feature_values
+
 TINY_DATASET = {
     "n_labeled": 15,
     "n_val": 12,
@@ -263,11 +265,11 @@ def test_empty_val_split_is_refused_before_training(workdir, capsys, command):
 
 
 def test_nan_features_exit_numeric(workdir):
-    # corrupt one feature file; the loader refuses it before training (a
+    # corrupt one bag's features; the loader refuses them before training (a
     # non-finite loss inside training still exits 3, see tests/test_step.py)
-    victim = sorted((workdir / "data" / "features").glob("train_*"))[0]
-    n = len(victim.read_bytes()) // 8
-    victim.write_bytes(np.full(n, np.nan).tobytes())
+    manifest = json.loads((workdir / "data" / "manifest.json").read_text())
+    start, end = bag_value_ranges(manifest)["train_000"]
+    write_feature_values(workdir / "data", slice(start, end), np.nan)
     code = main(["train", "--config", str(workdir / "run.json"),
                  "--data", str(workdir / "data"), "--seed", "3",
                  "--out", str(workdir / "nan")])
@@ -280,16 +282,15 @@ def test_nan_features_exit_numeric(workdir):
 
 @pytest.mark.parametrize("command", ["predict", "eval"])
 def test_non_finite_features_are_refused_by_the_loader(workdir, trained, capsys, command):
-    victim = sorted((workdir / "data" / "features").glob("test_*"))[0]
-    values = np.frombuffer(victim.read_bytes(), dtype="<f8").copy()
-    values[1] = np.inf
-    victim.write_bytes(values.tobytes())
+    manifest = json.loads((workdir / "data" / "manifest.json").read_text())
+    start, _ = bag_value_ranges(manifest)["test_000"]
+    write_feature_values(workdir / "data", start + 1, np.inf)
     capsys.readouterr()
     code = main([command, "--checkpoint", str(trained), "--data", str(workdir / "data"),
                  "--seed", "1", "--out", str(workdir / "out")])
     assert code == 2
     (line,) = error_lines(capsys.readouterr().err)
-    assert victim.name in line and f"'{victim.name[:8]}'" in line  # the file and its bag
+    assert "'features.bin'" in line and "'test_000'" in line  # the file and the bag
     assert "non-finite" in line
 
 
@@ -418,13 +419,13 @@ def test_bad_checkpoint_manifest_exits_2(workdir, trained, capsys, key_path, val
 
 
 @pytest.mark.parametrize("key_path, value", [
-    (("bags", 0, "instances", 0, "shape"), ["a"]),
-    (("bags", 0, "instances", 0, "shape"), 5),
-    (("bags", 0, "instances"), 5),
+    (("bags", 0, "cine_shapes", 0), ["a"]),
+    (("bags", 0, "cine_shapes", 0), 5),
+    (("bags", 0, "cine_shapes"), 5),
     (("bags",), 5),
     (("bags", 0), [1]),
-    (("bags", 0, "instances", 0, "relevance"), "abc"),
-    (("bags", 0, "instances", 0, "relevance"), 1.5),
+    (("bags", 0, "relevance", 0), "abc"),
+    (("bags", 0, "relevance", 0), 1.5),
 ])
 def test_bad_dataset_manifest_exits_2(workdir, capsys, key_path, value):
     edit_json(workdir / "data" / "manifest.json", key_path, value)

@@ -2,6 +2,8 @@ import copy
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from milfusion.data import (
 from milfusion.errors import ConfigError, FormatError, MilError, UsageError, exit_code_for
 from milfusion.model import load_model, save_model
 
-from helpers import random_model, tiny_model_config
+from helpers import bag_value_ranges, random_model, tiny_model_config, write_feature_values
 from oracles import centroid_balanced_accuracy
 
 SMALL = dict(n_labeled=24, n_val=18, n_test=18, n_unlabeled=10)
@@ -176,7 +178,7 @@ def test_relevance_floats_survive_bitwise(tmp_path):
 def test_missing_feature_file_is_format_error(tmp_path):
     ds, _ = generate_synthetic(small_config())
     save(ds, tmp_path)
-    victim = next((tmp_path / "features").iterdir())
+    victim = tmp_path / "features.bin"
     victim.unlink()
     with pytest.raises(FormatError, match=victim.name):
         load(tmp_path)
@@ -186,7 +188,7 @@ def test_unknown_modality_is_format_error(tmp_path):
     ds, _ = generate_synthetic(small_config())
     save(ds, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["bags"][0]["instances"][0]["modality"] = "xray"
+    manifest["bags"][0]["xray_shapes"] = [[2, 2]]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match="xray"):
         load(tmp_path)
@@ -196,7 +198,7 @@ def test_shape_mismatch_is_format_error(tmp_path):
     ds, _ = generate_synthetic(small_config())
     save(ds, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["bags"][0]["instances"][0]["shape"] = [1, 2, 3]
+    manifest["bags"][0]["cine_shapes"][0] = [1, 2, 3]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match=manifest["bags"][0]["id"]):
         load(tmp_path)
@@ -207,13 +209,11 @@ def test_non_finite_feature_is_format_error(tmp_path, value):
     ds, _ = generate_synthetic(small_config())
     save(ds, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    rec = manifest["bags"][3]
-    path = tmp_path / rec["file"]
-    values = np.frombuffer(path.read_bytes(), dtype="<f8").copy()
-    values[-1] = value
-    path.write_bytes(values.tobytes())
-    with pytest.raises(FormatError, match=f"'{rec['id']}'.*'{rec['file']}'.*non-finite"):
+    rec = manifest["bags"][3]  # a bag in the middle of the file
+    write_feature_values(tmp_path, bag_value_ranges(manifest)[rec["id"]][1] - 1, value)
+    with pytest.raises(FormatError, match=f"'{rec['id']}'.*'features.bin'.*non-finite") as info:
         load(tmp_path)
+    assert exit_code_for(info.value) == 2
 
 
 @pytest.mark.parametrize("cut", [3, 8])
@@ -221,11 +221,45 @@ def test_truncated_feature_file_is_format_error(tmp_path, cut):
     ds, _ = generate_synthetic(small_config())
     save(ds, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    rec = manifest["bags"][1]
-    path = tmp_path / rec["file"]
+    rec = manifest["bags"][-1]  # the first bag whose values are cut
+    path = tmp_path / "features.bin"
     path.write_bytes(path.read_bytes()[:-cut])
     with pytest.raises(FormatError, match=f"'{rec['id']}'.*bytes"):
         load(tmp_path)
+
+
+def test_short_feature_file_names_the_first_bag_it_cuts(tmp_path):
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    rec = manifest["bags"][2]
+    start, end = bag_value_ranges(manifest)[rec["id"]]
+    path = tmp_path / "features.bin"
+    path.write_bytes(path.read_bytes()[:4 * (start + end)])  # mid-way through the bag
+    with pytest.raises(FormatError, match=f"'{rec['id']}'.*'features.bin'.*bytes") as info:
+        load(tmp_path)
+    assert exit_code_for(info.value) == 2
+
+
+@pytest.mark.parametrize("extra", [3, 8])
+def test_overlong_feature_file_is_format_error(tmp_path, extra):
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    path = tmp_path / "features.bin"
+    path.write_bytes(path.read_bytes() + bytes(extra))
+    with pytest.raises(FormatError, match=f"'features.bin' holds {path.stat().st_size} bytes"
+                       ) as info:
+        load(tmp_path)
+    assert exit_code_for(info.value) == 2
+
+
+def test_feature_values_without_bags_are_refused(tmp_path):
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps({"format_version": 3, "bags": []}))
+    with pytest.raises(FormatError, match="'features.bin' holds .* the 0 bags") as info:
+        load(tmp_path)
+    assert exit_code_for(info.value) == 2
 
 
 @pytest.mark.parametrize("label", [1.0, True, "1"])
@@ -240,19 +274,47 @@ def test_non_integer_label_is_format_error(tmp_path, label):
         load(tmp_path)
 
 
+@pytest.mark.parametrize("shorter", [True, False])
+def test_relevance_must_have_one_entry_per_cine_shape(tmp_path, shorter):
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    rec = manifest["bags"][2]
+    if shorter:
+        rec["relevance"].pop()
+    else:
+        rec["relevance"].append(0.5)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=f"'{rec['id']}'.*relevance") as info:
+        load(tmp_path)
+    assert exit_code_for(info.value) == 2
+
+
+@pytest.mark.parametrize("shape", [[4.0, 1, 8], [4, True, 8], [4, 0, 8], [4, 1, "8"]])
+def test_dimension_that_is_not_a_positive_integer_is_refused(tmp_path, shape):
+    ds, _ = generate_synthetic(small_config(cine_shape=(4, 1, 8)))
+    save(ds, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    # bag 0 has shown [4, 1, 8] already, and 4.0 and true hash like 4 and 1
+    rec = manifest["bags"][2]
+    rec["cine_shapes"][1] = shape
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=f"'{rec['id']}'.*positive integers") as info:
+        load(tmp_path)
+    assert exit_code_for(info.value) == 2
+
+
 @pytest.mark.parametrize("entry", ["../outside.bin", "features/../../outside.bin",
-                                   "{root}/outside.bin", None])
+                                   "{root}/outside.bin"])
 def test_feature_file_outside_the_directory_is_format_error(tmp_path, entry):
     ds, _ = generate_synthetic(small_config())
     root = tmp_path / "data"
     save(ds, root)
-    manifest = json.loads((root / "manifest.json").read_text())
-    rec = manifest["bags"][0]
-    # a readable file of the right size, so only the path check can refuse it
-    (tmp_path / "outside.bin").write_bytes((root / rec["file"]).read_bytes())
-    rec["file"] = entry if entry is None else entry.format(root=tmp_path)
-    (root / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match=manifest["bags"][0]["id"]):
+    rec = json.loads((root / "manifest.json").read_text())["bags"][0]
+    # the dataset's own bytes, so only the path check can refuse them
+    (root / "features.bin").rename(tmp_path / "outside.bin")
+    (root / "features.bin").symlink_to(entry.format(root=tmp_path))
+    with pytest.raises(FormatError, match=rec["id"]):
         load(root)
 
 
@@ -262,13 +324,15 @@ def test_symlink_out_of_the_directory_is_format_error(tmp_path, link):
     root = tmp_path / "data"
     save(ds, root)
     rec = json.loads((root / "manifest.json").read_text())["bags"][0]
-    # the link leads to the bag's own bytes, so only the path check can refuse it
+    # the link leads to the dataset's own bytes, so only the path check can refuse it
     if link == "file":
-        (root / rec["file"]).rename(tmp_path / "outside.bin")
-        (root / rec["file"]).symlink_to(tmp_path / "outside.bin")
-    else:
-        (root / "features").rename(tmp_path / "features")
-        (root / "features").symlink_to(tmp_path / "features", target_is_directory=True)
+        (root / "features.bin").rename(tmp_path / "outside.bin")
+        (root / "features.bin").symlink_to(tmp_path / "outside.bin")
+    else:  # a link inside the directory, through a directory link that leads out
+        (tmp_path / "elsewhere").mkdir()
+        (root / "features.bin").rename(tmp_path / "elsewhere" / "features.bin")
+        (root / "alias").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+        (root / "features.bin").symlink_to(root / "alias" / "features.bin")
     with pytest.raises(FormatError, match=f"{rec['id']}.*outside the directory") as info:
         load(root)
     assert exit_code_for(info.value) == 2
@@ -277,49 +341,70 @@ def test_symlink_out_of_the_directory_is_format_error(tmp_path, link):
 def test_symlink_inside_the_directory_is_followed(tmp_path):
     ds, _ = generate_synthetic(small_config())
     save(ds, tmp_path)
-    rec = json.loads((tmp_path / "manifest.json").read_text())["bags"][0]
-    (tmp_path / rec["file"]).rename(tmp_path / "moved.bin")
-    (tmp_path / rec["file"]).symlink_to(tmp_path / "moved.bin")
-    assert load(tmp_path) == ds
-
-
-def test_bag_files_in_two_directories_load(tmp_path):
-    ds, _ = generate_synthetic(small_config())
-    save(ds, tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    (tmp_path / "other").mkdir()
-    for rec in manifest["bags"][::2]:
-        moved = f"other/{rec['id']}.bin"
-        (tmp_path / rec["file"]).rename(tmp_path / moved)
-        rec["file"] = moved
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "features.bin").rename(tmp_path / "moved.bin")
+    (tmp_path / "features.bin").symlink_to(tmp_path / "moved.bin")
     assert load(tmp_path) == ds
 
 
 def test_symlinked_directory_inside_the_directory_is_followed(tmp_path):
     ds, _ = generate_synthetic(small_config())
     save(ds, tmp_path)
-    (tmp_path / "alias").symlink_to(tmp_path / "features", target_is_directory=True)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    for rec in manifest["bags"][:3]:
-        rec["file"] = rec["file"].replace("features/", "alias/")
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "store").mkdir()
+    (tmp_path / "features.bin").rename(tmp_path / "store" / "moved.bin")
+    (tmp_path / "alias").symlink_to(tmp_path / "store", target_is_directory=True)
+    (tmp_path / "features.bin").symlink_to("alias/moved.bin")
     assert load(tmp_path) == ds
 
 
-def test_directory_part_leading_outside_is_format_error(tmp_path):
-    ds, _ = generate_synthetic(small_config())
+@pytest.mark.parametrize("name", ["manifest.json", "hidden_truth.json"])
+def test_dataset_json_symlinked_outside_is_format_error(tmp_path, name):
+    ds, hidden = generate_synthetic(small_config())
     root = tmp_path / "data"
-    save(ds, root)
-    manifest = json.loads((root / "manifest.json").read_text())
-    rec = manifest["bags"][1]
-    # the bag's own bytes, reached through a directory outside the dataset
-    shutil.copytree(root / "features", tmp_path / "elsewhere")
-    rec["file"] = rec["file"].replace("features/", "features/../../elsewhere/")
-    (root / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match=f"{rec['id']}.*outside the directory") as info:
-        load(root)
+    save(ds, root, hidden)
+    # the dataset's own file, so only the path check can refuse it
+    (root / name).rename(tmp_path / name)
+    (root / name).symlink_to(tmp_path / name)
+    with pytest.raises(FormatError, match=f"'{name}' points outside the directory") as info:
+        load(root) if name == "manifest.json" else load_hidden_truth(root)
     assert exit_code_for(info.value) == 2
+
+
+def test_dataset_json_symlinked_inside_is_followed(tmp_path):
+    ds, hidden = generate_synthetic(small_config())
+    save(ds, tmp_path, hidden)
+    for name in ("manifest.json", "hidden_truth.json"):
+        (tmp_path / name).rename(tmp_path / f"real_{name}")
+        (tmp_path / name).symlink_to(tmp_path / f"real_{name}")
+    assert load(tmp_path) == ds
+    assert load_hidden_truth(tmp_path) == hidden
+
+
+def test_directory_part_leading_outside_is_format_error(tmp_path):
+    save_model(random_model(tiny_model_config(), seed=2), tmp_path / "ckpt")
+    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+    rec = manifest["tensors"][1]
+    # the tensor's own bytes, reached through a directory outside the checkpoint
+    shutil.copytree(tmp_path / "ckpt" / "tensors", tmp_path / "elsewhere")
+    rec["file"] = rec["file"].replace("tensors/", "tensors/../../elsewhere/")
+    (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=f"{rec['name']}.*outside the directory") as info:
+        load_model(tmp_path / "ckpt")
+    assert exit_code_for(info.value) == 2
+
+
+def test_tensor_files_in_two_directories_load(tmp_path):
+    model = random_model(tiny_model_config(), seed=2)
+    save_model(model, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    (tmp_path / "other").mkdir()
+    for rec in manifest["tensors"][::2]:
+        moved = rec["file"].replace("tensors/", "other/")
+        (tmp_path / rec["file"]).rename(tmp_path / moved)
+        rec["file"] = moved
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    loaded = load_model(tmp_path)
+    assert all(np.array_equal(loaded.params[name], value)
+               for name, value in model.params.items())
 
 
 @pytest.mark.parametrize("target", ["inside", "outside"])
@@ -327,29 +412,71 @@ def test_dangling_symlink(tmp_path, target):
     ds, _ = generate_synthetic(small_config())
     root = tmp_path / "data"
     save(ds, root)
-    rec = json.loads((root / "manifest.json").read_text())["bags"][2]
-    (root / rec["file"]).unlink()
-    (root / rec["file"]).symlink_to((root if target == "inside" else tmp_path) / "gone.bin")
+    rec = json.loads((root / "manifest.json").read_text())["bags"][0]
+    (root / "features.bin").unlink()
+    (root / "features.bin").symlink_to((root if target == "inside" else tmp_path) / "gone.bin")
     message = "missing feature file" if target == "inside" else "outside the directory"
     with pytest.raises(FormatError, match=f"{rec['id']}.*{message}") as info:
         load(root)
     assert exit_code_for(info.value) == 2
 
 
-def test_load_resolves_each_directory_once(tmp_path, monkeypatch):
-    """Full path resolutions during load do not grow with the bag count."""
+COUNT_OPENS = """
+import json, os, sys
+from milfusion.data import load
+
+opened, resolved = [], []
+sys.addaudithook(lambda event, args: event == "open" and opened.append(os.fspath(args[0])))
+realpath = os.path.realpath
+os.path.realpath = lambda *a, **k: resolved.append(a) or realpath(*a, **k)
+bags = len(load(sys.argv[1]).bags)
+print(json.dumps({"bags": bags, "opened": sorted(os.path.basename(p) for p in opened),
+                  "resolved": len(resolved)}))
+"""
+
+
+def test_load_opens_one_feature_file(tmp_path):
+    """Files opened and paths resolved during load do not grow with the bag count."""
     counts = {}
     for n in (5, 50):
         ds, _ = generate_synthetic(small_config(n_labeled=n - 3, n_val=1, n_test=1,
                                                 n_unlabeled=1))
         save(ds, tmp_path / str(n))
-        calls = []
-        real = os.path.realpath
-        with monkeypatch.context() as patch:
-            patch.setattr(os.path, "realpath", lambda *a, **k: calls.append(a) or real(*a, **k))
-            assert len(load(tmp_path / str(n)).bags) == n
-        counts[n] = len(calls)
-    assert counts[5] == counts[50] <= 3
+        # in a child process: an audit hook sees every open, and cannot be removed
+        proc = subprocess.run([sys.executable, "-c", COUNT_OPENS, str(tmp_path / str(n))],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        counts[n] = json.loads(proc.stdout)
+        assert counts[n].pop("bags") == n
+    assert counts[5] == counts[50]
+    assert counts[5]["opened"] == ["features.bin", "manifest.json"]
+    assert counts[5]["resolved"] <= 3
+
+
+def test_failed_dataset_writes_keep_the_previous_files(tmp_path):
+    ds, hidden = generate_synthetic(small_config())
+    save(ds, tmp_path, hidden)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    other, other_hidden = generate_synthetic(small_config(seed=8))
+    # a bag without a split fails the features write after its first bags
+    broken = copy.copy(other)
+    broken.split_assignment = dict(other.split_assignment)
+    del broken.split_assignment[other.bags[3].id]
+    with pytest.raises(KeyError):
+        save(broken, tmp_path, other_hidden)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    # the hidden-truth write fails: the manifest, written last, is untouched
+    with pytest.raises(TypeError):
+        save(other, tmp_path, {**other_hidden, "x": object()})
+    assert (tmp_path / "hidden_truth.json").read_bytes() == before["hidden_truth.json"]
+    assert (tmp_path / "manifest.json").read_bytes() == before["manifest.json"]
+    other.bags[0].label = object()  # the manifest write fails
+    with pytest.raises(TypeError):
+        save(other, tmp_path, other_hidden)
+    assert (tmp_path / "manifest.json").read_bytes() == before["manifest.json"]
+    assert sorted(before) == sorted(p.name for p in tmp_path.iterdir())  # no temporary file
+    save(ds, tmp_path, hidden)
+    assert load(tmp_path) == ds
 
 
 def test_malformed_manifest_json(tmp_path):
@@ -358,20 +485,30 @@ def test_malformed_manifest_json(tmp_path):
         load(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["manifest.json", "hidden_truth.json"])
+def test_json_that_is_not_utf8_is_format_error(tmp_path, name):
+    (tmp_path / name).write_bytes(b'{"train_000": "\xff"}')
+    with pytest.raises(FormatError, match=f"{name} is not valid JSON") as info:
+        load(tmp_path) if name == "manifest.json" else load_hidden_truth(tmp_path)
+    assert exit_code_for(info.value) == 2
+
+
 def test_missing_manifest(tmp_path):
     with pytest.raises(FormatError):
         load(tmp_path / "nowhere")
 
 
 def test_manifest_schema_keys(tmp_path):
-    ds, _ = generate_synthetic(small_config())
-    save(ds, tmp_path)
+    ds, hidden = generate_synthetic(small_config())
+    save(ds, tmp_path, hidden)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert set(manifest) == {"bags", "format_version"}
-    assert manifest["format_version"] == 2
+    assert manifest["format_version"] == 3
     rec = manifest["bags"][0]
-    assert set(rec) == {"id", "label", "split", "file", "instances"}
-    assert set(rec["instances"][0]) == {"modality", "shape", "relevance"}
+    assert set(rec) == {"id", "label", "split", "cine_shapes", "relevance", "doppler_shapes"}
+    assert len(rec["relevance"]) == len(rec["cine_shapes"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "features.bin", "hidden_truth.json", "manifest.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +585,7 @@ def test_manifest_bag_id_that_is_not_a_plain_file_name_is_refused(tmp_path, bag_
     ds, _ = generate_synthetic(small_config())
     save(ds, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["bags"][0]["id"] = bag_id  # its file entry still names a valid file
+    manifest["bags"][0]["id"] = bag_id  # its shapes still match the feature file
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match="plain file name") as info:
         load(tmp_path)

@@ -338,6 +338,17 @@ def test_checkpoint_tensor_symlinked_outside_is_format_error(tmp_path):
     assert exit_code_for(info.value) == 2
 
 
+def test_checkpoint_manifest_symlinked_outside_is_format_error(tmp_path):
+    save_model(random_model(tiny_model_config(), seed=15), tmp_path / "ckpt")
+    manifest = tmp_path / "ckpt" / "manifest.json"
+    # the checkpoint's own manifest, so only the path check can refuse it
+    manifest.rename(tmp_path / "manifest.json")
+    manifest.symlink_to(tmp_path / "manifest.json")
+    with pytest.raises(FormatError, match="'manifest.json' points outside the directory") as info:
+        load_model(tmp_path / "ckpt")
+    assert exit_code_for(info.value) == 2
+
+
 @pytest.mark.parametrize("version", [2, "1", None])
 def test_checkpoint_format_version_is_checked(tmp_path, version):
     import json

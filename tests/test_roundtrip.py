@@ -65,10 +65,10 @@ def test_dataset_round_trip_is_bitwise(dataset):
     with tempfile.TemporaryDirectory() as tmp:
         save(dataset, tmp)
         loaded = load(tmp)
-        files = sorted(p.name for p in (Path(tmp) / "features").iterdir())
+        files = sorted(p.name for p in Path(tmp).iterdir())
     assert loaded == dataset
     assert fields(loaded) == fields(dataset)
-    assert files == sorted(f"{bag.id}.bin" for bag in dataset.bags)  # one file per bag
+    assert files == ["features.bin", "manifest.json"]  # one feature file for all bags
 
 
 @st.composite
@@ -103,14 +103,35 @@ def test_checkpoint_round_trip_is_bitwise(config, seed):
     assert params_digest(loaded.params) == params_digest(model.params) == digest
 
 
-def test_version_1_dataset_is_refused(tmp_path):
+def saved_manifest(root):
     inst = Instance("doppler", np.arange(6.0), (3, 2))
-    save(Dataset([Bag("b0", [], [inst], label=0)], {"b0": "train"}), tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    # the version-1 layout: the feature file entries sit on the instances
-    manifest["format_version"] = 1
-    manifest["bags"][0]["instances"][0]["file"] = manifest["bags"][0].pop("file")
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match="format_version 1") as info:
-        load(tmp_path)
+    save(Dataset([Bag("b0", [], [inst], label=0)], {"b0": "train"}), root)
+    return json.loads((root / "manifest.json").read_text())
+
+
+def refused_with_exit_2(root, manifest, message):
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=message) as info:
+        load(root)
     assert exit_code_for(info.value) == 2
+
+
+def test_version_1_dataset_is_refused(tmp_path):
+    manifest = saved_manifest(tmp_path)
+    # the version-1 layout: one feature file per instance, named on the instance
+    manifest["format_version"] = 1
+    manifest["bags"][0] = {"id": "b0", "label": 0, "split": "train", "instances": [
+        {"modality": "doppler", "shape": [3, 2], "relevance": None, "file": "features/b0_0.bin"}]}
+    refused_with_exit_2(tmp_path, manifest, "format_version 1")
+
+
+def test_version_2_dataset_is_refused(tmp_path):
+    manifest = saved_manifest(tmp_path)
+    # the version-2 layout: one feature file per bag, named on the bag
+    manifest["format_version"] = 2
+    manifest["bags"][0] = {"id": "b0", "label": 0, "split": "train", "file": "features/b0.bin",
+                           "instances": [{"modality": "doppler", "shape": [3, 2],
+                                          "relevance": None}]}
+    (tmp_path / "features").mkdir()
+    (tmp_path / "features.bin").rename(tmp_path / "features" / "b0.bin")
+    refused_with_exit_2(tmp_path, manifest, "format_version 2")
