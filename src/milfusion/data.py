@@ -23,10 +23,11 @@ independent seeded streams, so changing class priors cannot change bag-size
 statistics.
 
 A bag id is a plain file name (no ``/``, ``\\`` or NUL; not empty, ``.`` or
-``..``). ``load`` reads each file through ``ContainedFiles``, so a symlink that
-leads out of the directory is refused; it checks each distinct shape once per
-load, reads ``features.bin`` into one array with one size check and one finite
-check, and makes every instance a view of that array.
+``..``). Every file a loader opens has a fixed name, and ``contained_file``
+resolves it once, so a symlink that leads out of the directory is refused.
+``load`` checks each distinct shape once per load, reads ``features.bin`` into
+one array with one size check and one finite check, and makes every instance a
+view of that array.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import stat
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
@@ -291,30 +291,33 @@ def generate_synthetic(config):
 def save(dataset, dir_path, hidden_truth=None):
     """Write a dataset directory; see the module docstring for the layout.
 
-    Each file replaces its previous version atomically, and the manifest goes
-    last, so an interrupted save leaves the previous manifest in place.
+    The manifest and the hidden-truth text are built first, so a dataset they
+    cannot describe fails before any file is replaced. Then each file
+    replaces its previous version atomically, and the manifest goes last, so
+    an interrupted save leaves the previous manifest in place.
     """
+    records = [{
+        "id": bag.id,
+        "label": bag.label,
+        "split": dataset.split_assignment[bag.id],
+        "cine_shapes": [list(inst.shape) for inst in bag.cine_instances],
+        "relevance": [inst.relevance for inst in bag.cine_instances],
+        "doppler_shapes": [list(inst.shape) for inst in bag.doppler_instances],
+    } for bag in dataset.bags]
+    lines = ",\n".join(map(json.dumps, records))  # one bag record per line
+    manifest = f'{{"format_version": {FORMAT_VERSION}, "bags": [\n{lines}\n]}}\n'
+    hidden = None if hidden_truth is None else json.dumps(hidden_truth, indent=1)
     root = Path(dir_path)
     root.mkdir(parents=True, exist_ok=True)
-    records = []
     with atomic_file(root / FEATURES, binary=True) as f:
         for bag in dataset.bags:
-            cine, doppler = bag.cine_instances, bag.doppler_instances
-            f.write(np.concatenate([inst.features for inst in cine + doppler], dtype="<f8"))
-            records.append({
-                "id": bag.id,
-                "label": bag.label,
-                "split": dataset.split_assignment[bag.id],
-                "cine_shapes": [list(inst.shape) for inst in cine],
-                "relevance": [inst.relevance for inst in cine],
-                "doppler_shapes": [list(inst.shape) for inst in doppler],
-            })
-    if hidden_truth is not None:
+            f.write(np.concatenate([inst.features for inst in
+                                    bag.cine_instances + bag.doppler_instances], dtype="<f8"))
+    if hidden is not None:
         with atomic_file(root / "hidden_truth.json") as f:
-            f.write(json.dumps(hidden_truth, indent=1))
-    with atomic_file(root / "manifest.json") as f:  # one bag record per line
-        lines = ",\n".join(map(json.dumps, records))
-        f.write(f'{{"format_version": {FORMAT_VERSION}, "bags": [\n{lines}\n]}}\n')
+            f.write(hidden)
+    with atomic_file(root / "manifest.json") as f:
+        f.write(manifest)
 
 
 def checked_json(value, kind, owner):
@@ -341,64 +344,25 @@ def read_json(path, name):
         raise FormatError(f"{name} is not valid JSON: {exc}") from exc
 
 
-def _outside(owner, rel):
-    return FormatError(f"{owner}: file {rel!r} points outside the directory")
+def contained_file(root, name, owner, missing=None):
+    """``root/name`` as a resolved path string, if it names a regular file.
 
-
-class ContainedFiles:
-    """Files named relative to ``root``, each checked to be a regular file inside it.
-
-    ``root`` must be resolved already. Each distinct directory part of the
-    names is resolved once (symlinks followed) and must lie inside ``root``;
-    then each file gets one ``os.lstat``, and a file that is a symlink is
-    resolved in full and checked again. So a link, to a file or to a
-    directory on the way, that leads out of ``root`` is refused like a ``..``
-    that does.
+    ``root`` must be resolved already. The path is resolved in full (symlinks
+    followed), so a link to the file, or to a directory on the way, that
+    leads out of ``root`` is refused with a FormatError. If the path names
+    no regular file (nothing there, a dangling link, a directory), the
+    result is None, or with a ``missing`` text the FormatError
+    ``"{owner}: {missing} {name!r}"``.
     """
-
-    def __init__(self, root):
-        self.root = os.fspath(root)
-        self._below = os.path.join(self.root, "")  # the prefix of every path below root
-        self._dirs = {}  # directory part of an entry -> its resolved path
-
-    def _inside(self, path):
-        return path == self.root or path.startswith(self._below)
-
-    def path(self, rel, owner, missing=None):
-        """``rel`` as a resolved path string.
-
-        FormatError if ``rel`` is not a non-empty string or points outside
-        ``root``. If it names no regular file, the result is None, or with a
-        ``missing`` text the FormatError ``"{owner}: {missing} {rel!r}"``.
-        """
-        if not isinstance(rel, str) or not rel or "\0" in rel:
-            raise FormatError(f"{owner}: file entry must be a non-empty string without NUL, "
-                              f"got {rel!r}")
-        if os.path.isabs(rel):
-            raise _outside(owner, rel)
-        head, name = os.path.split(rel)
-        if name in ("", ".", ".."):  # rel ends in a directory step: resolve all of it
-            head, name = rel, ""
-        directory = self._dirs.get(head)
-        if directory is None:
-            directory = self._dirs[head] = os.path.realpath(os.path.join(self.root, head))
-        if not self._inside(directory):
-            raise _outside(owner, rel)
-        path = os.path.join(directory, name) if name else directory
-        try:
-            mode = os.lstat(path).st_mode
-            if stat.S_ISLNK(mode):
-                path = os.path.realpath(path)
-                if not self._inside(path):
-                    raise _outside(owner, rel)
-                mode = os.stat(path).st_mode
-        except OSError:  # nothing there, or a dangling link
-            mode = 0
-        if stat.S_ISREG(mode):
-            return path
-        if missing is not None:
-            raise FormatError(f"{owner}: {missing} {rel!r}")
-        return None
+    root = os.fspath(root)
+    path = os.path.realpath(os.path.join(root, name))
+    if not path.startswith(os.path.join(root, "")):
+        raise FormatError(f"{owner}: file {name!r} points outside the directory")
+    if os.path.isfile(path):
+        return path
+    if missing is not None:
+        raise FormatError(f"{owner}: {missing} {name!r}")
+    return None
 
 
 def _shape_sizes(entries, owner, field, known):
@@ -441,8 +405,7 @@ def _views(modality, values, start, sizes, relevance):
 def load(dir_path):
     """Read a dataset directory written by :func:`save`."""
     root = Path(dir_path).resolve()
-    files = ContainedFiles(root)
-    manifest_path = files.path("manifest.json", "dataset")
+    manifest_path = contained_file(root, "manifest.json", "dataset")
     if manifest_path is None:
         raise FormatError(f"no manifest.json under {root}")
     manifest = checked_json(read_json(manifest_path, "manifest.json"), dict, "manifest.json")
@@ -478,7 +441,7 @@ def load(dir_path):
         return f"bag {layout[bisect_right(ends, value_index)][0]!r}"
 
     first = at_fault(0) if layout else "dataset"
-    fpath = files.path(FEATURES, first, "missing feature file")
+    fpath = contained_file(root, FEATURES, first, "missing feature file")
     values = np.empty(end, dtype="<f8")
     with open(fpath, "rb") as f:
         got, size = f.readinto(values), os.fstat(f.fileno()).st_size
@@ -506,7 +469,7 @@ def load(dir_path):
 
 def load_hidden_truth(dir_path):
     """Diagnostics-only side table of true labels for unlabeled bags, or None."""
-    path = ContainedFiles(Path(dir_path).resolve()).path("hidden_truth.json", "dataset")
+    path = contained_file(Path(dir_path).resolve(), "hidden_truth.json", "dataset")
     if path is None:
         return None
     raw = read_json(path, "hidden_truth.json")

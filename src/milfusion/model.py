@@ -35,6 +35,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
@@ -43,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import ContainedFiles, checked_json, checked_shape, read_json
+from .data import checked_json, contained_file, read_json
 from .encoders import (  # noqa: F401 -- preprocess stays bound here for bench/spans.py
     Encoder,
     EncoderConfig,
@@ -65,7 +66,8 @@ from .pooling import (
 logger = logging.getLogger(__name__)
 
 N_CLASSES = 3
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+PARAMS = "tensors/params.bin"
 
 
 @dataclass(frozen=True)
@@ -525,8 +527,8 @@ def predict_probs(model, bags):
 
 
 # ---------------------------------------------------------------------------
-# checkpoints (named-tensor manifest + config block, same binary convention
-# as the dataset format)
+# checkpoints (one parameter file in the trainer's flat layout + a manifest
+# holding the config and the parameters' digest; the dataset's binary convention)
 
 
 _JSON_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
@@ -578,72 +580,64 @@ def _read_value(tp, value, where, error):
 
 
 def save_model(model, dir_path):
-    """Write a checkpoint: every tensor, then a manifest naming them with their digest.
+    """Write a checkpoint: ``tensors/params.bin``, then ``manifest.json``.
 
-    Each file replaces its previous version atomically, and the manifest goes
+    ``tensors/params.bin`` holds every parameter in ``param_specs`` order as
+    raw little-endian float64 values, the trainer's flat layout. The manifest
+    holds only ``format_version``, the config and the ``params_digest``. Each
+    file replaces its previous version atomically, and the manifest goes
     last, so an interrupted save leaves either a complete checkpoint or
-    tensors that do not match the manifest's ``params_digest``, which
-    ``load_model`` refuses.
+    parameters that do not match the manifest, which ``load_model`` refuses.
     """
-    root = Path(dir_path)
-    (root / "tensors").mkdir(parents=True, exist_ok=True)
-    records = []
-    for name in sorted(model.params):
-        rel = f"tensors/{name.replace('.', '_')}.bin"
-        with atomic_file(root / rel, binary=True) as f:
-            f.write(model.params[name].astype("<f8").tobytes())
-        records.append({"name": name, "shape": list(model.params[name].shape), "file": rel})
+    specs = param_specs(model.config)
+    flat = np.concatenate([model.params[name].reshape(-1) for name, _ in specs], dtype="<f8")
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": asdict(model.config),
         "params_digest": params_digest(model.params),
-        "tensors": records,
     }
+    root = Path(dir_path)
+    (root / "tensors").mkdir(parents=True, exist_ok=True)
+    with atomic_file(root / PARAMS, binary=True) as f:
+        f.write(flat)
     with atomic_file(root / "manifest.json") as f:
         f.write(json.dumps(manifest, indent=1))
 
 
 def load_model(dir_path):
+    """Read a checkpoint written by :func:`save_model`.
+
+    One read fills a flat array whose size must be the one the config's
+    parameters need; the parameters are ``param_views`` of it, and their
+    digest must match the manifest's ``params_digest``.
+    """
     root = Path(dir_path).resolve()
-    files = ContainedFiles(root)
-    path = files.path("manifest.json", "checkpoint")
+    path = contained_file(root, "manifest.json", "checkpoint")
     if path is None:
         raise FormatError(f"no checkpoint manifest under {root}")
     manifest = checked_json(read_json(path, "checkpoint manifest"), dict, "checkpoint manifest")
-    if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise FormatError(
-            f"unsupported checkpoint format_version {manifest.get('format_version')!r}"
-        )
+    version = manifest.get("format_version")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise FormatError(f"unsupported checkpoint format_version {version!r}; format_version "
+                          f"{CHECKPOINT_FORMAT_VERSION} holds every parameter in {PARAMS!r}")
     config = config_from_dict(ModelConfig, manifest.get("config"), FormatError,
                               "checkpoint config")
-    expected = dict(param_specs(config))
-    params = {}
-    for index, rec in enumerate(checked_json(manifest.get("tensors", []), list,
-                                             "checkpoint tensors")):
-        name = checked_json(rec, dict, f"checkpoint tensors[{index}]").get("name")
-        if not isinstance(name, str) or name not in expected:
-            raise FormatError(f"checkpoint tensor {name!r} is not a model parameter")
-        shape = checked_shape(rec.get("shape"), f"checkpoint tensor {name!r}")
-        if shape != expected[name]:
-            raise FormatError(
-                f"checkpoint tensor {name!r}: shape {list(shape)} does not match "
-                f"config ({list(expected[name])})"
-            )
-        fpath = files.path(rec.get("file"), f"checkpoint tensor {name!r}", "missing file")
-        raw = Path(fpath).read_bytes()
-        if len(raw) != 8 * math.prod(shape):
-            raise FormatError(f"checkpoint tensor {name!r}: file size does not match shape")
-        params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    if set(params) != set(expected):
-        raise FormatError(
-            f"checkpoint lacks tensors: {sorted(set(expected) - set(params))}"
-        )
+    need = 8 * sum(math.prod(shape) for _, shape in param_specs(config))
+    with open(contained_file(root, PARAMS, "checkpoint", "missing parameter file"), "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size == need:  # the config sizes the array only once the file matches it
+            flat = np.empty(need // 8, dtype="<f8")
+            size = f.readinto(flat)
+    if size != need:
+        raise FormatError(f"checkpoint file {PARAMS!r}: file size does not match shape: it "
+                          f"holds {size} bytes, the config's parameters need {need}")
+    params = param_views(config, flat)
     digest = manifest.get("params_digest")
     if not isinstance(digest, str):
         raise FormatError(f"checkpoint manifest lacks a params_digest string, got {digest!r}")
     if params_digest(params) != digest:
-        raise FormatError(f"checkpoint tensors under {root} do not match the manifest's "
-                          "params_digest")
+        raise FormatError(f"checkpoint parameters in {root / PARAMS} do not match the "
+                          "manifest's params_digest")
     return MMILModel(config, params)
 
 

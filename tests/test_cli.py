@@ -406,8 +406,6 @@ def test_eval_refuses_bad_probabilities(tmp_path, capsys, bad_row):
     (("config", "cine_encoder", "input_dim"), "abc"),
     (("config", "cine_encoder"), [1]),
     (("config", "use_doppler"), "false"),
-    (("tensors", 0, "shape"), ["a"]),
-    (("tensors", 0, "name"), [1]),
 ])
 def test_bad_checkpoint_manifest_exits_2(workdir, trained, capsys, key_path, value):
     edit_json(trained / "manifest.json", key_path, value)

@@ -1,7 +1,6 @@
 import copy
 import json
 import os
-import shutil
 import subprocess
 import sys
 
@@ -20,8 +19,9 @@ from milfusion.data import (
     load_hidden_truth,
     save,
 )
+from milfusion.encoders import EncoderConfig
 from milfusion.errors import ConfigError, FormatError, MilError, UsageError, exit_code_for
-from milfusion.model import load_model, save_model
+from milfusion.model import ModelConfig, load_model, save_model
 
 from helpers import bag_value_ranges, random_model, tiny_model_config, write_feature_values
 from oracles import centroid_balanced_accuracy
@@ -381,27 +381,21 @@ def test_dataset_json_symlinked_inside_is_followed(tmp_path):
 
 def test_directory_part_leading_outside_is_format_error(tmp_path):
     save_model(random_model(tiny_model_config(), seed=2), tmp_path / "ckpt")
-    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-    rec = manifest["tensors"][1]
-    # the tensor's own bytes, reached through a directory outside the checkpoint
-    shutil.copytree(tmp_path / "ckpt" / "tensors", tmp_path / "elsewhere")
-    rec["file"] = rec["file"].replace("tensors/", "tensors/../../elsewhere/")
-    (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match=f"{rec['name']}.*outside the directory") as info:
+    tensors = tmp_path / "ckpt" / "tensors"
+    # the checkpoint's own parameters, reached through a directory outside it
+    tensors.rename(tmp_path / "elsewhere")
+    tensors.symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+    with pytest.raises(FormatError, match="'tensors/params.bin' points outside the directory"
+                       ) as info:
         load_model(tmp_path / "ckpt")
     assert exit_code_for(info.value) == 2
 
 
-def test_tensor_files_in_two_directories_load(tmp_path):
+def test_tensors_directory_symlinked_inside_is_followed(tmp_path):
     model = random_model(tiny_model_config(), seed=2)
     save_model(model, tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    (tmp_path / "other").mkdir()
-    for rec in manifest["tensors"][::2]:
-        moved = rec["file"].replace("tensors/", "other/")
-        (tmp_path / rec["file"]).rename(tmp_path / moved)
-        rec["file"] = moved
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "tensors").rename(tmp_path / "store")
+    (tmp_path / "tensors").symlink_to("store", target_is_directory=True)
     loaded = load_model(tmp_path)
     assert all(np.array_equal(loaded.params[name], value)
                for name, value in model.params.items())
@@ -424,15 +418,33 @@ def test_dangling_symlink(tmp_path, target):
 COUNT_OPENS = """
 import json, os, sys
 from milfusion.data import load
+from milfusion.model import load_model
 
+kind, root = sys.argv[1], os.path.realpath(sys.argv[2])
 opened, resolved = [], []
 sys.addaudithook(lambda event, args: event == "open" and opened.append(os.fspath(args[0])))
 realpath = os.path.realpath
 os.path.realpath = lambda *a, **k: resolved.append(a) or realpath(*a, **k)
-bags = len(load(sys.argv[1]).bags)
-print(json.dumps({"bags": bags, "opened": sorted(os.path.basename(p) for p in opened),
+if kind == "dataset":
+    size = len(load(root).bags)
+else:
+    size = len(load_model(root).params)
+print(json.dumps({"size": size, "opened": sorted(os.path.relpath(p, root) for p in opened),
                   "resolved": len(resolved)}))
 """
+
+
+def count_opens(kind, root):
+    """Files opened and paths resolved by one load of a dataset or checkpoint,
+    and the number of bags or parameters it returned.
+
+    Counted in a child process: an audit hook sees every open, and cannot be
+    removed.
+    """
+    proc = subprocess.run([sys.executable, "-c", COUNT_OPENS, kind, str(root)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    return json.loads(proc.stdout)
 
 
 def test_load_opens_one_feature_file(tmp_path):
@@ -442,15 +454,27 @@ def test_load_opens_one_feature_file(tmp_path):
         ds, _ = generate_synthetic(small_config(n_labeled=n - 3, n_val=1, n_test=1,
                                                 n_unlabeled=1))
         save(ds, tmp_path / str(n))
-        # in a child process: an audit hook sees every open, and cannot be removed
-        proc = subprocess.run([sys.executable, "-c", COUNT_OPENS, str(tmp_path / str(n))],
-                              capture_output=True, text=True, check=True,
-                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-        counts[n] = json.loads(proc.stdout)
-        assert counts[n].pop("bags") == n
+        counts[n] = count_opens("dataset", tmp_path / str(n))
+        assert counts[n].pop("size") == n
     assert counts[5] == counts[50]
     assert counts[5]["opened"] == ["features.bin", "manifest.json"]
     assert counts[5]["resolved"] <= 3
+
+
+@pytest.mark.parametrize("config", [
+    tiny_model_config(),
+    ModelConfig(EncoderConfig("cine", 64), EncoderConfig("doppler", 192)),  # the default model
+], ids=["tiny", "default"])
+def test_checkpoint_is_two_files(tmp_path, config):
+    model = random_model(config, seed=2)
+    save_model(model, tmp_path)
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                     if not p.is_dir())
+    assert written == ["manifest.json", "tensors/params.bin"]
+    counts = count_opens("checkpoint", tmp_path)
+    assert counts["size"] == len(model.params)
+    assert counts["opened"] == ["manifest.json", "tensors/params.bin"]
+    assert counts["resolved"] <= 3
 
 
 def test_failed_dataset_writes_keep_the_previous_files(tmp_path):
@@ -458,24 +482,35 @@ def test_failed_dataset_writes_keep_the_previous_files(tmp_path):
     save(ds, tmp_path, hidden)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     other, other_hidden = generate_synthetic(small_config(seed=8))
-    # a bag without a split fails the features write after its first bags
+    # a bag without a split fails the save before any file is replaced
     broken = copy.copy(other)
     broken.split_assignment = dict(other.split_assignment)
     del broken.split_assignment[other.bags[3].id]
     with pytest.raises(KeyError):
         save(broken, tmp_path, other_hidden)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-    # the hidden-truth write fails: the manifest, written last, is untouched
+    # the hidden truth is not JSON: the manifest is untouched
     with pytest.raises(TypeError):
         save(other, tmp_path, {**other_hidden, "x": object()})
     assert (tmp_path / "hidden_truth.json").read_bytes() == before["hidden_truth.json"]
     assert (tmp_path / "manifest.json").read_bytes() == before["manifest.json"]
-    other.bags[0].label = object()  # the manifest write fails
+    other.bags[0].label = object()  # the manifest is not JSON
     with pytest.raises(TypeError):
         save(other, tmp_path, other_hidden)
     assert (tmp_path / "manifest.json").read_bytes() == before["manifest.json"]
     assert sorted(before) == sorted(p.name for p in tmp_path.iterdir())  # no temporary file
     save(ds, tmp_path, hidden)
+    assert load(tmp_path) == ds
+
+
+def test_failed_save_leaves_features_and_manifest_of_one_dataset(tmp_path):
+    ds, hidden = generate_synthetic(small_config())
+    save(ds, tmp_path, hidden)
+    # the same seed draws the same shapes, so the feature file's size cannot tell
+    # the two datasets apart
+    flat, flat_hidden = generate_synthetic(small_config(signal_strength=0.0))
+    with pytest.raises(TypeError):  # the hidden truth is not JSON
+        save(flat, tmp_path, {**flat_hidden, "x": object()})
     assert load(tmp_path) == ds
 
 

@@ -311,29 +311,14 @@ def test_checkpoint_shape_mismatch(tmp_path):
         load_model(tmp_path / "ckpt")
 
 
-@pytest.mark.parametrize("entry", ["../outside.bin", "{root}/outside.bin"])
-def test_checkpoint_tensor_file_outside_is_format_error(tmp_path, entry):
-    import json
-
-    model = random_model(tiny_model_config(), seed=15)
-    save_model(model, tmp_path / "ckpt")
-    manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-    rec = manifest["tensors"][0]
-    (tmp_path / "outside.bin").write_bytes((tmp_path / "ckpt" / rec["file"]).read_bytes())
-    rec["file"] = entry.format(root=tmp_path)
-    (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match=rec["name"]):
-        load_model(tmp_path / "ckpt")
-
-
 def test_checkpoint_tensor_symlinked_outside_is_format_error(tmp_path):
-    model = random_model(tiny_model_config(), seed=15)
-    save_model(model, tmp_path / "ckpt")
-    rec = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())["tensors"][0]
-    tensor = tmp_path / "ckpt" / rec["file"]
-    tensor.rename(tmp_path / "outside.bin")
-    tensor.symlink_to(tmp_path / "outside.bin")
-    with pytest.raises(FormatError, match=f"{rec['name']}.*outside the directory") as info:
+    save_model(random_model(tiny_model_config(), seed=15), tmp_path / "ckpt")
+    params = tmp_path / "ckpt" / "tensors" / "params.bin"
+    # the checkpoint's own parameters, so only the path check can refuse them
+    params.rename(tmp_path / "outside.bin")
+    params.symlink_to(tmp_path / "outside.bin")
+    with pytest.raises(FormatError, match="'tensors/params.bin' points outside the directory"
+                       ) as info:
         load_model(tmp_path / "ckpt")
     assert exit_code_for(info.value) == 2
 
@@ -349,7 +334,7 @@ def test_checkpoint_manifest_symlinked_outside_is_format_error(tmp_path):
     assert exit_code_for(info.value) == 2
 
 
-@pytest.mark.parametrize("version", [2, "1", None])
+@pytest.mark.parametrize("version", [pytest.param(1, id="v1"), "1", None])
 def test_checkpoint_format_version_is_checked(tmp_path, version):
     import json
 

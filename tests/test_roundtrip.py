@@ -15,7 +15,7 @@ from milfusion.encoders import EncoderConfig
 from milfusion.errors import FormatError, exit_code_for
 from milfusion.model import ModelConfig, load_model, params_digest, save_model
 
-from helpers import random_model
+from helpers import random_model, tiny_model_config
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -135,3 +135,40 @@ def test_version_2_dataset_is_refused(tmp_path):
     (tmp_path / "features").mkdir()
     (tmp_path / "features.bin").rename(tmp_path / "features" / "b0.bin")
     refused_with_exit_2(tmp_path, manifest, "format_version 2")
+
+
+def saved_checkpoint(root):
+    model = random_model(tiny_model_config(), seed=3)
+    save_model(model, root)
+    return model, json.loads((root / "manifest.json").read_text())
+
+
+def checkpoint_refused_with_exit_2(root, message):
+    with pytest.raises(FormatError, match=message) as info:
+        load_model(root)
+    assert "'tensors/params.bin'" in str(info.value)
+    assert exit_code_for(info.value) == 2
+
+
+@pytest.mark.parametrize("change", [8, 3, -8])
+def test_parameter_file_of_another_size_is_refused(tmp_path, change):
+    saved_checkpoint(tmp_path)
+    path = tmp_path / "tensors" / "params.bin"
+    raw = path.read_bytes()
+    path.write_bytes(raw + bytes(change) if change > 0 else raw[:change])
+    checkpoint_refused_with_exit_2(tmp_path, f"holds {len(raw) + change} bytes, the config's "
+                                             f"parameters need {len(raw)}")
+
+
+def test_version_1_checkpoint_is_refused(tmp_path):
+    model, manifest = saved_checkpoint(tmp_path)
+    # the version-1 layout: one file per parameter, named in a manifest list
+    manifest["format_version"] = 1
+    manifest["tensors"] = []
+    for name, value in sorted(model.params.items()):
+        rel = f"tensors/{name.replace('.', '_')}.bin"
+        (tmp_path / rel).write_bytes(value.astype("<f8").tobytes())
+        manifest["tensors"].append({"name": name, "shape": list(value.shape), "file": rel})
+    (tmp_path / "tensors" / "params.bin").unlink()
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    checkpoint_refused_with_exit_2(tmp_path, "format_version 1")
