@@ -32,6 +32,7 @@ view of that array.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -403,8 +404,23 @@ def _views(modality, values, start, sizes, relevance):
 
 
 def load(dir_path):
-    """Read a dataset directory written by :func:`save`."""
-    root = Path(dir_path).resolve()
+    """Read a dataset directory written by :func:`save`.
+
+    Cyclic garbage collection is paused meanwhile (and left as it was after):
+    parsing the manifest and building the bags allocate tens of thousands of
+    containers but no cycles, so the dozens of collections they would set off
+    free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load(Path(dir_path).resolve())
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load(root):
     manifest_path = contained_file(root, "manifest.json", "dataset")
     if manifest_path is None:
         raise FormatError(f"no manifest.json under {root}")

@@ -35,7 +35,10 @@ matrix to ``[A]`` float64 values, NaN where it is undefined. The point
 estimate is the same computation on one all-ones row. Counts, midrank sums
 and the three recall divisions are exact, and the AUPR terms are added in
 threshold order, so the weighted form equals the formulas above applied to
-each resample's rows.
+each resample's rows. A report ranks each screening task's rows once, for
+both its metrics and every resample, and sums counts over tie groups only
+when some group holds more than one row: a sum over one-row groups is the
+rows' counts themselves.
 """
 
 from __future__ import annotations
@@ -194,10 +197,12 @@ class _Ranking:
         """(positives, negatives), each [A, groups]: how often each tie group's
         positive and negative rows appear in each resample."""
         w = weights[:, self.columns]
-        pos = np.add.reduceat(w * self.positive, self.starts, axis=1)
-        neg = np.add.reduceat(w, self.starts, axis=1)
-        neg -= pos
-        return pos, neg
+        pos = w * self.positive
+        if self.starts.size < self.columns.size:  # some group holds several rows
+            pos = np.add.reduceat(pos, self.starts, axis=1)
+            w = np.add.reduceat(w, self.starts, axis=1)
+        w -= pos
+        return pos, w
 
 
 def _ranked_values(values_fn, ranking, weights):
@@ -344,7 +349,12 @@ def bootstrap_ci(metric_fn, preds, n_boot=5000, seed=0):
         attempts = min(per_block, n_boot - len(values))
         weights = _resample_counts(seed, attempted, attempts, n)
         attempted += attempts
-        for value in np.asarray(metric_fn(preds, weights), dtype=np.float64).tolist():
+        block = np.asarray(metric_fn(preds, weights), dtype=np.float64)
+        if not np.isnan(block).any():  # the whole block is kept
+            undefined_run = 0
+            values += block.tolist()
+            continue
+        for value in block.tolist():
             if value != value:
                 undefined_run += 1
                 if undefined_run > MAX_REDRAWS:
@@ -398,12 +408,30 @@ SCREENING_TASKS = (
 )
 
 
-def task_metric(task, kind):
-    """The task's AUROC or AUPR as a metric function (see ``bootstrap_ci``)."""
+def _ranked_once(task):
+    """``task.ranking`` of the PredictionSet last given, kept until another
+    one is given; it lives as long as the returned function."""
+    last = (None, None)
+
+    def rank(preds):
+        nonlocal last
+        if last[0] is not preds:
+            last = (preds, task.ranking(preds))
+        return last[1]
+    return rank
+
+
+def task_metric(task, kind, rank=None):
+    """The task's AUROC or AUPR as a metric function (see ``bootstrap_ci``).
+
+    ``rank`` is a ``_ranked_once(task)`` to share with the task's other
+    metric; by default the metric ranks the rows it is given once.
+    """
     values_fn = _auroc_values if kind == "auroc" else _aupr_values
+    rank = rank or _ranked_once(task)
 
     def metric(preds, weights=None):
-        ranking = task.ranking(preds)
+        ranking = rank(preds)
         if weights is not None:
             return _ranked_values(values_fn, ranking, weights)
         if ranking.columns.size == 0:
@@ -420,8 +448,10 @@ def compute_report(preds, n_boot=5000, seed=0):
     report["balanced_accuracy"] = {"point": point, "lo": lo, "hi": hi}
     block = 1
     for task in SCREENING_TASKS:
+        rank = _ranked_once(task)  # the task's AUROC and AUPR share one ranking
         for kind in ("auroc", "aupr"):
-            point, lo, hi = bootstrap_ci(task_metric(task, kind), preds, n_boot, seed + block)
+            point, lo, hi = bootstrap_ci(task_metric(task, kind, rank), preds, n_boot,
+                                         seed + block)
             report[f"{task.name}_{kind}"] = {"point": point, "lo": lo, "hi": hi}
             block += 1
     report["confusion_matrix"] = confusion_matrix(preds).tolist()

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import os
 import subprocess
@@ -459,6 +460,37 @@ def test_load_opens_one_feature_file(tmp_path):
     assert counts[5] == counts[50]
     assert counts[5]["opened"] == ["features.bin", "manifest.json"]
     assert counts[5]["resolved"] <= 3
+
+
+def test_load_pauses_garbage_collection(tmp_path):
+    # about 1000 instances and their manifest entries: without the pause the
+    # load sets off several collections at the default thresholds
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path / "good")
+    save(ds, tmp_path / "bad")
+    (tmp_path / "bad" / "features.bin").unlink()
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            before = len(collections)
+            loaded = load(tmp_path / "good")
+            assert len(collections) == before
+            assert gc.isenabled() is enabled
+            assert loaded == ds
+            with pytest.raises(FormatError):
+                load(tmp_path / "bad")
+            assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(count)
+        gc.enable() if was_enabled else gc.disable()
 
 
 @pytest.mark.parametrize("config", [

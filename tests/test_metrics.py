@@ -378,16 +378,21 @@ def test_bootstrap_redraws_exactly_100_times(monkeypatch, block_elements):
         bootstrap_ci(undefined_on(lambda k: k <= 100), preds, n_boot=1, seed=0)
     with pytest.raises(MetricError):  # the run of 101 starts after a defined resample
         bootstrap_ci(undefined_on(lambda k: (k >= 1) & (k <= 101)), preds, n_boot=2, seed=0)
+    # a block with no undefined resample ends the run of undefined ones too:
+    # with two attempts per block, attempts 100 and 101 are one such block
+    ended = undefined_on(lambda k: (k < 100) | ((k >= 102) & (k < 202)))
+    assert bootstrap_ci(ended, preds, n_boot=3, seed=0) == (1.0, 1.0, 1.0)
 
 
 def test_weighted_metrics_agree_with_point_estimates():
     rng = np.random.default_rng(14)
-    preds = random_preds(rng, 30)
     weights = np.ones((2, 30), dtype=np.int64)
     weights[1] = 2  # every row twice: every metric here is invariant
-    for fn in [balanced_accuracy] + [task_metric(t, k) for t in SCREENING_TASKS
-                                     for k in ("auroc", "aupr")]:
-        assert fn(preds, weights).tolist() == [fn(preds)] * 2
+    # distinct scores, then tie groups of several rows: both ways of counting
+    for preds in (random_preds(rng, 30), tied_rare_preds(rng, 30)):
+        for fn in [balanced_accuracy] + [task_metric(t, k) for t in SCREENING_TASKS
+                                         for k in ("auroc", "aupr")]:
+            assert fn(preds, weights).tolist() == [fn(preds)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +496,21 @@ def test_compute_report_matches_oracle_bitwise(case, n, n_boot):
     rng = np.random.default_rng(n)
     preds = tied_rare_preds(rng, n) if case == "tied" else random_preds(rng, n)
     assert compute_report(preds, n_boot=n_boot, seed=21) == bf_report(preds, n_boot, 21)
+
+
+def test_compute_report_ranks_each_task_once(monkeypatch):
+    calls = []
+    ranking = metrics.ScreeningTask.ranking
+
+    def counted(task, preds):
+        calls.append(task.name)
+        return ranking(task, preds)
+
+    monkeypatch.setattr(metrics.ScreeningTask, "ranking", counted)
+    rng = np.random.default_rng(60)
+    # 273 attempts per block on 60 rows: 8 blocks per metric
+    compute_report(random_preds(rng, 60), n_boot=2000, seed=3)
+    assert sorted(calls) == sorted(t.name for t in SCREENING_TASKS)
 
 
 def test_early_vs_sig_score_is_half_when_p1_p2_zero():
