@@ -18,7 +18,7 @@ Design choices, deliberately boring:
     backward pass (an encoder layer, attention scores, the attention-weighted
     sum, the dual-attention combine, the fusion gate, the output layer, the
     cross-entropy and the supervision KL), so one bag's ``total_loss`` records
-    ~38 nodes. Training runs ``model.bag_step``, which computes the same loss
+    ~38 nodes. Training runs ``model.prepared_step``, which computes the same loss
     and gradient without a tape.
 """
 
@@ -307,8 +307,8 @@ def pick(x, index):
 
 def softmax_values(x):
     """Softmax of a 1-D array, computed with max-subtraction."""
-    e = np.exp(x - x.max())
-    return e / e.sum()
+    e = np.exp(x - np.maximum.reduce(x))
+    return e / np.add.reduce(e)
 
 
 def softmax(x):

@@ -96,12 +96,20 @@ def preprocess(config, instance):
     return np.add.reduce(frames, axis=0).reshape(-1) / instance.shape[0]
 
 
+def check_instances(config, instances):
+    """Refuse the first of ``instances`` that does not fit the encoder.
+
+    Whether an instance fits depends only on its modality and shape, so each
+    distinct pair is checked once, in order of first occurrence.
+    """
+    for modality, shape in dict.fromkeys([(inst.modality, inst.shape) for inst in instances]):
+        _frame_count(config, modality, shape)
+
+
 def preprocess_rows(config, instances):
     """The [K, input_dim] input rows of K instances in one pass, bitwise ``preprocess``'s.
 
-    Whether an instance fits the encoder depends only on its modality and
-    shape, so each distinct pair is checked once, in order of first
-    occurrence: the first instance that does not fit names the error.
+    Refuses an instance that does not fit the encoder (``check_instances``).
 
     The cine frames are summed by one ``np.add.reduce`` over the frame axis of
     a [K, frames, input_dim] stack, which adds frame by frame, in order and
@@ -109,8 +117,7 @@ def preprocess_rows(config, instances):
     most are padded with zero frames at the end: the running sum is never
     -0.0, so adding 0.0 leaves it unchanged.
     """
-    for modality, shape in dict.fromkeys([(inst.modality, inst.shape) for inst in instances]):
-        _frame_count(config, modality, shape)
+    check_instances(config, instances)
     flat = np.concatenate([inst.features for inst in instances])
     if config.modality == "doppler":
         return flat.reshape(-1, config.input_dim)

@@ -16,13 +16,16 @@ Three paths compute this model:
   * the specification, on the tape: ``forward`` and ``total_loss``, with
     ``autodiff.backward`` for the gradient. The acceptance tests check them
     against finite differences and straight-line oracles;
-  * the training step, ``bag_step``: the loss and the gradient of one bag in
-    straight-line numpy, bitwise those of the taped path, written into the
-    trainer's gradient buffer;
+  * the training step, ``prepared_step``: the loss and the gradient of one bag
+    in straight-line numpy, bitwise those of the taped path, written into the
+    trainer's gradient buffer. What no parameter changes is built once per
+    training run: ``prepare_bag`` makes each bag's input rows and relevance
+    target and runs its checks, and ``Plan`` resolves the parameter and
+    gradient arrays. ``bag_step`` prepares and steps one bag;
   * batched inference, ``predict_probs``: the class probabilities of a chunk
     of bags at a time, one matmul per layer over the chunk's stacked
     instances and a per-bag (segment) softmax for attention, equal to
-    ``forward``'s to rounding.
+    ``forward``'s to rounding. It resolves a ``Plan`` once per call.
 
 Degenerate bags: when an enabled modality has no instances in a bag, the
 forward pass falls back to the other enabled modality (alpha forced to 1 or
@@ -48,6 +51,7 @@ from .data import checked_json, contained_file, read_json
 from .encoders import (  # noqa: F401 -- preprocess stays bound here for bench/spans.py
     Encoder,
     EncoderConfig,
+    check_instances,
     encode_rows,
     init_encoder_arrays,
     preprocess,
@@ -276,172 +280,271 @@ def total_loss(model, bag, label):
     loss = ad.nll(out.probs, label)
     cfg = model.config
     if cfg.use_cine and cfg.lambda_sa > 0 and out.cine_A is not None:
-        raw = [inst.relevance for inst in bag.cine_instances]
-        if None in raw:
-            raise DataError(
-                f"bag {bag.id!r}: cine instance lacks a relevance score "
-                "(required when lambda_sa > 0)"
-            )
-        r = relevance_renormalize(raw, cfg.tau)
+        r = _relevance_target(cfg, bag)
         loss = ad.add(loss, ad.scalar_mul(cfg.lambda_sa, sa_loss(r, out.cine_A)))
     return loss, out
+
+
+def _relevance_target(cfg, bag):
+    """The constant R of the bag's cine instances; refuses one without a relevance."""
+    raw = [inst.relevance for inst in bag.cine_instances]
+    if None in raw:
+        raise DataError(
+            f"bag {bag.id!r}: cine instance lacks a relevance score "
+            "(required when lambda_sa > 0)"
+        )
+    return relevance_renormalize(raw, cfg.tau)
 
 
 # ---------------------------------------------------------------------------
 # tape-free training step
 
 
-def _encoder_forward(params, enc_cfg, prefix, rows):
+class Plan:
+    """The model's arrays, resolved once for many tape-free steps or batched passes.
+
+    Per encoder, one ``(W, b, gW, gb)`` per layer and the activation; per
+    attention module, ``(U, w, gU, gw)``; for the output layer, ``(W, b, gW,
+    gb)``; the KL weight; and the gradient views that each fallback branch of
+    a step zeroes. The arrays are the model's parameters and the views of
+    ``grad_views`` themselves (the gradient entries are None without
+    ``grad_views``), so a plan stays valid while the parameters are updated
+    in place.
+    """
+
+    def __init__(self, model, grad_views=None):
+        cfg, params, grads = model.config, model.params, grad_views or {}
+
+        def arrays(*names):
+            return (*(params[n] for n in names), *(grads.get(n) for n in names))
+
+        def encoder(prefix, enc_cfg):
+            return [arrays(f"{prefix}layer{i}.W", f"{prefix}layer{i}.b")
+                    for i in range(len(enc_cfg.layer_dims))]
+
+        def zeroed(*prefixes):
+            return [view for name, view in grads.items() if name.startswith(prefixes)]
+
+        self.cine = encoder("cine_encoder.", cfg.cine_encoder)
+        self.doppler = encoder("doppler_encoder.", cfg.doppler_encoder)
+        self.cine_activation = cfg.cine_encoder.activation
+        self.doppler_activation = cfg.doppler_encoder.activation
+        self.att_a, self.att_b, self.att_doppler, self.att_fusion = (
+            arrays(f"{name}.U", f"{name}.w") for name in ATTENTION_NAMES)
+        self.output = arrays("output.W", "output.b")
+        self.lambda_sa = float(cfg.lambda_sa)
+        self.zero_fusion = zeroed("att_fusion.")
+        self.zero_cine = zeroed("cine_encoder.", "att_a.", "att_b.")
+        self.zero_doppler = zeroed("doppler_encoder.", "att_doppler.")
+
+
+@dataclass(frozen=True)
+class PreparedBag:
+    """What a training step reads of one bag: everything no parameter changes.
+
+    ``r`` is the relevance target R and ``r_log_r`` the KL term's constant
+    ``np.dot(r, np.log(r))``; both are None when the step has no KL term.
+    ``doppler_features`` are the doppler instances' own feature arrays, which
+    each step stacks into rows: a stacked copy kept per bag would hold every
+    doppler value of the training set twice.
+    """
+
+    bag_id: str
+    label: int
+    run_cine: bool
+    run_doppler: bool
+    cine_rows: np.ndarray | None
+    r: np.ndarray | None
+    r_log_r: np.float64 | None
+    doppler_features: tuple
+    doppler_dim: int
+
+
+def prepare_bag(config, bag):
+    """The :class:`PreparedBag` of ``bag``, labeled with its own label, under ``config``.
+
+    Runs every check of ``total_loss`` that needs no parameter, in its order:
+    the label, the enabled modalities (this logs a modality fallback), the
+    instances' shapes and modalities, a cine instance without relevance when
+    the KL term is on, and a relevance target that is not strictly positive.
+    """
+    label = bag.label
+    if label not in (0, 1, 2):
+        raise ContractError(f"label must be in {{0,1,2}}, got {label!r}")
+    run_cine, run_doppler = _branches(config, bag)
+    cine_rows = r = r_log_r = None
+    doppler_features = ()
+    if run_cine:
+        cine_rows = preprocess_rows(config.cine_encoder, bag.cine_instances)
+    if run_doppler:
+        check_instances(config.doppler_encoder, bag.doppler_instances)
+        doppler_features = tuple(inst.features for inst in bag.doppler_instances)
+    if run_cine and config.lambda_sa > 0:
+        r = _relevance_target(config, bag).data
+        if (r <= 0.0).any():
+            raise DomainError("kl_divergence needs strictly positive reference weights")
+        r_log_r = np.dot(r, np.log(r))
+    return PreparedBag(bag.id, label, run_cine, run_doppler, cine_rows, r, r_log_r,
+                       doppler_features, config.doppler_encoder.input_dim)
+
+
+def _encoder_forward(layers, activation, rows):
     """Each encoder layer's input rows and, last, the encoder's output [K, M]."""
     hs = [rows]
-    for i in range(len(enc_cfg.layer_dims)):
-        hs.append(ad.activate(hs[-1] @ params[f"{prefix}layer{i}.W"]
-                              + params[f"{prefix}layer{i}.b"], enc_cfg.activation))
+    for W, b, _, _ in layers:
+        hs.append(ad.activate(hs[-1] @ W + b, activation))
     return hs
 
 
-def _encoder_backward(params, enc_cfg, prefix, hs, G, grads):
+def _encoder_backward(layers, activation, hs, G):
     """``linear``'s backward pass through every encoder layer, last layer first."""
-    for i in reversed(range(len(enc_cfg.layer_dims))):
-        y, W = hs[i + 1], params[f"{prefix}layer{i}.W"]
-        G = (1.0 - y * y) * G if enc_cfg.activation == "tanh" else np.where(y > 0.0, G, 0.0)
-        np.matmul(hs[i].T, G, out=grads[f"{prefix}layer{i}.W"])
-        np.add.reduce(G, axis=0, out=grads[f"{prefix}layer{i}.b"])
+    for i in reversed(range(len(layers))):
+        W, _, gW, gb = layers[i]
+        y = hs[i + 1]
+        G = (1.0 - y * y) * G if activation == "tanh" else np.where(y > 0.0, G, 0.0)
+        np.matmul(hs[i].T, G, out=gW)
+        np.add.reduce(G, axis=0, out=gb)
         if i:  # the input rows are constants
             G = G @ W.T
 
 
-def _scores_forward(params, name, H):
+def _scores_forward(att, H):
     """(tanh(H U'), the attention scores w' tanh(U h_k)) of the rows of H."""
-    T = np.tanh(H @ params[f"{name}.U"].T)
-    return T, T @ params[f"{name}.w"]
+    T = np.tanh(H @ att[0].T)
+    return T, T @ att[1]
 
 
-def _scores_backward(params, name, H, T, g, grads):
+def _scores_backward(att, H, T, g):
     """``attention_scores``' backward pass; returns the gradient of H."""
-    gT = g[:, None] * params[f"{name}.w"] * (1.0 - T * T)
-    np.matmul(gT.T, H, out=grads[f"{name}.U"])
-    np.matmul(T.T, g, out=grads[f"{name}.w"])
-    return gT @ params[f"{name}.U"]
+    U, w, gU, gw = att
+    gT = g[:, None] * w * (1.0 - T * T)
+    np.matmul(gT.T, H, out=gU)
+    np.matmul(T.T, g, out=gw)
+    return gT @ U
 
 
 def _softmax_backward(y, g):
     return y * (g - np.dot(g, y))
 
 
-def _zero(grads, prefixes):
-    for name, view in grads.items():
-        if name.startswith(prefixes):
-            view.fill(0.0)
+def _zero(views):
+    for view in views:
+        view.fill(0.0)
 
 
-def bag_step(model, bag, grad_views):
-    """One training step's loss on ``bag`` (its own label), without a tape.
+def prepared_step(plan, bag):
+    """One training step's loss on the prepared ``bag``, without a tape.
 
-    Writes the gradient of every parameter into ``grad_views[name]`` (as
-    made by ``param_views``) and returns the loss as a float. Loss and
-    gradient are bitwise those of ``total_loss`` + ``backward``: the forward
-    pass and the fused ops' backward expressions are the same numpy
-    expressions, run in the tape's reverse node order, and a node with
-    several consumers sums their gradients in that order. A parameter the bag
-    does not reach gets exact zeros. Raises what ``total_loss`` raises.
+    Writes the gradient of every parameter into the gradient views of
+    ``plan`` and returns the loss as a float, bitwise those of
+    ``total_loss`` + ``backward``: the forward pass and the fused ops'
+    backward expressions are the same numpy expressions, run in the tape's
+    reverse node order, and a node with several consumers sums their
+    gradients in that order. A parameter the bag does not reach gets exact
+    zeros. Raises the checks that depend on the parameters: a dual-attention
+    product that sums to zero, p[label] = 0, and an attention weight of 0 in
+    the KL term.
     """
     label = bag.label
-    if label not in (0, 1, 2):
-        raise ContractError(f"label must be in {{0,1,2}}, got {label!r}")
-    cfg, params, grads = model.config, model.params, grad_views
-    run_cine, run_doppler = _branches(cfg, bag)
-
-    if run_cine:
-        hc = _encoder_forward(params, cfg.cine_encoder, "cine_encoder.",
-                              preprocess_rows(cfg.cine_encoder, bag.cine_instances))
+    if bag.run_cine:
+        hc = _encoder_forward(plan.cine, plan.cine_activation, bag.cine_rows)
         H = hc[-1]
-        Ta, scores = _scores_forward(params, "att_a", H)
+        Ta, scores = _scores_forward(plan.att_a, H)
         a = ad.softmax_values(scores)
-        Tb, scores = _scores_forward(params, "att_b", H)
+        Tb, scores = _scores_forward(plan.att_b, H)
         b = ad.softmax_values(scores)
         p = a * b
-        total_p = p.sum()
+        total_p = np.add.reduce(p)
         if total_p == 0.0:
             raise DomainError("normalized_product: the products sum to zero")
         inv = 1.0 / total_p
         c = inv * p
         z = c @ H
-    if run_doppler:
-        hd = _encoder_forward(params, cfg.doppler_encoder, "doppler_encoder.",
-                              preprocess_rows(cfg.doppler_encoder, bag.doppler_instances))
+    if bag.run_doppler:
+        hd = _encoder_forward(plan.doppler, plan.doppler_activation,
+                              np.concatenate(bag.doppler_features).reshape(-1, bag.doppler_dim))
         Hd = hd[-1]
-        Td, scores = _scores_forward(params, "att_doppler", Hd)
+        Td, scores = _scores_forward(plan.att_doppler, Hd)
         d = ad.softmax_values(scores)
         zt = d @ Hd
-    if run_cine and run_doppler:
-        Uf, wf = params["att_fusion.U"], params["att_fusion.w"]
+    both = bag.run_cine and bag.run_doppler
+    if both:
+        Uf, wf = plan.att_fusion[:2]
         t = np.tanh(Uf @ z)
         tt = np.tanh(Uf @ zt)
-        alpha = float(ad.logistic(np.array([wf @ t - wf @ tt]))[0])
+        # the branch ad.logistic would take for this one value: its ufuncs, not its mask
+        x = np.array([wf @ t - wf @ tt])
+        e = np.exp(-np.abs(x))
+        alpha = float((1.0 / (1.0 + e) if x[0] >= 0 else e / (1.0 + e))[0])
         s = alpha * z + (1.0 - alpha) * zt
     else:
-        s = z if run_cine else zt
-    Wo = params["output.W"]
-    probs = ad.softmax_values(Wo @ s + params["output.b"])
+        s = z if bag.run_cine else zt
+    Wo, bo, gWo, gbo = plan.output
+    probs = ad.softmax_values(Wo @ s + bo)
     py = probs[label]
     if py <= 0.0:
         raise DomainError(f"log: non-positive input ({py!r})")
     loss = -np.log(py)
 
     ga = None  # the KL term's gradient of a, which the tape sums first
-    if run_cine and cfg.lambda_sa > 0:
-        raw = [inst.relevance for inst in bag.cine_instances]
-        if None in raw:
-            raise DataError(
-                f"bag {bag.id!r}: cine instance lacks a relevance score "
-                "(required when lambda_sa > 0)"
-            )
-        r = relevance_renormalize(raw, cfg.tau).data
-        if (r <= 0.0).any():
-            raise DomainError("kl_divergence needs strictly positive reference weights")
+    r = bag.r
+    if r is not None:
         if (a <= 0.0).any():
             raise DomainError(f"log: non-positive input (min={a.min()!r})")
-        lam = float(cfg.lambda_sa)
-        loss = loss + lam * (np.dot(r, np.log(r)) - np.dot(r, np.log(a)))
+        lam = plan.lambda_sa
+        loss = loss + lam * (bag.r_log_r - np.dot(r, np.log(a)))
         ga = (r * -lam) / a
 
     g = np.zeros(N_CLASSES)
     g[label] = -1.0 / py
     g = _softmax_backward(probs, g)
-    np.multiply(g[:, None], s, out=grads["output.W"])
-    grads["output.b"][...] = g
+    np.multiply(g[:, None], s, out=gWo)
+    gbo[...] = g
     g = Wo.T @ g
-    if run_cine and run_doppler:
+    if both:
+        _, _, gUf, gwf = plan.att_fusion
         gd = (np.dot(g, z) - np.dot(g, zt)) * (alpha * (1.0 - alpha))
         gt = gd * wf * (1.0 - t * t)
         gtt = -gd * wf * (1.0 - tt * tt)
         gz = alpha * g + Uf.T @ gt
         gzt = (1.0 - alpha) * g + Uf.T @ gtt
-        np.add(gt[:, None] * z, gtt[:, None] * zt, out=grads["att_fusion.U"])
-        np.multiply(gd, t - tt, out=grads["att_fusion.w"])
+        np.add(gt[:, None] * z, gtt[:, None] * zt, out=gUf)
+        np.multiply(gd, t - tt, out=gwf)
     else:
         gz = gzt = g
-        _zero(grads, ("att_fusion.",))
+        _zero(plan.zero_fusion)
 
-    if run_cine:
+    if bag.run_cine:
         gc = H @ gz
         gH = c[:, None] * gz
         gp = inv * (gc - np.dot(gc, c))
         ga = gp * b if ga is None else ga + gp * b
-        gH = gH + _scores_backward(params, "att_b", H, Tb, _softmax_backward(b, gp * a), grads)
-        gH = gH + _scores_backward(params, "att_a", H, Ta, _softmax_backward(a, ga), grads)
-        _encoder_backward(params, cfg.cine_encoder, "cine_encoder.", hc, gH, grads)
+        gH = gH + _scores_backward(plan.att_b, H, Tb, _softmax_backward(b, gp * a))
+        gH = gH + _scores_backward(plan.att_a, H, Ta, _softmax_backward(a, ga))
+        _encoder_backward(plan.cine, plan.cine_activation, hc, gH)
     else:
-        _zero(grads, ("cine_encoder.", "att_a.", "att_b."))
-    if run_doppler:
+        _zero(plan.zero_cine)
+    if bag.run_doppler:
         gH = d[:, None] * gzt
-        gH = gH + _scores_backward(params, "att_doppler", Hd, Td,
-                                   _softmax_backward(d, Hd @ gzt), grads)
-        _encoder_backward(params, cfg.doppler_encoder, "doppler_encoder.", hd, gH, grads)
+        gH = gH + _scores_backward(plan.att_doppler, Hd, Td, _softmax_backward(d, Hd @ gzt))
+        _encoder_backward(plan.doppler, plan.doppler_activation, hd, gH)
     else:
-        _zero(grads, ("doppler_encoder.", "att_doppler."))
+        _zero(plan.zero_doppler)
     return float(loss)
+
+
+def bag_step(model, bag, grad_views):
+    """One training step's loss on ``bag`` (its own label), without a tape.
+
+    Writes the gradient of every parameter into ``grad_views[name]`` (as
+    made by ``param_views``) and returns the loss as a float, bitwise those
+    of ``total_loss`` + ``backward``; raises what ``total_loss`` raises. It
+    is :func:`prepare_bag` and then :func:`prepared_step`; a trainer that
+    steps through a bag many times prepares it, and resolves the
+    :class:`Plan`, once. A bag with several faults may name another of them
+    than the tape, because the checks that need no parameter run first.
+    """
+    return prepared_step(Plan(model, grad_views), prepare_bag(model.config, bag))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +563,7 @@ def _segment_softmax(scores, starts, counts):
     return e / np.repeat(np.add.reduceat(e, starts), counts)
 
 
-def _pool_batch(params, enc_cfg, prefix, groups, att_names):
+def _pool_batch(layers, enc_cfg, groups, atts):
     """Pooled [B, M] representations of B bags' instance lists.
 
     One attention module pools with its softmax weights; two combine their
@@ -468,38 +571,39 @@ def _pool_batch(params, enc_cfg, prefix, groups, att_names):
     """
     counts = np.array([len(g) for g in groups])
     starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    H = _encoder_forward(params, enc_cfg, prefix,
+    H = _encoder_forward(layers, enc_cfg.activation,
                          preprocess_rows(enc_cfg, [inst for g in groups for inst in g]))[-1]
-    weights = _segment_softmax(_scores_forward(params, att_names[0], H)[1], starts, counts)
-    if len(att_names) == 2:
-        prod = weights * _segment_softmax(_scores_forward(params, att_names[1], H)[1],
-                                          starts, counts)
+    weights = _segment_softmax(_scores_forward(atts[0], H)[1], starts, counts)
+    if len(atts) == 2:
+        prod = weights * _segment_softmax(_scores_forward(atts[1], H)[1], starts, counts)
         weights = np.repeat(1.0 / np.add.reduceat(prod, starts), counts) * prod
     return np.add.reduceat(weights[:, None] * H, starts, axis=0)
 
 
-def _chunk_probs(model, chunk):
+def _chunk_probs(plan, cfg, chunk):
     """[B, 3] class probabilities of (bag, run cine, run doppler) triples."""
-    cfg, params = model.config, model.params
     run_c = np.array([rc for _, rc, _ in chunk])
     run_d = np.array([rd for _, _, rd in chunk])
     s = np.empty((len(chunk), cfg.embed_dim))
     if run_c.any():
-        z = _pool_batch(params, cfg.cine_encoder, "cine_encoder.",
-                        [bag.cine_instances for bag, rc, _ in chunk if rc], ("att_a", "att_b"))
+        z = _pool_batch(plan.cine, cfg.cine_encoder,
+                        [bag.cine_instances for bag, rc, _ in chunk if rc],
+                        (plan.att_a, plan.att_b))
         s[run_c] = z
     if run_d.any():
-        zt = _pool_batch(params, cfg.doppler_encoder, "doppler_encoder.",
-                         [bag.doppler_instances for bag, _, rd in chunk if rd], ("att_doppler",))
+        zt = _pool_batch(plan.doppler, cfg.doppler_encoder,
+                         [bag.doppler_instances for bag, _, rd in chunk if rd],
+                         (plan.att_doppler,))
         s[run_d & ~run_c] = zt[~run_c[run_d]]
         both = run_c & run_d
         if both.any():
             zb, ztb = z[run_d[run_c]], zt[run_c[run_d]]
-            diff = (_scores_forward(params, "att_fusion", zb)[1]
-                    - _scores_forward(params, "att_fusion", ztb)[1])
+            diff = (_scores_forward(plan.att_fusion, zb)[1]
+                    - _scores_forward(plan.att_fusion, ztb)[1])
             alpha = ad.logistic(diff)[:, None]
             s[both] = alpha * zb + (1.0 - alpha) * ztb
-    logits = s @ params["output.W"].T + params["output.b"]
+    Wo, bo = plan.output[:2]
+    logits = s @ Wo.T + bo
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
@@ -512,6 +616,7 @@ def predict_probs(model, bags):
     ``forward`` would skip is logged as a warning and left out.
     """
     bags = list(bags)
+    plan = Plan(model)
     kept, chunks = [], []
     for start in range(0, len(bags), INFERENCE_CHUNK):
         chunk = []
@@ -522,7 +627,7 @@ def predict_probs(model, bags):
                 logger.warning("skipping bag: %s", exc)
         if chunk:
             kept.extend(bag for bag, _, _ in chunk)
-            chunks.append(_chunk_probs(model, chunk))
+            chunks.append(_chunk_probs(plan, model.config, chunk))
     return kept, (np.concatenate(chunks) if chunks else np.empty((0, N_CLASSES)))
 
 

@@ -1,11 +1,14 @@
 """Supervised trainer (SGD with momentum, one bag per step) and the
 curriculum-labeling semi-supervised controller.
 
-Training step per bag: ``model.bag_step`` writes the bag's loss gradient into
-a flat buffer laid out like the parameters, without building a tape (it is
-bitwise ``total_loss`` + ``backward``), and the trainer refuses a non-finite
-loss with NumericError. Update rule per parameter:
-v <- momentum * v + grad + weight_decay * theta; theta <- theta - lr * v.
+Training step per bag: ``model.prepared_step`` writes the bag's loss gradient
+into a flat buffer laid out like the parameters, without building a tape (it
+is bitwise ``total_loss`` + ``backward``), and the trainer refuses a non-finite
+loss with NumericError. Each ``train_supervised`` call prepares every training
+bag once (``model.prepare_bag``: its input rows, relevance target and checks)
+and resolves the model's arrays once (``model.Plan``), so a bag with a fault
+that needs no parameter is refused before the first update. Update rule per
+parameter: v <- momentum * v + grad + weight_decay * theta; theta <- theta - lr * v.
 
 Curriculum schedule: six rounds selecting the top 0%, 20%, 40%, 60%, 80% and
 100% most-confident pseudo-labeled bags. Every round trains a fresh model from
@@ -27,8 +30,10 @@ from .autodiff import backward  # noqa: F401 -- bench/spans.py patches training.
 from .data import iterate_split, with_label
 from .errors import ConfigError, NumericError, UsageError
 from .metrics import PredictionSet, PredRow, balanced_accuracy
+# bag_step stays bound here as well: tests/test_spans.py looks up training.bag_step
 from .model import (  # noqa: F401 -- bench/spans.py patches forward and total_loss here
     MMILModel,
+    Plan,
     bag_step,
     forward,
     init_model,
@@ -36,6 +41,8 @@ from .model import (  # noqa: F401 -- bench/spans.py patches forward and total_l
     param_views,
     params_digest,
     predict_probs,
+    prepare_bag,
+    prepared_step,
     total_loss,
 )
 
@@ -95,6 +102,7 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
     for bag in train_bags:
         if bag.label is None:
             raise UsageError(f"training bag {bag.id!r} has no label")
+    prepared = [prepare_bag(model_config, bag) for bag in train_bags]
 
     model = init_model(model_config, init_seed)
     history = {
@@ -105,15 +113,15 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
     # One flat buffer each for the parameters, the velocity and the gradient:
     # the update is elementwise, so a few whole-buffer numpy ops give bitwise
     # the same result as one update per named array. model.params are views
-    # into ``theta`` and ``bag_step`` writes through views into ``grad``. The
-    # update writes into ``scratch`` instead of allocating temporaries, which
-    # cost several times the arithmetic at this size.
+    # into ``theta`` and the step writes through views into ``grad``; ``plan``
+    # holds both sets of views. The update writes into ``scratch`` instead of
+    # allocating temporaries, which cost several times the arithmetic at this size.
     names = [name for name, _ in param_specs(model_config)]
     theta = np.concatenate([model.params[name].reshape(-1) for name in names])
     model = MMILModel(model_config, param_views(model_config, theta))
     velocity = np.zeros_like(theta)
     grad = np.empty_like(theta)
-    grad_views = param_views(model_config, grad)
+    plan = Plan(model, param_views(model_config, grad))
     scratch = np.empty_like(theta)
     rng = np.random.default_rng(train_config.seed)
     lr = train_config.learning_rate
@@ -125,13 +133,13 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
     best_epoch = 0
     since_best = 0
     for epoch in range(1, train_config.max_epochs + 1):
-        order = rng.permutation(len(train_bags))
+        order = rng.permutation(len(prepared))
         epoch_loss = 0.0
         for i in order:
-            bag = train_bags[i]
-            loss_value = bag_step(model, bag, grad_views)
+            bag = prepared[i]
+            loss_value = prepared_step(plan, bag)
             if not math.isfinite(loss_value):
-                raise NumericError(f"non-finite loss on bag {bag.id!r}: {loss_value!r}")
+                raise NumericError(f"non-finite loss on bag {bag.bag_id!r}: {loss_value!r}")
             epoch_loss += loss_value
             velocity *= mom
             np.multiply(theta, wd, out=scratch)

@@ -1,7 +1,13 @@
+import logging
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from milfusion import autodiff as ad
+from milfusion import model as model_module
+from milfusion import training
 from milfusion.data import (
     Bag,
     Instance,
@@ -10,9 +16,18 @@ from milfusion.data import (
     iterate_split,
 )
 from milfusion.encoders import EncoderConfig
-from milfusion.errors import ConfigError, NumericError, UsageError
+from milfusion.errors import ConfigError, ContractError, DataError, NumericError, UsageError
 from milfusion.metrics import balanced_accuracy
-from milfusion.model import MMILModel, ModelConfig, init_model, params_digest, total_loss
+from milfusion.model import (
+    MMILModel,
+    ModelConfig,
+    bag_step,
+    init_model,
+    param_specs,
+    param_views,
+    params_digest,
+    total_loss,
+)
 from milfusion.training import (
     ROUND_FRACTIONS,
     PseudoLabelRecord,
@@ -22,6 +37,7 @@ from milfusion.training import (
     run_curriculum,
     select_confident,
     train_supervised,
+    validation_balanced_accuracy,
 )
 
 from helpers import make_bag, tiny_model_config
@@ -152,6 +168,130 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(seed=-1)
     TrainConfig(learning_rate=0.0)  # null update is allowed
+
+
+# ---------------------------------------------------------------------------
+# the epoch loop: prepared bags against the tape, preparation and its checks
+
+
+def taped_train_supervised(init_seed, train_bags, val_bags, config, tc):
+    """``train_supervised`` with ``total_loss`` + ``backward`` for each step: the
+    same bag order, the same update ops in the same order, the same history."""
+    names = [name for name, _ in param_specs(config)]
+    model = init_model(config, init_seed)
+    history = {"init_seed": init_seed, "init_weights_sha256": params_digest(model.params),
+               "epochs": []}
+    theta = np.concatenate([model.params[name].reshape(-1) for name in names])
+    model = MMILModel(config, param_views(config, theta))
+    velocity = np.zeros_like(theta)
+    rng = np.random.default_rng(tc.seed)
+    best_bacc, best_theta, best_epoch, since_best = -np.inf, theta.copy(), 0, 0
+    for epoch in range(1, tc.max_epochs + 1):
+        epoch_loss = 0.0
+        for i in rng.permutation(len(train_bags)):
+            bag = train_bags[i]
+            loss, out = total_loss(model, bag, bag.label)
+            gradients = ad.backward(out.tape, loss)
+            grad = np.concatenate([gradients[out.param_leaves[name].node_id].data
+                                   for name in names])
+            epoch_loss += float(loss.data[0])
+            velocity *= tc.momentum
+            velocity += theta * tc.weight_decay + grad
+            theta -= velocity * tc.learning_rate
+        val_bacc = validation_balanced_accuracy(model, val_bags) if val_bags else 0.0
+        history["epochs"].append({"epoch": epoch, "train_loss": epoch_loss / len(train_bags),
+                                  "val_balanced_accuracy": val_bacc})
+        if val_bacc > best_bacc:
+            best_bacc, best_theta, best_epoch, since_best = val_bacc, theta.copy(), epoch, 0
+        else:
+            since_best += 1
+            if since_best >= tc.patience:
+                break
+    history["best_epoch"] = best_epoch
+    history["best_val_balanced_accuracy"] = float(best_bacc) if val_bags else None
+    return MMILModel(config, param_views(config, best_theta)), history
+
+
+def with_degenerate_bags(bags):
+    """``bags`` with the first one's cine and the second one's doppler instances dropped."""
+    return [Bag(bags[0].id, [], bags[0].doppler_instances, bags[0].label),
+            Bag(bags[1].id, bags[1].cine_instances, [], bags[1].label), *bags[2:]]
+
+
+@pytest.mark.parametrize("case", ["default", "lambda_0", "no_doppler", "degenerate_bags"])
+def test_trainer_is_bitwise_the_taped_trainer(case):
+    ds, _ = tiny_dataset()
+    train, val = iterate_split(ds, "train"), iterate_split(ds, "val")
+    overrides = {"lambda_0": {"lambda_sa": 0.0}, "no_doppler": {"use_doppler": False}}
+    config = tiny_model_config(**overrides.get(case, {}))
+    if case == "degenerate_bags":
+        train = with_degenerate_bags(train)
+    tc = tiny_train_config(max_epochs=3)
+    model, history = train_supervised(4, train, val, config, tc)
+    ref_model, ref_history = taped_train_supervised(4, train, val, config, tc)
+    assert params_digest(model.params) == params_digest(ref_model.params)
+    assert history == ref_history
+
+
+def counting(monkeypatch, calls, owner, name, key=lambda *args: None):
+    """Replace ``owner.name`` with a wrapper that counts calls in ``calls[name, key(args)]``."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name, key(*args)] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_training_prepares_each_bag_once(monkeypatch):
+    ds, _ = tiny_dataset()
+    train = with_degenerate_bags(iterate_split(ds, "train"))
+    calls = Counter()
+    counting(monkeypatch, calls, model_module, "relevance_renormalize")
+    counting(monkeypatch, calls, model_module, "preprocess_rows",
+             key=lambda enc_cfg, instances: enc_cfg.modality)
+    train_supervised(4, train, [], tiny_model_config(), tiny_train_config(max_epochs=3))
+    with_cine = sum(1 for bag in train if bag.cine_instances)
+    with_doppler = sum(1 for bag in train if bag.doppler_instances)
+    assert calls["relevance_renormalize", None] == with_cine
+    assert calls["preprocess_rows", "cine"] == with_cine
+    assert calls["preprocess_rows", "doppler"] <= with_doppler
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 -- the point is to compare what is raised
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("fault, error", [("missing_relevance", DataError),
+                                          ("label_3", ContractError)])
+def test_faulty_training_bag_is_refused_before_any_step(monkeypatch, fault, error):
+    rng = np.random.default_rng(10)
+    config = tiny_model_config()
+    bad = make_bag(rng, "bad", with_relevance=fault != "missing_relevance")
+    if fault == "label_3":
+        bad.label = 3
+    grad = np.empty(sum(int(np.prod(shape)) for _, shape in param_specs(config)))
+    expected = _raised(lambda: bag_step(init_model(config, 0), bad, param_views(config, grad)))
+    assert expected is not None and expected[0] is error
+    calls = Counter()
+    counting(monkeypatch, calls, training, "prepared_step")
+    assert _raised(lambda: train_supervised(0, labeled_bags(rng, 5) + [bad], [], config,
+                                            tiny_train_config())) == expected
+    assert calls == Counter()
+
+
+def test_modality_fallback_is_logged_once_per_training_call(caplog):
+    rng = np.random.default_rng(11)
+    bags = labeled_bags(rng, 3) + [make_bag(rng, "no_cine", n_cine=0, n_doppler=2, label=1)]
+    with caplog.at_level(logging.INFO, logger="milfusion.model"):
+        train_supervised(0, bags, [], tiny_model_config(), tiny_train_config(max_epochs=3))
+    assert [r.getMessage() for r in caplog.records if "falling back" in r.getMessage()] == [
+        "bag no_cine: cine empty, falling back to doppler only"]
 
 
 # ---------------------------------------------------------------------------
