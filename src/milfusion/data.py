@@ -1,15 +1,19 @@
 """Multimodal bag data model, the on-disk dataset format, and a synthetic generator.
 
-On-disk layout of a dataset directory:
+On-disk layout of a dataset directory (format version 4):
 
-    manifest.json        {"format_version": 3, "bags": [{"id", "label", "split",
-                          "cine_shapes", "relevance", "doppler_shapes"}]}, one bag
-                          record per line; "relevance" has one entry (null or a
-                          number in [0, 1]) per cine shape
+    manifest.json        {"format_version": 4, "features_sha256": hex digest,
+                          "bags": [{"id", "label", "split", "cine_shapes",
+                          "doppler_shapes"}]}, one bag record per line; a shape
+                          list holds runs [[shape, count], ...] of consecutive
+                          instances of one shape
     features.bin         every bag's instance values as raw little-endian float64,
                          row-major, back to back in manifest order (per bag: its
-                         cine instances, then its doppler instances); offsets
-                         follow from the shapes
+                         cine instances, then its doppler instances; offsets
+                         follow from the shapes); then one float64 relevance
+                         per cine instance in the same order (NaN for none);
+                         then the 32-byte sha256 of everything before it,
+                         which the manifest repeats as "features_sha256"
     hidden_truth.json    diagnostics only: true labels of unlabeled bags; never read
                          by any training path
 
@@ -25,21 +29,24 @@ statistics.
 A bag id is a plain file name (no ``/``, ``\\`` or NUL; not empty, ``.`` or
 ``..``). Every file a loader opens has a fixed name, and ``contained_file``
 resolves it once, so a symlink that leads out of the directory is refused.
-``load`` checks each distinct shape once per load, reads ``features.bin`` into
-one array with one size check and one finite check, and makes every instance a
-view of that array.
+``load`` checks each run once and each distinct shape once per load, reads
+``features.bin`` into one array with one size check, compares its digest
+trailer with the manifest's without hashing, checks the relevance section and
+the finiteness of the values as whole arrays, and makes every instance a row
+view of one reshape per run. ``save`` computes the digest while it writes, so
+a ``features.bin`` left beside another save's manifest is refused.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import groupby, repeat
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +56,13 @@ from .metrics import atomic_file
 
 SPLITS = ("train", "val", "test", "unlabeled")
 MODALITIES = ("cine", "doppler")
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 FEATURES = "features.bin"
-BAG_FIELDS = frozenset({"id", "label", "split", "cine_shapes", "relevance", "doppler_shapes"})
-_LIST, _INT = frozenset({list}), frozenset({int})
+BAG_FIELDS = frozenset({"id", "label", "split", "cine_shapes", "doppler_shapes"})
+DIGEST_BYTES = 32  # the sha256 trailer of features.bin
+_INT = frozenset({int})
+_REAL = (int, float, np.integer, np.floating)
+_HEX = frozenset("0123456789abcdef")
 
 
 @dataclass
@@ -61,7 +71,8 @@ class Instance:
 
     ``features`` is flat float64 in row-major order; ``shape`` gives the
     dimensions (cine: frames x height x width; doppler: height x width).
-    ``relevance`` is an external view-relevance score in [0, 1], cine only.
+    ``relevance`` is an external view-relevance score in [0, 1], cine only;
+    an integer score is stored as a float.
     """
 
     modality: str
@@ -82,8 +93,15 @@ class Instance:
                 f"instance shape {list(self.shape)} does not match "
                 f"{features.size} feature values"
             )
-        if self.relevance is not None and self.modality != "cine":
-            raise FormatError("relevance is only allowed on cine instances")
+        relevance = self.relevance
+        if relevance is not None:
+            if self.modality != "cine":
+                raise FormatError("relevance is only allowed on cine instances")
+            if (isinstance(relevance, bool) or not isinstance(relevance, _REAL)
+                    or not 0 <= relevance <= 1):  # NaN fails the range test
+                raise FormatError(f"relevance must be None or a number in [0, 1], "
+                                  f"got {relevance!r}")
+            self.relevance = float(relevance)
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
@@ -289,36 +307,55 @@ def generate_synthetic(config):
 # on-disk format
 
 
+def _runs(instances):
+    """A modality's instance shapes as runs ``[[shape, count], ...]`` of equal shapes."""
+    return [[list(shape), sum(1 for _ in group)]
+            for shape, group in groupby(inst.shape for inst in instances)]
+
+
 def save(dataset, dir_path, hidden_truth=None):
     """Write a dataset directory; see the module docstring for the layout.
 
-    The manifest and the hidden-truth text are built first, so a dataset they
-    cannot describe fails before any file is replaced. Then each file
-    replaces its previous version atomically, and the manifest goes last, so
-    an interrupted save leaves the previous manifest in place.
+    The manifest's bag records and the hidden-truth text are built first, and
+    each bag's values are checked to be finite before they are written, so a
+    dataset the format cannot hold fails before any file is replaced. Then
+    each file replaces its previous version atomically, and the manifest goes
+    last. If the save stops before the manifest lands, the new
+    ``features.bin`` sits beside the previous manifest, whose digest it does
+    not match, so ``load`` refuses the pair.
     """
-    records = [{
+    lines = ",\n".join(json.dumps({  # one bag record per line
         "id": bag.id,
         "label": bag.label,
         "split": dataset.split_assignment[bag.id],
-        "cine_shapes": [list(inst.shape) for inst in bag.cine_instances],
-        "relevance": [inst.relevance for inst in bag.cine_instances],
-        "doppler_shapes": [list(inst.shape) for inst in bag.doppler_instances],
-    } for bag in dataset.bags]
-    lines = ",\n".join(map(json.dumps, records))  # one bag record per line
-    manifest = f'{{"format_version": {FORMAT_VERSION}, "bags": [\n{lines}\n]}}\n'
+        "cine_shapes": _runs(bag.cine_instances),
+        "doppler_shapes": _runs(bag.doppler_instances),
+    }) for bag in dataset.bags)
     hidden = None if hidden_truth is None else json.dumps(hidden_truth, indent=1)
     root = Path(dir_path)
     root.mkdir(parents=True, exist_ok=True)
+    digest = hashlib.sha256()
     with atomic_file(root / FEATURES, binary=True) as f:
         for bag in dataset.bags:
-            f.write(np.concatenate([inst.features for inst in
-                                    bag.cine_instances + bag.doppler_instances], dtype="<f8"))
+            values = np.concatenate([inst.features for inst in
+                                     bag.cine_instances + bag.doppler_instances], dtype="<f8")
+            if not np.isfinite(values).all():
+                raise FormatError(f"bag {bag.id!r}: non-finite feature values; "
+                                  f"{FEATURES!r} holds finite values only")
+            digest.update(values)
+            f.write(values)
+        relevance = np.array([math.nan if inst.relevance is None else inst.relevance
+                              for bag in dataset.bags for inst in bag.cine_instances],
+                             dtype="<f8")
+        digest.update(relevance)
+        f.write(relevance)
+        f.write(digest.digest())
     if hidden is not None:
         with atomic_file(root / "hidden_truth.json") as f:
             f.write(hidden)
     with atomic_file(root / "manifest.json") as f:
-        f.write(manifest)
+        f.write(f'{{"format_version": {FORMAT_VERSION}, "features_sha256": '
+                f'"{digest.hexdigest()}", "bags": [\n{lines}\n]}}\n')
 
 
 def checked_json(value, kind, owner):
@@ -366,40 +403,45 @@ def contained_file(root, name, owner, missing=None):
     return None
 
 
-def _shape_sizes(entries, owner, field, known):
-    """``(shape, value count)`` for each entry of one of a bag's shape lists.
+def _shape_runs(runs, bag_id, field, known):
+    """``(shape, value count, instance count)`` for each run of one of a bag's shape lists.
 
-    The types of all dimensions in the list are checked at once, since a
-    dimension ``4.0`` or ``true`` would hash like ``4`` or ``1``; then each
-    distinct shape is checked once per load and kept in ``known``.
+    Each run must be ``[shape, count]``: a list of ints and an int count >= 1.
+    The dimension types are checked on every run, since a dimension ``4.0``
+    or ``true`` would hash like ``4`` or ``1``; then each distinct shape is
+    checked once per load and kept in ``known``.
     """
-    if not (type(entries) is list and set(map(type, entries)) <= _LIST
-            and set(map(type, chain.from_iterable(entries))) <= _INT):
-        for entry in checked_json(entries, list, f"{owner} {field}"):
-            checked_shape(entry, owner)  # raises for the first entry at fault
-    try:
-        return [known[shape] for shape in map(tuple, entries)]
-    except KeyError:  # a shape not seen before in this load
-        for shape in map(tuple, entries):
-            if shape not in known:
-                known[shape] = (checked_shape(list(shape), owner), math.prod(shape))
-        return [known[shape] for shape in map(tuple, entries)]
+    sized = []
+    for run in checked_json(runs, list, f"bag {bag_id!r} {field}"):
+        if not (type(run) is list and len(run) == 2 and type(run[0]) is list
+                and set(map(type, run[0])) <= _INT and type(run[1]) is int and run[1] >= 1):
+            raise FormatError(f"bag {bag_id!r}: a {field} run must be [shape, count] with a list of "
+                              f"positive integers and a count >= 1, got {run!r}")
+        shape, count = run
+        key = tuple(shape)
+        if key not in known:
+            known[key] = (checked_shape(shape, f"bag {bag_id!r}"), math.prod(key))
+        sized.append((*known[key], count))
+    return sized
 
 
-def _views(modality, values, start, sizes, relevance):
-    """Instances of ``modality`` that view consecutive slices of ``values`` from
-    ``start`` on, one per ``(shape, size)``, and the index after the last.
+def _views(modality, values, start, runs, relevance):
+    """Instances of ``modality`` for ``runs``, from ``values[start]`` on, and the
+    index after the last. Each run's instances are the rows of one reshape;
+    ``relevance`` yields one value per instance.
 
     ``load`` has made ``Instance.__post_init__``'s checks for the whole
     dataset already, so the instances are built without it.
     """
     views = []
-    for (shape, size), value in zip(sizes, relevance):
-        view = object.__new__(Instance)
-        view.modality, view.features = modality, values[start:start + size]
-        view.shape, view.relevance = shape, value
-        views.append(view)
-        start += size
+    for shape, size, count in runs:
+        stop = start + size * count
+        for row, value in zip(values[start:stop].reshape(count, size), relevance):
+            view = object.__new__(Instance)
+            view.modality, view.features = modality, row
+            view.shape, view.relevance = shape, value
+            views.append(view)
+        start = stop
     return views, start
 
 
@@ -425,57 +467,81 @@ def _load(root):
     if manifest_path is None:
         raise FormatError(f"no manifest.json under {root}")
     manifest = checked_json(read_json(manifest_path, "manifest.json"), dict, "manifest.json")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {manifest.get('format_version')!r}")
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported format_version {version!r}: this program reads "
+                          f"version {FORMAT_VERSION}, which gen-data writes from the seed")
+    digest = manifest.get("features_sha256")
+    if not (type(digest) is str and len(digest) == 2 * DIGEST_BYTES and set(digest) <= _HEX):
+        raise FormatError(f"manifest.json: features_sha256 must be {2 * DIGEST_BYTES} "
+                          f"lowercase hex digits, got {digest!r}")
 
-    # the manifest first: every bag's shapes, hence its place in the feature file
+    # the manifest first: every bag's runs, hence its place in the feature file
     known = {}  # shape tuple -> (shape, value count)
-    layout, ends, end = [], [], 0  # per bag: its fields, and where its values end
+    layout = []  # per bag: id, label, split, cine runs, doppler runs
+    ends, cine_ends, end, n_cine = [], [], 0, 0  # where each bag's values and relevance end
     for index, rec in enumerate(checked_json(manifest.get("bags", []), list, "manifest bags")):
         bag_id = checked_json(rec, dict, f"manifest bags[{index}]").get("id")
         if not isinstance(bag_id, str):
             raise FormatError(f"bag record without a string id: {rec!r}")
-        owner = f"bag {bag_id!r}"
         if not rec.keys() <= BAG_FIELDS:
-            raise FormatError(f"{owner}: unknown fields {sorted(rec.keys() - BAG_FIELDS)}")
-        cine = _shape_sizes(rec.get("cine_shapes", []), owner, "cine_shapes", known)
-        doppler = _shape_sizes(rec.get("doppler_shapes", []), owner, "doppler_shapes", known)
-        relevance = rec.get("relevance", [])
-        if type(relevance) is not list or len(relevance) != len(cine):
-            raise FormatError(f"{owner}: relevance must be a list with one entry per cine "
-                              f"shape ({len(cine)}), got {relevance!r}")
-        for value in relevance:
-            if value is not None and not (type(value) in (int, float) and 0 <= value <= 1):
-                raise FormatError(f"{owner}: relevance must be null or a number in [0, 1], "
-                                  f"got {value!r}")
-        end += sum(map(itemgetter(1), cine)) + sum(map(itemgetter(1), doppler))
-        layout.append((bag_id, rec.get("label"), rec.get("split"), cine, relevance, doppler))
+            raise FormatError(f"bag {bag_id!r}: unknown fields "
+                              f"{sorted(rec.keys() - BAG_FIELDS)}")
+        cine = _shape_runs(rec.get("cine_shapes", []), bag_id, "cine_shapes", known)
+        doppler = _shape_runs(rec.get("doppler_shapes", []), bag_id, "doppler_shapes", known)
+        for _, size, count in cine:
+            end += size * count
+            n_cine += count
+        for _, size, count in doppler:
+            end += size * count
+        layout.append((bag_id, rec.get("label"), rec.get("split"), cine, doppler))
         ends.append(end)
+        cine_ends.append(n_cine)
 
     # then the feature file, read straight into one array, which every instance views
-    def at_fault(value_index):  # the owner of the bag whose values hold this index
-        return f"bag {layout[bisect_right(ends, value_index)][0]!r}"
+    def at_fault(index, bounds):  # the owner of the bag whose section holds this index
+        return f"bag {layout[bisect_right(bounds, index)][0]!r}"
 
-    first = at_fault(0) if layout else "dataset"
+    first = f"bag {layout[0][0]!r}" if layout else "dataset"
     fpath = contained_file(root, FEATURES, first, "missing feature file")
-    values = np.empty(end, dtype="<f8")
+    need = 8 * (end + n_cine) + DIGEST_BYTES
     with open(fpath, "rb") as f:
-        got, size = f.readinto(values), os.fstat(f.fileno()).st_size
-    if got < values.nbytes:
-        need = 8 * ends[bisect_right(ends, got // 8)]
-        raise FormatError(f"{at_fault(got // 8)}: file {FEATURES!r} holds {got} bytes, but the "
-                          f"instance shapes up to this bag need {need} (float64 values)")
-    if size > values.nbytes:
-        raise FormatError(f"{first}: file {FEATURES!r} holds {size} bytes, but the instance "
-                          f"shapes of the {len(layout)} bags in the manifest need "
-                          f"{values.nbytes} (float64 values)")
+        # sized before the array is allocated, so a manifest cannot ask for more memory
+        size = os.fstat(f.fileno()).st_size
+        if size < 8 * end:
+            raise FormatError(f"{at_fault(size // 8, ends)}: file {FEATURES!r} holds {size} "
+                              f"bytes, but the instance shapes up to this bag need "
+                              f"{8 * ends[bisect_right(ends, size // 8)]} (float64 values)")
+        if size != need:
+            raise FormatError(f"{first}: file {FEATURES!r} holds {size} bytes, but the "
+                              f"{len(layout)} bags in the manifest need {need} ({end} "
+                              f"float64 values, {n_cine} relevance values and a "
+                              f"{DIGEST_BYTES}-byte sha256)")
+        data = np.empty(need // 8, dtype="<f8")
+        if f.readinto(data) != need:
+            raise FormatError(f"{first}: file {FEATURES!r} shrank while it was read")
+    if data[end + n_cine:].tobytes().hex() != digest:
+        raise FormatError(f"dataset: the sha256 at the end of file {FEATURES!r} is not the "
+                          "manifest's features_sha256, so the two come from different saves "
+                          "(an interrupted one, say); gen-data writes the dataset again")
+    values, relevance = data[:end], data[end:end + n_cine]
+    missing = np.isnan(relevance)  # NaN: an instance without a relevance score
+    bad = ~(missing | ((relevance >= 0) & (relevance <= 1)))
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise FormatError(f"{at_fault(index, cine_ends)}: file {FEATURES!r} holds relevance "
+                          f"{float(relevance[index])!r}, expected a number in [0, 1] or NaN "
+                          "for none")
+    relevance = relevance.tolist()
+    if missing.any():
+        relevance = [None if none else value for value, none in zip(relevance, missing.tolist())]
     finite = np.isfinite(values)
     if not finite.all():
-        raise FormatError(f"{at_fault(int(np.argmin(finite)))}: file {FEATURES!r} holds "
+        raise FormatError(f"{at_fault(int(np.argmin(finite)), ends)}: file {FEATURES!r} holds "
                           "non-finite feature values")
 
-    bags, assignment, start = [], {}, 0
-    for bag_id, label, split, cine, relevance, doppler in layout:
+    bags, assignment, start, relevance = [], {}, 0, iter(relevance)
+    for bag_id, label, split, cine, doppler in layout:
         cine, start = _views("cine", values, start, cine, relevance)
         doppler, start = _views("doppler", values, start, doppler, repeat(None))
         bags.append(Bag(bag_id, cine, doppler, label=label))

@@ -608,23 +608,40 @@ def _chunk_probs(plan, cfg, chunk):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def predict_probs(model, bags):
+def resolve_branches(cfg, bags):
+    """Each bag's (run cine, run doppler), or None for a bag ``forward`` would skip.
+
+    Logs each modality fallback and, as a warning, each skipped bag; bags that
+    are scored again and again (the val bags, after every epoch) are resolved
+    once and their branches passed to :func:`predict_probs`.
+    """
+    branches = []
+    for bag in bags:
+        try:
+            branches.append(_branches(cfg, bag))
+        except BagSkipError as exc:
+            logger.warning("skipping bag: %s", exc)
+            branches.append(None)
+    return branches
+
+
+def predict_probs(model, bags, branches=None):
     """Class probabilities of many bags without a tape, INFERENCE_CHUNK bags per pass.
 
     Returns ``(kept, probs)``: the scored bags in input order and their
     [len(kept), 3] probabilities, equal to ``forward``'s to rounding. A bag
-    ``forward`` would skip is logged as a warning and left out.
+    ``forward`` would skip is left out. ``branches`` are the bags'
+    :func:`resolve_branches`; without them, they are resolved (and logged) here.
     """
     bags = list(bags)
+    if branches is None:
+        branches = resolve_branches(model.config, bags)
     plan = Plan(model)
     kept, chunks = [], []
     for start in range(0, len(bags), INFERENCE_CHUNK):
-        chunk = []
-        for bag in bags[start:start + INFERENCE_CHUNK]:
-            try:
-                chunk.append((bag, *_branches(model.config, bag)))
-            except BagSkipError as exc:
-                logger.warning("skipping bag: %s", exc)
+        stop = start + INFERENCE_CHUNK
+        chunk = [(bag, *branch) for bag, branch in zip(bags[start:stop], branches[start:stop])
+                 if branch is not None]
         if chunk:
             kept.extend(bag for bag, _, _ in chunk)
             chunks.append(_chunk_probs(plan, model.config, chunk))

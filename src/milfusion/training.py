@@ -43,6 +43,7 @@ from .model import (  # noqa: F401 -- bench/spans.py patches forward and total_l
     predict_probs,
     prepare_bag,
     prepared_step,
+    resolve_branches,
     total_loss,
 )
 
@@ -79,14 +80,17 @@ class PseudoLabelRecord:
     confidence: float  # max component of the probability vector
 
 
-def predictions_for(model, bags):
-    """Inference over bags as a PredictionSet; degenerate bags are skipped."""
-    kept, probs = predict_probs(model, bags)
+def predictions_for(model, bags, branches=None):
+    """Inference over bags as a PredictionSet; degenerate bags are skipped.
+
+    ``branches`` are the bags' ``model.resolve_branches``, if resolved already.
+    """
+    kept, probs = predict_probs(model, bags, branches)
     return PredictionSet([PredRow(bag.id, bag.label, p) for bag, p in zip(kept, probs)])
 
 
-def validation_balanced_accuracy(model, bags):
-    return balanced_accuracy(predictions_for(model, bags))
+def validation_balanced_accuracy(model, bags, branches=None):
+    return balanced_accuracy(predictions_for(model, bags, branches))
 
 
 def train_supervised(init_seed, train_bags, val_bags, model_config, train_config):
@@ -103,6 +107,7 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
         if bag.label is None:
             raise UsageError(f"training bag {bag.id!r} has no label")
     prepared = [prepare_bag(model_config, bag) for bag in train_bags]
+    val_branches = resolve_branches(model_config, val_bags)  # logs each fallback once
 
     model = init_model(model_config, init_seed)
     history = {
@@ -147,7 +152,8 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
             velocity += scratch  # v += grad + wd * theta
             np.multiply(velocity, lr, out=scratch)
             theta -= scratch  # theta -= lr * v
-        val_bacc = validation_balanced_accuracy(model, val_bags) if val_bags else 0.0
+        val_bacc = (validation_balanced_accuracy(model, val_bags, val_branches)
+                    if val_bags else 0.0)
         history["epochs"].append(
             {
                 "epoch": epoch,

@@ -85,8 +85,8 @@ def bag_value_ranges(manifest):
     ranges, end = {}, 0
     for rec in manifest["bags"]:
         start = end
-        for shape in rec["cine_shapes"] + rec["doppler_shapes"]:
-            end += int(np.prod(shape))
+        for shape, count in rec["cine_shapes"] + rec["doppler_shapes"]:  # runs of one shape
+            end += count * int(np.prod(shape))
         ranges[rec["id"]] = (start, end)
     return ranges
 

@@ -422,8 +422,11 @@ def test_bad_checkpoint_manifest_exits_2(workdir, trained, capsys, key_path, val
     (("bags", 0, "cine_shapes"), 5),
     (("bags",), 5),
     (("bags", 0), [1]),
-    (("bags", 0, "relevance", 0), "abc"),
-    (("bags", 0, "relevance", 0), 1.5),
+    (("bags", 0, "cine_shapes", 0, 1), "abc"),  # a run's count
+    (("bags", 0, "cine_shapes", 0, 1), 1.5),
+    (("bags", 0, "cine_shapes", 0, 1), 0),
+    (("bags", 0, "cine_shapes", 0, 0), 4),  # a run's shape
+    (("bags", 0, "relevance"), [0.5]),  # relevance lives in features.bin
 ])
 def test_bad_dataset_manifest_exits_2(workdir, capsys, key_path, value):
     edit_json(workdir / "data" / "manifest.json", key_path, value)

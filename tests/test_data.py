@@ -1,9 +1,12 @@
 import copy
 import gc
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,7 +202,7 @@ def test_shape_mismatch_is_format_error(tmp_path):
     ds, _ = generate_synthetic(small_config())
     save(ds, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["bags"][0]["cine_shapes"][0] = [1, 2, 3]
+    manifest["bags"][0]["cine_shapes"][0][0] = [1, 2, 3]  # the shape of bag 0's first run
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match=manifest["bags"][0]["id"]):
         load(tmp_path)
@@ -224,9 +227,22 @@ def test_truncated_feature_file_is_format_error(tmp_path, cut):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     rec = manifest["bags"][-1]  # the first bag whose values are cut
     path = tmp_path / "features.bin"
-    path.write_bytes(path.read_bytes()[:-cut])
+    _, end = bag_value_ranges(manifest)[rec["id"]]  # after it: relevance and the digest
+    path.write_bytes(path.read_bytes()[:8 * end - cut])
     with pytest.raises(FormatError, match=f"'{rec['id']}'.*bytes"):
         load(tmp_path)
+
+
+def test_run_count_beyond_any_memory_is_format_error(tmp_path):
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    rec = manifest["bags"][0]
+    rec["cine_shapes"][0][1] = 10 ** 15  # petabytes of values: the file is checked first
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=f"'{rec['id']}'.*'features.bin' holds") as info:
+        load(tmp_path)
+    assert exit_code_for(info.value) == 2
 
 
 def test_short_feature_file_names_the_first_bag_it_cuts(tmp_path):
@@ -257,8 +273,21 @@ def test_overlong_feature_file_is_format_error(tmp_path, extra):
 def test_feature_values_without_bags_are_refused(tmp_path):
     ds, _ = generate_synthetic(small_config())
     save(ds, tmp_path)
-    (tmp_path / "manifest.json").write_text(json.dumps({"format_version": 3, "bags": []}))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    (tmp_path / "manifest.json").write_text(json.dumps({**manifest, "bags": []}))
     with pytest.raises(FormatError, match="'features.bin' holds .* the 0 bags") as info:
+        load(tmp_path)
+    assert exit_code_for(info.value) == 2
+
+
+def test_bag_without_instances_in_the_manifest_is_format_error(tmp_path):
+    empty = hashlib.sha256(b"")  # no values, no relevance: the file is its digest
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "format_version": 4, "features_sha256": empty.hexdigest(),
+        "bags": [{"id": "a", "label": 0, "split": "train", "cine_shapes": [],
+                  "doppler_shapes": []}]}))
+    (tmp_path / "features.bin").write_bytes(empty.digest())
+    with pytest.raises(FormatError, match="'a' has no instances") as info:
         load(tmp_path)
     assert exit_code_for(info.value) == 2
 
@@ -275,20 +304,61 @@ def test_non_integer_label_is_format_error(tmp_path, label):
         load(tmp_path)
 
 
+def rewrite_features(root, values, relevance):
+    """Write ``features.bin`` and the manifest's digest for these sections, as ``save`` would."""
+    body = np.concatenate([values, relevance]).astype("<f8").tobytes()
+    digest = hashlib.sha256(body)
+    (root / "features.bin").write_bytes(body + digest.digest())
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["features_sha256"] = digest.hexdigest()
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+def feature_sections(root):
+    """The values and the relevance section of a dataset's ``features.bin``."""
+    manifest = json.loads((root / "manifest.json").read_text())
+    end = max(end for _, end in bag_value_ranges(manifest).values())
+    data = np.frombuffer((root / "features.bin").read_bytes()[:-32], dtype="<f8")
+    return data[:end], data[end:]
+
+
 @pytest.mark.parametrize("shorter", [True, False])
 def test_relevance_must_have_one_entry_per_cine_shape(tmp_path, shorter):
     ds, _ = generate_synthetic(small_config())
     save(ds, tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    rec = manifest["bags"][2]
-    if shorter:
-        rec["relevance"].pop()
-    else:
-        rec["relevance"].append(0.5)
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match=f"'{rec['id']}'.*relevance") as info:
+    values, relevance = feature_sections(tmp_path)
+    n_cine = relevance.size
+    # the digest matches, so only the size of the relevance section is wrong
+    rewrite_features(tmp_path, values,
+                     relevance[:-1] if shorter else np.append(relevance, 0.5))
+    with pytest.raises(FormatError, match=f"'features.bin' holds .* {n_cine} relevance values"
+                       ) as info:
         load(tmp_path)
     assert exit_code_for(info.value) == 2
+
+
+@pytest.mark.parametrize("value", [1.5, -0.5, np.inf])
+def test_relevance_outside_the_unit_interval_is_refused(tmp_path, value):
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    values, relevance = feature_sections(tmp_path)
+    bag = ds.bags[3]
+    index = sum(len(b.cine_instances) for b in ds.bags[:3]) + 1  # bag 3's second cine instance
+    relevance = relevance.copy()
+    relevance[index] = value
+    rewrite_features(tmp_path, values, relevance)
+    with pytest.raises(FormatError, match=f"'{bag.id}'.*'features.bin'.*relevance") as info:
+        load(tmp_path)
+    assert exit_code_for(info.value) == 2
+
+
+def test_relevance_nan_loads_as_none(tmp_path):
+    inst = Instance("cine", np.arange(4.0), (1, 2, 2), relevance=0.25)
+    save(Dataset([Bag("b0", [inst, replace(inst, relevance=None)], [], label=0)],
+                 {"b0": "train"}), tmp_path)
+    _, relevance = feature_sections(tmp_path)
+    assert relevance[0] == 0.25 and np.isnan(relevance[1])
+    assert [i.relevance for i in load(tmp_path).bags[0].cine_instances] == [0.25, None]
 
 
 @pytest.mark.parametrize("shape", [[4.0, 1, 8], [4, True, 8], [4, 0, 8], [4, 1, "8"]])
@@ -298,7 +368,7 @@ def test_dimension_that_is_not_a_positive_integer_is_refused(tmp_path, shape):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     # bag 0 has shown [4, 1, 8] already, and 4.0 and true hash like 4 and 1
     rec = manifest["bags"][2]
-    rec["cine_shapes"][1] = shape
+    rec["cine_shapes"][0][0] = shape
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(FormatError, match=f"'{rec['id']}'.*positive integers") as info:
         load(tmp_path)
@@ -546,6 +616,36 @@ def test_failed_save_leaves_features_and_manifest_of_one_dataset(tmp_path):
     assert load(tmp_path) == ds
 
 
+class Killed(Exception):
+    """Stands for the end of a process that is killed mid-save."""
+
+
+def test_save_killed_before_its_manifest_leaves_a_pair_that_load_refuses(tmp_path,
+                                                                         monkeypatch):
+    ds, hidden = generate_synthetic(small_config())
+    save(ds, tmp_path, hidden)
+    size = (tmp_path / "features.bin").stat().st_size
+    # the same seed draws the same shapes, so only the digest tells the two saves apart
+    flat, flat_hidden = generate_synthetic(small_config(signal_strength=0.0))
+    replace_file = os.replace
+
+    def killed_at_the_manifest(src, dst):
+        if os.path.basename(dst) == "manifest.json":
+            raise Killed
+        replace_file(src, dst)
+
+    monkeypatch.setattr(os, "replace", killed_at_the_manifest)
+    with pytest.raises(Killed):
+        save(flat, tmp_path, flat_hidden)
+    monkeypatch.undo()
+    assert (tmp_path / "features.bin").stat().st_size == size  # the new values are in place
+    with pytest.raises(FormatError, match="'features.bin'.*features_sha256") as info:
+        load(tmp_path)
+    assert exit_code_for(info.value) == 2
+    save(flat, tmp_path, flat_hidden)  # a save that completes writes a pair that loads
+    assert load(tmp_path) == flat
+
+
 def test_malformed_manifest_json(tmp_path):
     tmp_path.joinpath("manifest.json").write_text("{not json")
     with pytest.raises(FormatError):
@@ -569,11 +669,18 @@ def test_manifest_schema_keys(tmp_path):
     ds, hidden = generate_synthetic(small_config())
     save(ds, tmp_path, hidden)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert set(manifest) == {"bags", "format_version"}
-    assert manifest["format_version"] == 3
-    rec = manifest["bags"][0]
-    assert set(rec) == {"id", "label", "split", "cine_shapes", "relevance", "doppler_shapes"}
-    assert len(rec["relevance"]) == len(rec["cine_shapes"])
+    assert set(manifest) == {"bags", "format_version", "features_sha256"}
+    assert manifest["format_version"] == 4
+    for rec, bag in zip(manifest["bags"], ds.bags):
+        assert set(rec) == {"id", "label", "split", "cine_shapes", "doppler_shapes"}
+        for field, instances in (("cine_shapes", bag.cine_instances),
+                                 ("doppler_shapes", bag.doppler_instances)):
+            # runs of one shape: the generator draws one shape per modality
+            assert rec[field] == ([[list(instances[0].shape), len(instances)]]
+                                  if instances else [])
+    raw = (tmp_path / "features.bin").read_bytes()
+    assert hashlib.sha256(raw[:-32]).digest() == raw[-32:]
+    assert manifest["features_sha256"] == raw[-32:].hex()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "features.bin", "hidden_truth.json", "manifest.json"]
 
@@ -626,6 +733,48 @@ def test_dataset_rejects_missing_label_in_train():
 def test_empty_bag_rejected():
     with pytest.raises(FormatError):
         Bag("x", [], [], label=0)
+
+
+@pytest.mark.parametrize("relevance", [1.5, -0.5, math.nan, math.inf, True, np.bool_(False),
+                                       "0.5", [0.5]])
+def test_relevance_must_be_a_number_in_the_unit_interval(relevance):
+    with pytest.raises(FormatError, match="relevance must be None or a number in \\[0, 1\\]"):
+        Instance("cine", np.zeros(4), (1, 2, 2), relevance=relevance)
+
+
+@pytest.mark.parametrize("relevance", [0, 1, np.int64(1), np.float32(0.5), -0.0])
+def test_relevance_is_stored_as_a_float(relevance):
+    inst = Instance("cine", np.zeros(4), (1, 2, 2), relevance=relevance)
+    assert type(inst.relevance) is float and inst.relevance == relevance
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_refuses_non_finite_features_before_replacing_a_file(tmp_path, value):
+    ds, hidden = generate_synthetic(small_config())
+    save(ds, tmp_path, hidden)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    other, other_hidden = generate_synthetic(small_config(seed=8))
+    bag = other.bags[3]
+    bag.doppler_instances[-1].features[2] = value
+    with pytest.raises(FormatError, match=f"'{bag.id}'.*non-finite") as info:
+        save(other, tmp_path, other_hidden)
+    assert exit_code_for(info.value) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("run", [[[4, 8, 8], 0], [[4, 8, 8], 2.0], [[4, 8, 8], True],
+                                 [[4, 8, 8], "2"], [4, 8], [[4, 8, 8]], [[4, 8, 8], 1, 1],
+                                 "x", [{"d": 4}, 1]])
+def test_bad_run_is_refused_naming_the_bag(tmp_path, run):
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    rec = manifest["bags"][2]
+    rec["cine_shapes"][0] = run
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match=f"'{rec['id']}'.*cine_shapes run") as info:
+        load(tmp_path)
+    assert exit_code_for(info.value) == 2
 
 
 def test_instance_invariants():

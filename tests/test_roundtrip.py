@@ -137,6 +137,17 @@ def test_version_2_dataset_is_refused(tmp_path):
     refused_with_exit_2(tmp_path, manifest, "format_version 2")
 
 
+def test_version_3_dataset_is_refused(tmp_path):
+    manifest = saved_manifest(tmp_path)
+    # the version-3 layout: a shape per instance, relevance in the manifest, no digest
+    del manifest["features_sha256"]
+    manifest["format_version"] = 3
+    manifest["bags"][0] = {"id": "b0", "label": 0, "split": "train", "cine_shapes": [],
+                           "relevance": [], "doppler_shapes": [[3, 2]]}
+    (tmp_path / "features.bin").write_bytes(np.arange(6.0).astype("<f8").tobytes())
+    refused_with_exit_2(tmp_path, manifest, "format_version 3")
+
+
 def saved_checkpoint(root):
     model = random_model(tiny_model_config(), seed=3)
     save_model(model, root)

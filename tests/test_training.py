@@ -294,6 +294,16 @@ def test_modality_fallback_is_logged_once_per_training_call(caplog):
         "bag no_cine: cine empty, falling back to doppler only"]
 
 
+def test_val_bag_fallback_is_logged_once_per_training_call(caplog):
+    rng = np.random.default_rng(12)
+    val = labeled_bags(rng, 3) + [make_bag(rng, "v_nocine", n_cine=0, n_doppler=2, label=1)]
+    with caplog.at_level(logging.INFO, logger="milfusion.model"):
+        train_supervised(0, labeled_bags(rng, 3), val, tiny_model_config(),
+                         tiny_train_config(max_epochs=3, patience=3))
+    assert [r.getMessage() for r in caplog.records if "falling back" in r.getMessage()] == [
+        "bag v_nocine: cine empty, falling back to doppler only"]
+
+
 # ---------------------------------------------------------------------------
 # pseudo_label
 
