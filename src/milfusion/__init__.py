@@ -18,7 +18,7 @@ from .data import (
     load_hidden_truth,
     save,
 )
-from .encoders import Encoder, EncoderConfig, encode, init_weights
+from .encoders import Encoder, EncoderConfig
 from .errors import (
     BagSkipError,
     ConfigError,

@@ -114,11 +114,6 @@ class Tensor:
         """Shaped copy of the data."""
         return self.data.reshape(self.shape).copy()
 
-    def item(self):
-        if self.data.size != 1:
-            raise ContractError(f"item() needs a scalar, got shape {list(self.shape)}")
-        return float(self.data[0])
-
     def __repr__(self):
         tag = "" if self.tape is None else f", node={self.node_id}"
         return f"Tensor(shape={list(self.shape)}{tag})"
@@ -180,11 +175,6 @@ def log(x):
         raise DomainError(f"log: non-positive input (min={x.data.min()!r})")
     xd = x.data
     return _emit("log", np.log(xd), x.shape, (x,), lambda g: (g / xd,))
-
-
-def relu(x):
-    mask = x.data > 0.0
-    return _emit("relu", np.where(mask, x.data, 0.0), x.shape, (x,), lambda g: (np.where(mask, g, 0.0),))
 
 
 def logistic(x):

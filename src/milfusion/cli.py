@@ -22,6 +22,7 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -69,8 +70,8 @@ def _read_config_file(path):
     if not p.is_file():
         raise UsageError(f"config file not found: {p}")
     try:
-        cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        cfg = json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
@@ -90,6 +91,16 @@ def _require(args, name):
     if value is None:
         raise UsageError(f"--{name} is required")
     return value
+
+
+def _out_dir(args):
+    """``--out`` as a Path, refused unless it, or its first existing ancestor, is a
+    directory. Nothing is created: a run that fails leaves no output directory."""
+    out = Path(_require(args, "out"))
+    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise UsageError(f"--out {out}: {existing} is not a directory")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +179,7 @@ def _run_echo(args, model_config, train_config, **extra):
 
 def _cmd_gen_data(args):
     file_cfg = _read_config_file(args.config)
-    out = Path(_require(args, "out"))
+    out = _out_dir(args)
     config = _synthetic_config(file_cfg, args)
     dataset, hidden_truth = generate_synthetic(config)
     save(dataset, out, hidden_truth)
@@ -202,7 +213,7 @@ def _write_rounds(report, path):
 
 
 def _cmd_train(args):
-    out = Path(_require(args, "out"))
+    out = _out_dir(args)
     dataset, model_config, train_config = _run_inputs(args)
     model, history = train_supervised(
         train_config.seed + 1, iterate_split(dataset, "train"), val_split(dataset),
@@ -219,7 +230,7 @@ def _cmd_train(args):
 
 
 def _cmd_ssl(args):
-    out = Path(_require(args, "out"))
+    out = _out_dir(args)
     dataset, model_config, train_config = _run_inputs(args)
     if args.ablate_ssl:
         logger.warning("--ablate-ssl: running supervised-only training")
@@ -251,7 +262,7 @@ def _split_predictions(args):
 
 
 def _cmd_eval(args):
-    out = Path(_require(args, "out"))
+    out = _out_dir(args)
     if args.predictions is not None:
         preds = load_predictions(args.predictions)
         source = {"predictions": str(args.predictions)}
@@ -275,7 +286,7 @@ def _cmd_eval(args):
 
 
 def _cmd_predict(args):
-    out = Path(_require(args, "out"))
+    out = _out_dir(args)
     preds = _split_predictions(args)
     out.mkdir(parents=True, exist_ok=True)
     save_predictions(preds, out / "predictions.csv")

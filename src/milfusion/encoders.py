@@ -64,12 +64,6 @@ def init_encoder_arrays(config, rng):
     return arrays
 
 
-def init_weights(config, seed):
-    """Deterministically initialized Encoder with constant weight tensors."""
-    arrays = init_encoder_arrays(config, np.random.default_rng(seed))
-    return Encoder(config, {name: ad.Tensor.const(a) for name, a in arrays.items()})
-
-
 def _frame_count(config, modality, shape):
     """Frames averaged into the input row of an instance of ``modality`` and ``shape``
     (0 for doppler), after checking that such an instance fits the encoder."""
@@ -137,10 +131,3 @@ def encode_rows(encoder, rows):
         h = ad.linear(h, encoder.weights[f"layer{i}.W"], encoder.weights[f"layer{i}.b"],
                       encoder.config.activation)
     return h
-
-
-def encode(encoder, instance):
-    """Embed one instance as a Tensor[M], differentiable w.r.t. the weights."""
-    row = ad.Tensor.const(preprocess(encoder.config, instance), (1, encoder.config.input_dim))
-    out = encode_rows(encoder, row)
-    return ad.reshape(out, (encoder.config.embed_dim,))

@@ -492,23 +492,24 @@ def load_predictions(path):
     path = Path(path)
     if not path.is_file():
         raise FormatError(f"no prediction file at {path}")
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            lines = list(csv.reader(f))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not lines:
+        raise FormatError(f"{path}: empty prediction file")
+    if lines[0] != CSV_HEADER:
+        raise FormatError(f"{path}: bad header {lines[0]!r}")
+    rows = []
+    for line in lines[1:]:
+        if len(line) != 5:
+            raise FormatError(f"{path}: malformed row {line!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty prediction file") from None
-        if header != CSV_HEADER:
-            raise FormatError(f"{path}: bad header {header!r}")
-        rows = []
-        for line in reader:
-            if len(line) != 5:
-                raise FormatError(f"{path}: malformed row {line!r}")
-            try:
-                rows.append(PredRow(line[0], int(line[1]),
-                                    np.array([float(line[2]), float(line[3]), float(line[4])])))
-            except ValueError as exc:
-                raise FormatError(f"{path}: malformed row {line!r}") from exc
+            rows.append(PredRow(line[0], int(line[1]),
+                                np.array([float(line[2]), float(line[3]), float(line[4])])))
+        except ValueError as exc:
+            raise FormatError(f"{path}: malformed row {line!r}") from exc
     return PredictionSet(rows)
 
 

@@ -21,7 +21,7 @@ Three paths compute this model:
     trainer's gradient buffer. What no parameter changes is built once per
     training run: ``prepare_bag`` makes each bag's input rows and relevance
     target and runs its checks, and ``Plan`` resolves the parameter and
-    gradient arrays. ``bag_step`` prepares and steps one bag;
+    gradient arrays;
   * batched inference, ``predict_probs``: the class probabilities of a chunk
     of bags at a time, one matmul per layer over the chunk's stacked
     instances and a per-bag (segment) softmax for attention, equal to
@@ -531,20 +531,6 @@ def prepared_step(plan, bag):
     else:
         _zero(plan.zero_doppler)
     return float(loss)
-
-
-def bag_step(model, bag, grad_views):
-    """One training step's loss on ``bag`` (its own label), without a tape.
-
-    Writes the gradient of every parameter into ``grad_views[name]`` (as
-    made by ``param_views``) and returns the loss as a float, bitwise those
-    of ``total_loss`` + ``backward``; raises what ``total_loss`` raises. It
-    is :func:`prepare_bag` and then :func:`prepared_step`; a trainer that
-    steps through a bag many times prepares it, and resolves the
-    :class:`Plan`, once. A bag with several faults may name another of them
-    than the tape, because the checks that need no parameter run first.
-    """
-    return prepared_step(Plan(model, grad_views), prepare_bag(model.config, bag))
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,9 @@ from .autodiff import backward  # noqa: F401 -- bench/spans.py patches training.
 from .data import iterate_split, with_label
 from .errors import ConfigError, NumericError, UsageError
 from .metrics import PredictionSet, PredRow, balanced_accuracy
-# bag_step stays bound here as well: tests/test_spans.py looks up training.bag_step
 from .model import (  # noqa: F401 -- bench/spans.py patches forward and total_loss here
     MMILModel,
     Plan,
-    bag_step,
     forward,
     init_model,
     param_specs,
@@ -262,9 +260,8 @@ def run_curriculum(dataset, model_config, train_config, hidden_truth=None,
             by_id = {r.bag_id: r for r in records}
             extra = [with_label(b, by_id[b.id].predicted_class)
                      for b in unlabeled if b.id in selected]
-            if hidden_truth and selected:
-                hits = [by_id[i].predicted_class == hidden_truth.get(i) for i in selected]
-                pl_accuracy = float(np.mean(hits))
+            if hidden_truth and extra:  # scores the labels this round trains on
+                pl_accuracy = float(np.mean([b.label == hidden_truth.get(b.id) for b in extra]))
 
         model, history = train_supervised(
             train_config.seed + round_num, labeled + extra, val_bags,

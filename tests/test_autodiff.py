@@ -278,8 +278,6 @@ def test_gradients_match_finite_differences(seed):
         "log": (lambda t, x: ad.total(ad.mul(ad.log(x), r3)), np.abs(_rand(rng, 3)) + 0.5),
         "sigmoid": (lambda t, x: ad.total(ad.mul(ad.sigmoid(x), r3)), _rand(rng, 3)),
         "recip": (lambda t, x: ad.total(ad.mul(ad.recip(x), r3)), np.abs(_rand(rng, 3)) + 0.5),
-        "relu": (lambda t, x: ad.total(ad.mul(ad.relu(x), r3)),
-                 np.where(np.abs(_rand(rng, 3)) < 0.1, 0.5, _rand(rng, 3))),
         "scalar_mul_const": (lambda t, x: ad.total(ad.mul(ad.scalar_mul(1.7, x), r3)), _rand(rng, 3)),
         "scalar_mul_scalar": (
             lambda t, x: ad.total(ad.mul(ad.scalar_mul(ad.pick(x, 0), ad.reshape(x, (4,))), r4)),
@@ -354,13 +352,6 @@ def test_fused_ops_reject_mismatched_shapes():
             call()
     with pytest.raises(ContractError):
         ad.linear(c(2, 3), c(3, 2), c(2), "gelu")
-
-
-def test_relu_mask_analytic():
-    tape = ad.Tape()
-    x = tape.leaf([-1.0, 0.0, 2.0])
-    ad.backward(tape, ad.total(ad.relu(x)))
-    assert tape.grad(x).value().tolist() == [0.0, 0.0, 1.0]
 
 
 def test_logistic_bytes_match_the_two_branch_form():

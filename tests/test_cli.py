@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from milfusion import cli
 from milfusion.cli import main
 from milfusion.data import load
 from milfusion.metrics import load_predictions
@@ -105,6 +106,28 @@ def test_negative_seed_is_a_usage_error(workdir, capsys, command):
     assert not (workdir / "neg").exists()
 
 
+@pytest.mark.parametrize("where", ["file", "under_file"])
+@pytest.mark.parametrize("command", ["gen-data", "train", "ssl", "predict", "eval"])
+def test_out_that_is_not_a_directory_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                command, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("generate_synthetic", "load", "load_predictions"):
+        monkeypatch.setattr(cli, name, no_work)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    out = blocker if where == "file" else blocker / "sub"
+    args = {"gen-data": [], "train": ["--data", str(tmp_path)], "ssl": ["--data", str(tmp_path)],
+            "predict": ["--data", str(tmp_path), "--checkpoint", str(tmp_path)],
+            "eval": ["--data", str(tmp_path), "--checkpoint", str(tmp_path)]}[command]
+    capsys.readouterr()
+    assert main([command, *args, "--seed", "1", "--out", str(out)]) == 1
+    assert error_lines(capsys.readouterr().err) == [
+        f"error: --out {out}: {blocker} is not a directory"]
+    assert blocker.read_text() == "keep"
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -160,6 +183,16 @@ def test_wrong_typed_config_value_is_a_usage_error(workdir, capsys, section, key
     code = main([*command, "--config", str(path), "--seed", "3", "--out", str(workdir / "o")])
     assert code == 1
     assert len(error_lines(capsys.readouterr().err)) == 1
+
+
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    code = main(["gen-data", "--config", str(path), "--seed", "3", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert len(error_lines(capsys.readouterr().err)) == 1
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +433,16 @@ def test_eval_refuses_bad_probabilities(tmp_path, capsys, bad_row):
     assert code == 2
     assert "'b1'" in capsys.readouterr().err
     assert not (tmp_path / "e" / "report.json").exists()
+
+
+def test_eval_refuses_a_prediction_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "predictions.csv"
+    path.write_bytes(b"bag_id,true_label,p0,p1,p2\nb\xff0,0,0.8,0.1,0.1\n")
+    code = main(["eval", "--predictions", str(path), "--seed", "1", "--n-boot", "5",
+                 "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert error_lines(capsys.readouterr().err)[0].startswith(f"error: {path}: not UTF-8 text")
+    assert not (tmp_path / "e").exists()
 
 
 @pytest.mark.parametrize("key_path, value", [

@@ -6,9 +6,9 @@ from milfusion.data import Instance, generate_synthetic
 from milfusion.encoders import (
     Encoder,
     EncoderConfig,
-    encode,
+    encode_rows,
     glorot_bound,
-    init_weights,
+    init_encoder_arrays,
     preprocess,
     preprocess_rows,
 )
@@ -26,16 +26,26 @@ def cine_instance(frames):
     return Instance("cine", frames.reshape(-1), frames.shape, relevance=0.5)
 
 
+def const_encoder(config, arrays):
+    return Encoder(config, {name: ad.Tensor.const(a) for name, a in arrays.items()})
+
+
+def seeded_encoder(config, seed):
+    return const_encoder(config, init_encoder_arrays(config, np.random.default_rng(seed)))
+
+
+def embedding(encoder, instance):
+    """The [1, M] embedding of one instance, as the model computes a bag's."""
+    return encode_rows(encoder, ad.Tensor.const(preprocess_rows(encoder.config, [instance])))
+
+
 def test_init_deterministic_per_seed():
-    e1 = init_weights(CINE_CFG, seed=3)
-    e2 = init_weights(CINE_CFG, seed=3)
-    for name in e1.weights:
-        assert np.array_equal(e1.weights[name].value(), e2.weights[name].value())
-    e3 = init_weights(CINE_CFG, seed=4)
-    assert any(
-        not np.array_equal(e1.weights[n].value(), e3.weights[n].value())
-        for n in e1.weights
-    )
+    a1 = init_encoder_arrays(CINE_CFG, np.random.default_rng(3))
+    a2 = init_encoder_arrays(CINE_CFG, np.random.default_rng(3))
+    for name in a1:
+        assert np.array_equal(a1[name], a2[name])
+    a3 = init_encoder_arrays(CINE_CFG, np.random.default_rng(4))
+    assert any(not np.array_equal(a1[n], a3[n]) for n in a1)
 
 
 def test_glorot_bound_fan3_fan3():
@@ -43,74 +53,64 @@ def test_glorot_bound_fan3_fan3():
 
 
 def test_init_shapes_and_zero_biases():
-    enc = init_weights(DOP_CFG, seed=0)
-    assert enc.weights["layer0.W"].shape == (6, 5)
-    assert enc.weights["layer0.b"].value().tolist() == [0.0] * 5
-    assert enc.weights["layer1.W"].shape == (5, 3)
-    assert enc.weights["layer1.b"].value().tolist() == [0.0] * 3
-    bound = glorot_bound(6, 5)
-    w = enc.weights["layer0.W"].value()
-    assert np.all(np.abs(w) <= bound)
+    arrays = init_encoder_arrays(DOP_CFG, np.random.default_rng(0))
+    assert list(arrays) == ["layer0.W", "layer0.b", "layer1.W", "layer1.b"]
+    assert arrays["layer0.W"].shape == (6, 5)
+    assert arrays["layer0.b"].tolist() == [0.0] * 5
+    assert arrays["layer1.W"].shape == (5, 3)
+    assert arrays["layer1.b"].tolist() == [0.0] * 3
+    assert np.all(np.abs(arrays["layer0.W"]) <= glorot_bound(6, 5))
 
 
 def test_zero_weight_encoder_maps_to_zero():
-    zeros = {
-        "layer0.W": ad.Tensor.const(np.zeros((4, 5))),
-        "layer0.b": ad.Tensor.const(np.zeros(5)),
-        "layer1.W": ad.Tensor.const(np.zeros((5, 3))),
-        "layer1.b": ad.Tensor.const(np.zeros(3)),
-    }
-    enc = Encoder(CINE_CFG, zeros)
-    out = encode(enc, cine_instance(np.zeros((3, 2, 2))))
-    assert out.value().tolist() == [0.0, 0.0, 0.0]
+    enc = const_encoder(CINE_CFG, {
+        "layer0.W": np.zeros((4, 5)),
+        "layer0.b": np.zeros(5),
+        "layer1.W": np.zeros((5, 3)),
+        "layer1.b": np.zeros(3),
+    })
+    out = embedding(enc, cine_instance(np.zeros((3, 2, 2))))
+    assert out.value().tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_frame_permutation_invariance():
-    enc = init_weights(CINE_CFG, seed=1)
+    enc = seeded_encoder(CINE_CFG, seed=1)
     frames = np.random.default_rng(0).normal(size=(4, 2, 2))
-    a = encode(enc, cine_instance(frames)).value()
-    b = encode(enc, cine_instance(frames[::-1])).value()
+    a = embedding(enc, cine_instance(frames)).value()
+    b = embedding(enc, cine_instance(frames[::-1])).value()
     assert np.allclose(a, b, atol=1e-15)
 
 
 def test_single_layer_identity_weights_equal_activation():
     cfg = EncoderConfig("doppler", input_dim=2, hidden_sizes=(), embed_dim=2)
-    enc = Encoder(cfg, {
-        "layer0.W": ad.Tensor.const(np.eye(2)),
-        "layer0.b": ad.Tensor.const(np.zeros(2)),
-    })
+    enc = const_encoder(cfg, {"layer0.W": np.eye(2), "layer0.b": np.zeros(2)})
     x = np.array([0.3, -1.2])
-    out = encode(enc, Instance("doppler", x, (2, 1)))
+    out = embedding(enc, Instance("doppler", x, (2, 1)))
     assert np.allclose(out.value(), np.tanh(x), atol=1e-15)
 
 
 def test_relu_activation_config():
     cfg = EncoderConfig("doppler", input_dim=2, hidden_sizes=(), embed_dim=2,
                         activation="relu")
-    enc = Encoder(cfg, {
-        "layer0.W": ad.Tensor.const(np.eye(2)),
-        "layer0.b": ad.Tensor.const(np.zeros(2)),
-    })
-    out = encode(enc, Instance("doppler", np.array([0.3, -1.2]), (2, 1)))
-    assert out.value().tolist() == [0.3, 0.0]
+    enc = const_encoder(cfg, {"layer0.W": np.eye(2), "layer0.b": np.zeros(2)})
+    out = embedding(enc, Instance("doppler", np.array([0.3, -1.2]), (2, 1)))
+    assert out.value().tolist() == [[0.3, 0.0]]
 
 
 def test_encode_deterministic():
-    enc = init_weights(DOP_CFG, seed=5)
+    enc = seeded_encoder(DOP_CFG, seed=5)
     inst = Instance("doppler", np.arange(6.0), (2, 3))
-    assert np.array_equal(encode(enc, inst).value(), encode(enc, inst).value())
+    assert np.array_equal(embedding(enc, inst).value(), embedding(enc, inst).value())
 
 
 def test_modality_mismatch():
-    enc = init_weights(CINE_CFG, seed=0)
-    with pytest.raises(ContractError):
-        encode(enc, Instance("doppler", np.zeros(4), (2, 2)))
+    with pytest.raises(ContractError, match="cine encoder got a doppler instance"):
+        preprocess_rows(CINE_CFG, [Instance("doppler", np.zeros(4), (2, 2))])
 
 
 def test_wrong_input_dim():
-    enc = init_weights(DOP_CFG, seed=0)
-    with pytest.raises(ContractError):
-        encode(enc, Instance("doppler", np.zeros(4), (2, 2)))
+    with pytest.raises(ContractError, match="flattens to 4 values, encoder expects 6"):
+        preprocess_rows(DOP_CFG, [Instance("doppler", np.zeros(4), (2, 2))])
 
 
 def test_cine_needs_frame_axis():
@@ -183,8 +183,8 @@ def test_encoder_gradient_matches_finite_differences(seed):
             off += size
         tape = ad.Tape()
         enc = Encoder(DOP_CFG, {n: tape.leaf(arrays[n]) for n, _ in names})
-        out = encode(enc, inst)
-        return tape, enc, ad.total(ad.mul(out, ad.Tensor.const(probe)))
+        out = embedding(enc, inst)
+        return tape, enc, ad.total(ad.mul(out, ad.Tensor.const(probe[None, :])))
 
     flat0 = np.concatenate([base[n].reshape(-1) for n, _ in names])
     tape, enc, loss = loss_at(flat0)

@@ -49,9 +49,7 @@ def test_tracer_sees_the_training_step(tmp_path):
         assert getattr(owner, attr) is original
 
     # training steps run through training.prepared_step, which the tracer does not
-    # wrap yet: the step spans read 0 and the step's time is the trainer's self time;
-    # training.bag_step, the one-bag wrapper, stays bound there
-    assert callable(getattr(spans.training, "bag_step"))
+    # wrap yet: the step spans read 0 and the step's time is the trainer's self time
     metrics = spans.layer_metrics(tracer)
     for name in ("training.epochs", "training.validation_s", "training.inference_bags",
                  "training.step_self_s"):

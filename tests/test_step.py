@@ -1,8 +1,8 @@
 """The tape-free training step against the taped loss and gradient, bit for bit.
 
-``model.bag_step`` must give the loss of ``total_loss`` and the gradient of
-``backward`` gathered in ``param_specs`` order, byte for byte, and raise what
-they raise. Each step writes into a gradient buffer filled with NaN first, so a
+``model.prepared_step`` on a ``model.prepare_bag`` record must give the loss
+of ``total_loss`` and the gradient of ``backward`` gathered in ``param_specs``
+order, byte for byte, and raise what they raise. Each step writes into a gradient buffer filled with NaN first, so a
 parameter the step forgets to write shows up as a mismatch.
 """
 
@@ -14,7 +14,15 @@ import pytest
 from milfusion.autodiff import backward
 from milfusion.data import Instance, generate_synthetic, iterate_split, with_label
 from milfusion.errors import NumericError
-from milfusion.model import bag_step, init_model, param_specs, param_views, total_loss
+from milfusion.model import (
+    Plan,
+    init_model,
+    param_specs,
+    param_views,
+    prepare_bag,
+    prepared_step,
+    total_loss,
+)
 from milfusion.training import TrainConfig, train_supervised
 
 from helpers import TINY_CINE_SHAPE, make_bag, random_model, tiny_model_config
@@ -32,7 +40,8 @@ def taped_step(model, bag):
 
 def tape_free_step(model, bag):
     grad = np.full(sum(int(np.prod(shape)) for _, shape in param_specs(model.config)), np.nan)
-    return bag_step(model, bag, param_views(model.config, grad)), grad
+    plan = Plan(model, param_views(model.config, grad))
+    return prepared_step(plan, prepare_bag(model.config, bag)), grad
 
 
 def mismatches(model, bags):

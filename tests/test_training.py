@@ -21,11 +21,13 @@ from milfusion.metrics import balanced_accuracy
 from milfusion.model import (
     MMILModel,
     ModelConfig,
-    bag_step,
+    Plan,
     init_model,
     param_specs,
     param_views,
     params_digest,
+    prepare_bag,
+    prepared_step,
     total_loss,
 )
 from milfusion.training import (
@@ -276,7 +278,8 @@ def test_faulty_training_bag_is_refused_before_any_step(monkeypatch, fault, erro
     if fault == "label_3":
         bad.label = 3
     grad = np.empty(sum(int(np.prod(shape)) for _, shape in param_specs(config)))
-    expected = _raised(lambda: bag_step(init_model(config, 0), bad, param_views(config, grad)))
+    plan = Plan(init_model(config, 0), param_views(config, grad))
+    expected = _raised(lambda: prepared_step(plan, prepare_bag(config, bad)))
     assert expected is not None and expected[0] is error
     calls = Counter()
     counting(monkeypatch, calls, training, "prepared_step")
@@ -439,6 +442,31 @@ def test_curriculum_fractions_and_fresh_init():
     assert len(digests) == len(report)  # every round re-initialized differently
     assert all(row["pseudo_label_accuracy"] is None or
                0.0 <= row["pseudo_label_accuracy"] <= 1.0 for row in report)
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_pseudo_label_accuracy_scores_the_labels_each_round_trains_on(monkeypatch, shift):
+    # shift 1 trains each round on shifted pseudo-labels, which the report must score
+    ds, hidden = tiny_dataset()
+    with_label = training.with_label
+    monkeypatch.setattr(training, "with_label",
+                        lambda bag, label: with_label(bag, (label + shift) % 3))
+    trained_on = []
+    train = training.train_supervised
+
+    def recording(init_seed, train_bags, *args):
+        trained_on.append([(b.id, b.label) for b in train_bags if b.id in hidden])
+        return train(init_seed, train_bags, *args)
+
+    monkeypatch.setattr(training, "train_supervised", recording)
+    _, report = run_curriculum(ds, tiny_model_config(), tiny_train_config(max_epochs=2),
+                               hidden, early_abort_drop=None)
+    assert len(trained_on) == len(report) == 6
+    for row, pseudo in zip(report, trained_on):
+        assert row["selected_count"] == len(pseudo)
+        want = float(np.mean([label == hidden[i] for i, label in pseudo])) if pseudo else None
+        assert row["pseudo_label_accuracy"] == want, row["round"]
+    assert any(trained_on[1:])
 
 
 def test_curriculum_without_unlabeled_equals_supervised():
