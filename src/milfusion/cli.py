@@ -2,7 +2,8 @@
 
 Commands:
     gen-data   synthesize a bag dataset directory
-    train      supervised training -> checkpoint + per-epoch history CSV
+    train      supervised training on the labeled bags (the no-SSL arm, which is
+               also ssl's round 1) -> checkpoint + per-epoch history CSV
     ssl        curriculum semi-supervised training -> checkpoint + rounds.jsonl
     eval       metrics report (balanced accuracy, screening AUROC/AUPR with
                bootstrap CIs, confusion matrix) from a checkpoint or a
@@ -11,8 +12,8 @@ Commands:
 
 Every command takes --config (JSON file) with flags overriding file values,
 requires --seed, and echoes the fully resolved configuration into the output
-directory. Exit codes: 0 success, 1 usage/config error, 2 data/format error,
-3 numeric failure.
+directory. Exit codes: 0 success, 1 usage/config error or out of memory,
+2 data/format error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -42,20 +43,17 @@ from .metrics import (
     confusion_matrix,
     load_predictions,
     save_confusion_csv,
+    save_json,
     save_predictions,
-    save_report,
 )
 from .model import ModelConfig, config_from_dict, load_model, save_model
 from .training import (
     TrainConfig,
     predictions_for,
     run_curriculum,
-    run_supervised_only,
     train_supervised,
     val_split,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,11 +77,6 @@ def _read_config_file(path):
     if bad:
         raise UsageError(f"config sections must be JSON objects: {bad}")
     return cfg
-
-
-def _save_config(resolved, path):
-    with atomic_file(path) as f:
-        json.dump(resolved, f, indent=1)
 
 
 def _require(args, name):
@@ -163,13 +156,13 @@ def _run_inputs(args):
     return dataset, _model_config(file_cfg, args, dataset), _train_config(file_cfg, args)
 
 
-def _run_echo(args, model_config, train_config, **extra):
+def _run_echo(args, model_config, train_config):
     """The resolved config of a ``train`` or ``ssl`` run, itself a valid ``--config``."""
     model = asdict(model_config)
     cine, doppler = model.pop("cine_encoder"), model.pop("doppler_encoder")
     model = {"cine_input_dim": cine["input_dim"], "doppler_input_dim": doppler["input_dim"],
              **{key: cine[key] for key in _ENCODER_KEYS}, **model}
-    return {"command": args.command, "data": str(args.data), **extra,
+    return {"command": args.command, "data": str(args.data),
             "model": model, "train": asdict(train_config)}
 
 
@@ -183,7 +176,7 @@ def _cmd_gen_data(args):
     config = _synthetic_config(file_cfg, args)
     dataset, hidden_truth = generate_synthetic(config)
     save(dataset, out, hidden_truth)
-    _save_config({"command": "gen-data", "dataset": asdict(config)}, out / "config_used.json")
+    save_json({"command": "gen-data", "dataset": asdict(config)}, out / "config_used.json")
     counts = {}
     hist = {0: 0, 1: 0, 2: 0}
     for bag in dataset.bags:
@@ -222,7 +215,7 @@ def _cmd_train(args):
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "checkpoint")
     _write_history_csv(history, out / "history.csv")
-    _save_config(_run_echo(args, model_config, train_config), out / "config_used.json")
+    save_json(_run_echo(args, model_config, train_config), out / "config_used.json")
     print(f"best validation balanced accuracy: {history['best_val_balanced_accuracy']:.4f} "
           f"(epoch {history['best_epoch']})")
     print(f"checkpoint written to {out / 'checkpoint'}")
@@ -232,17 +225,12 @@ def _cmd_train(args):
 def _cmd_ssl(args):
     out = _out_dir(args)
     dataset, model_config, train_config = _run_inputs(args)
-    if args.ablate_ssl:
-        logger.warning("--ablate-ssl: running supervised-only training")
-        model, report = run_supervised_only(dataset, model_config, train_config)
-    else:
-        hidden_truth = load_hidden_truth(Path(args.data))
-        model, report = run_curriculum(dataset, model_config, train_config, hidden_truth)
+    hidden_truth = load_hidden_truth(Path(args.data))
+    model, report = run_curriculum(dataset, model_config, train_config, hidden_truth)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "checkpoint")
     _write_rounds(report, out / "rounds.jsonl")
-    _save_config(_run_echo(args, model_config, train_config, ablate_ssl=bool(args.ablate_ssl)),
-                 out / "config_used.json")
+    save_json(_run_echo(args, model_config, train_config), out / "config_used.json")
     best = max(report, key=lambda r: r["val_balanced_accuracy"])
     print(f"rounds: {len(report)}; best round {best['round']} "
           f"(val balanced accuracy {best['val_balanced_accuracy']:.4f})")
@@ -272,10 +260,10 @@ def _cmd_eval(args):
                   "split": args.split}
     report = compute_report(preds, n_boot=args.n_boot, seed=args.seed)
     out.mkdir(parents=True, exist_ok=True)
-    save_report(report, out / "report.json")
+    save_json(report, out / "report.json")
     save_confusion_csv(confusion_matrix(preds), out / "confusion_matrix.csv")
-    _save_config({"command": "eval", "seed": args.seed, "n_boot": args.n_boot, **source},
-                 out / "config_used.json")
+    save_json({"command": "eval", "seed": args.seed, "n_boot": args.n_boot, **source},
+              out / "config_used.json")
     bacc = report["balanced_accuracy"]
     print(f"balanced accuracy: {bacc['point']:.4f} [{bacc['lo']:.4f}, {bacc['hi']:.4f}]")
     for key in ("no_vs_some_auroc", "early_vs_sig_auroc", "sig_vs_nosig_auroc"):
@@ -290,8 +278,8 @@ def _cmd_predict(args):
     preds = _split_predictions(args)
     out.mkdir(parents=True, exist_ok=True)
     save_predictions(preds, out / "predictions.csv")
-    _save_config({"command": "predict", "checkpoint": str(args.checkpoint),
-                  "data": str(args.data), "split": args.split}, out / "config_used.json")
+    save_json({"command": "predict", "checkpoint": str(args.checkpoint),
+               "data": str(args.data), "split": args.split}, out / "config_used.json")
     print(f"wrote {len(preds)} predictions to {out / 'predictions.csv'}")
     return 0
 
@@ -326,8 +314,6 @@ def build_parser():
 
     p = sub.add_parser("ssl", help="curriculum semi-supervised training")
     common(p, with_train_flags=True)
-    p.add_argument("--ablate-ssl", action="store_true",
-                   help="skip the curriculum and train supervised-only")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or a prediction CSV")
     common(p)
@@ -367,6 +353,9 @@ def main(argv=None):
     except MilError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    except MemoryError as exc:  # numpy names the allocation it refused
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

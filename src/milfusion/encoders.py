@@ -42,14 +42,6 @@ class EncoderConfig:
         return tuple(zip(dims[:-1], dims[1:]))
 
 
-@dataclass
-class Encoder:
-    """An EncoderConfig plus named weight tensors (layer{i}.W / layer{i}.b)."""
-
-    config: EncoderConfig
-    weights: dict
-
-
 def glorot_bound(fan_in, fan_out):
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
 
@@ -124,10 +116,12 @@ def preprocess_rows(config, instances):
     return np.add.reduce(frames, axis=1) / np.array(counts, dtype=np.float64)[:, None]
 
 
-def encode_rows(encoder, rows):
-    """Run a [K, input_dim] tensor of preprocessed rows through the MLP -> [K, M]."""
+def encode_rows(config, weights, rows):
+    """Run a [K, input_dim] tensor of preprocessed rows through the MLP -> [K, M].
+
+    ``weights`` maps ``layer{i}.W`` and ``layer{i}.b`` to tensors.
+    """
     h = rows
-    for i in range(len(encoder.config.layer_dims)):
-        h = ad.linear(h, encoder.weights[f"layer{i}.W"], encoder.weights[f"layer{i}.b"],
-                      encoder.config.activation)
+    for i in range(len(config.layer_dims)):
+        h = ad.linear(h, weights[f"layer{i}.W"], weights[f"layer{i}.b"], config.activation)
     return h

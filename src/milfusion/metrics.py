@@ -310,7 +310,7 @@ def stream_indices(seed, start, count, n):
 
 
 def percentile_linear(sorted_values, q):
-    """Linear-interpolation percentile on an ascending list, q in [0, 100]."""
+    """Linear-interpolation percentile on an ascending sequence, q in [0, 100]."""
     n = len(sorted_values)
     pos = (q / 100.0) * (n - 1)
     lo = int(np.floor(pos))
@@ -341,18 +341,22 @@ def bootstrap_ci(metric_fn, preds, n_boot=5000, seed=0):
     n = len(preds)
     if n == 0:
         raise MetricError("bootstrap needs at least one prediction")
+    # reserved before the first resample: an n_boot no process can hold
+    # raises MemoryError here instead of running until it is killed
+    values = np.empty(n_boot)
+    kept = 0
     per_block = max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)
-    values = []
     attempted = 0
     undefined_run = 0
-    while len(values) < n_boot:
-        attempts = min(per_block, n_boot - len(values))
+    while kept < n_boot:
+        attempts = min(per_block, n_boot - kept)
         weights = _resample_counts(seed, attempted, attempts, n)
         attempted += attempts
         block = np.asarray(metric_fn(preds, weights), dtype=np.float64)
         if not np.isnan(block).any():  # the whole block is kept
             undefined_run = 0
-            values += block.tolist()
+            values[kept:kept + attempts] = block
+            kept += attempts
             continue
         for value in block.tolist():
             if value != value:
@@ -363,11 +367,13 @@ def bootstrap_ci(metric_fn, preds, n_boot=5000, seed=0):
                     )
                 continue
             undefined_run = 0
-            values.append(value)
-            if len(values) == n_boot:
+            values[kept] = value
+            kept += 1
+            if kept == n_boot:
                 break
-    values.sort()
-    return point, percentile_linear(values, 2.5), percentile_linear(values, 97.5)
+    values.sort(kind="stable")
+    return (point, float(percentile_linear(values, 2.5)),
+            float(percentile_linear(values, 97.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +519,8 @@ def load_predictions(path):
     return PredictionSet(rows)
 
 
-def save_report(report, path):
-    text = json.dumps(report, indent=1)
+def save_json(obj, path):
+    text = json.dumps(obj, indent=1)
     with atomic_file(path) as f:
         f.write(text)
 

@@ -49,7 +49,6 @@ import numpy as np
 from . import autodiff as ad
 from .data import checked_json, contained_file, read_json
 from .encoders import (  # noqa: F401 -- preprocess stays bound here for bench/spans.py
-    Encoder,
     EncoderConfig,
     check_instances,
     encode_rows,
@@ -197,14 +196,6 @@ def _attention_view(leaves, name):
     return AttentionModule(U=leaves[f"{name}.U"], w=leaves[f"{name}.w"])
 
 
-def _encoder_view(config, prefix, leaves):
-    weights = {}
-    for i in range(len(config.layer_dims)):
-        weights[f"layer{i}.W"] = leaves[f"{prefix}layer{i}.W"]
-        weights[f"layer{i}.b"] = leaves[f"{prefix}layer{i}.b"]
-    return Encoder(config, weights)
-
-
 def fuse(z, z_dop, att_fusion):
     """Gated average s = alpha z + (1 - alpha) z~; returns (s, alpha as float)."""
     if z.shape != z_dop.shape or len(z.shape) != 1:
@@ -215,8 +206,10 @@ def fuse(z, z_dop, att_fusion):
     return ad.gated_blend(z, z_dop, att_fusion.U, att_fusion.w)
 
 
-def _encode_modality(enc, instances):
-    return encode_rows(enc, ad.Tensor.const(preprocess_rows(enc.config, instances)))
+def _encode_modality(config, prefix, leaves, instances):
+    weights = {name.removeprefix(prefix): leaf for name, leaf in leaves.items()
+               if name.startswith(prefix)}
+    return encode_rows(config, weights, ad.Tensor.const(preprocess_rows(config, instances)))
 
 
 def _branches(cfg, bag):
@@ -241,13 +234,12 @@ def forward(model, bag):
 
     pooled_c = pooled_d = cine_a = None
     if run_cine:
-        h = _encode_modality(_encoder_view(cfg.cine_encoder, "cine_encoder.", leaves),
-                             bag.cine_instances)
+        h = _encode_modality(cfg.cine_encoder, "cine_encoder.", leaves, bag.cine_instances)
         pooled_c, cine_a = supervised_attention_pool(
             _attention_view(leaves, "att_a"), _attention_view(leaves, "att_b"), h
         )
     if run_doppler:
-        h = _encode_modality(_encoder_view(cfg.doppler_encoder, "doppler_encoder.", leaves),
+        h = _encode_modality(cfg.doppler_encoder, "doppler_encoder.", leaves,
                              bag.doppler_instances)
         pooled_d = attention_pool(_attention_view(leaves, "att_doppler"), h)
 

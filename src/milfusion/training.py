@@ -217,21 +217,13 @@ def val_split(dataset):
     return bags
 
 
-def run_supervised_only(dataset, model_config, train_config):
-    """Supervised training on the train split, reported as a single round 1.
-
-    Returns (model, [report row]) in the shape of :func:`run_curriculum`.
-    """
-    model, history = train_supervised(
-        train_config.seed + 1, iterate_split(dataset, "train"),
-        val_split(dataset), model_config, train_config,
-    )
-    return model, [_round_row(1, 0.0, 0, history, None)]
-
-
 def run_curriculum(dataset, model_config, train_config, hidden_truth=None,
                    early_abort_drop=0.10):
     """Six curriculum rounds; returns (best model, per-round report rows).
+
+    Round 1 trains on the labeled bags alone, exactly as ``train`` does (init
+    seed ``config.seed + 1``). A dataset without unlabeled bags runs round 1
+    only, with a warning, and so returns ``train``'s model and one report row.
 
     ``hidden_truth`` is a diagnostics-only map of unlabeled bag id -> true
     label used solely for the pseudo_label_accuracy report field; no training
@@ -244,15 +236,15 @@ def run_curriculum(dataset, model_config, train_config, hidden_truth=None,
         raise UsageError("dataset has no labeled train split")
     val_bags = val_split(dataset)
     unlabeled = iterate_split(dataset, "unlabeled")
-
+    fractions = ROUND_FRACTIONS
     if not unlabeled:
         logger.warning("no unlabeled bags: degrading to supervised-only training")
-        return run_supervised_only(dataset, model_config, train_config)
+        fractions = ROUND_FRACTIONS[:1]
 
     report = []
     best = None  # (bacc, round, model)
     prev_model = None
-    for round_num, fraction in enumerate(ROUND_FRACTIONS, start=1):
+    for round_num, fraction in enumerate(fractions, start=1):
         extra, pl_accuracy = [], None
         if round_num > 1:
             records = pseudo_label(prev_model, unlabeled)

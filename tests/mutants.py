@@ -1,0 +1,131 @@
+"""Named one-line mutants of the program, each with the tests expected to kill it.
+
+A gate that no broken program can fail shows nothing. Each mutant replaces one
+exact text in a file under ``src/milfusion`` and names the tests that should
+fail once it does. ``tests/test_mutants.py`` checks that every old text occurs
+exactly once, so the list fails loudly when the code it names moves.
+
+Run from the repository root:
+
+    python tests/mutants.py                     # every mutant
+    python tests/mutants.py early_abort_off     # only the named ones
+
+For each mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml``
+into a temporary directory, applies the mutant there and runs only the
+mutant's tests. It first runs the union of those tests on the unmutated copy
+and stops if any fails. It prints one JSON list: per mutant its name, its
+tests and its status, ``killed`` (some test failed), ``survived`` (every test
+passed) or ``error`` (pytest could not run them; its exit code is included).
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "milfusion"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/milfusion
+    old: str  # occurs exactly once in ``file``
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant("kl_term_dropped", "model.py",
+           "    r = bag.r", "    r = None",
+           ("tests/test_step.py::test_step_is_bitwise_the_taped_step",)),
+    Mutant("selection_reversed", "training.py",
+           "key=lambda r: (-r.confidence, r.bag_id)", "key=lambda r: (r.confidence, r.bag_id)",
+           ("tests/test_training.py::test_select_confident_matches_brute_force",
+            "tests/test_acceptance.py::test_acceptance_4_curriculum_mechanics")),
+    Mutant("inference_gate_frozen", "model.py",
+           "alpha = ad.logistic(diff)[:, None]", "alpha = 0.5",
+           ("tests/test_inference.py::test_chunked_inference_matches_taped_forward",)),
+    Mutant("pseudo_labels_shifted", "training.py",
+           "by_id[b.id].predicted_class)", "(by_id[b.id].predicted_class + 1) % 3)",
+           ("tests/test_training.py::test_curriculum_not_worse_than_supervised",
+            "tests/test_acceptance.py::test_acceptance_4_curriculum_mechanics",
+            "tests/test_acceptance.py::test_acceptance_5_end_to_end")),
+    Mutant("early_abort_off", "training.py",
+           "elif early_abort_drop is not None and bacc < best[0] - early_abort_drop:",
+           "elif False:",
+           ("tests/test_training.py::test_early_abort_fires_on_a_drop_beyond_its_threshold",)),
+    Mutant("dataset_digest_unchecked", "data.py",
+           "if data[end + n_cine:].tobytes().hex() != digest:", "if False:",
+           ("tests/test_data.py::"
+            "test_save_killed_before_its_manifest_leaves_a_pair_that_load_refuses",)),
+    Mutant("checkpoint_digest_unchecked", "model.py",
+           "if params_digest(params) != digest:", "if False:",
+           ("tests/test_model.py::test_checkpoint_digest_is_checked",
+            "tests/test_cli.py::test_corrupt_checkpoint_tensor_exits_2")),
+    Mutant("bootstrap_seed_offset_dropped", "metrics.py",
+           "seed + block)", "seed)",
+           ("tests/test_metrics.py::test_compute_report_matches_oracle_bitwise",)),
+)
+
+
+def _copy_tree(dest):
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(tree, tests):
+    """pytest's exit code for ``tests`` run against the copy in ``tree``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def run(mutants):
+    results = []
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = Path(tmp)
+        _copy_tree(tree)
+        union = list(dict.fromkeys(t for m in mutants for t in m.tests))
+        code = _pytest(tree, union)
+        if code != 0:
+            raise SystemExit(f"the mutants' tests fail without a mutant (pytest exit {code})")
+        for m in mutants:
+            path = tree / "src" / "milfusion" / m.file
+            original = path.read_text(encoding="utf-8")
+            if original.count(m.old) != 1:
+                raise SystemExit(f"{m.name}: the old text does not occur exactly once in {m.file}")
+            path.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            try:
+                code = _pytest(tree, m.tests)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            status = {0: "survived", 1: "killed"}.get(code, "error")
+            row = {"name": m.name, "tests": list(m.tests), "status": status}
+            if status == "error":
+                row["pytest_exit"] = code
+            results.append(row)
+    return results
+
+
+def main(argv):
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in known]
+    if unknown:
+        raise SystemExit(f"unknown mutants: {unknown}; known: {sorted(known)}")
+    chosen = [known[name] for name in argv] if argv else list(MUTANTS)
+    print(json.dumps(run(chosen), indent=1))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from milfusion import cli
+from milfusion import cli, training
 from milfusion.cli import main
 from milfusion.data import load
 from milfusion.metrics import load_predictions
@@ -271,17 +271,40 @@ def test_ssl_without_unlabeled_matches_train(workdir, tmp_path):
     assert params_digest(t_model.params) == params_digest(s_model.params)
 
 
-def test_ssl_ablate_flag_skips_curriculum(workdir):
-    out = workdir / "ssl_ablated"
-    code = main(["ssl", "--config", str(workdir / "run.json"),
-                 "--data", str(workdir / "data"), "--seed", "3", "--out", str(out),
-                 "--ablate-ssl"])
-    assert code == 0
-    rounds = (out / "rounds.jsonl").read_text().splitlines()
-    assert len(rounds) == 1
+def test_ssl_round_1_is_train(workdir, monkeypatch):
+    # round 1 of the curriculum is the no-SSL arm: the model ``train`` writes
+    args = ["--config", str(workdir / "run.json"), "--data", str(workdir / "data"),
+            "--seed", "3"]
+    assert main(["train", *args, "--out", str(workdir / "t")]) == 0
+    round_models = []
+    train = training.train_supervised
+
+    def recording(*train_args):
+        model, history = train(*train_args)
+        round_models.append(model)
+        return model, history
+
+    monkeypatch.setattr(training, "train_supervised", recording)
+    assert main(["ssl", *args, "--out", str(workdir / "s")]) == 0
+    assert len(round_models) > 1  # the dataset has unlabeled bags
+    checkpoint = load_model(workdir / "t" / "checkpoint")
+    assert params_digest(round_models[0].params) == params_digest(checkpoint.params)
 
 
-@pytest.mark.parametrize("command", [["train"], ["ssl"], ["ssl", "--ablate-ssl"]])
+def test_a_model_too_large_to_allocate_is_one_error_line(workdir, capsys):
+    # the first weight matrix needs 512 PiB, which no process can map
+    path = workdir / "huge.json"
+    path.write_text(json.dumps({"model": {"hidden_sizes": [2**50]}}))
+    capsys.readouterr()
+    code = main(["train", "--config", str(path), "--data", str(workdir / "data"),
+                 "--seed", "3", "--out", str(workdir / "o")])
+    assert code == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line.startswith("error: out of memory: ")
+    assert not (workdir / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["ssl"]])
 def test_empty_val_split_is_refused_before_training(workdir, capsys, command):
     manifest_path = workdir / "data" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
@@ -432,6 +455,18 @@ def test_eval_refuses_bad_probabilities(tmp_path, capsys, bad_row):
                  "--out", str(tmp_path / "e")])
     assert code == 2
     assert "'b1'" in capsys.readouterr().err
+    assert not (tmp_path / "e" / "report.json").exists()
+
+
+def test_eval_refuses_an_n_boot_it_cannot_hold(tmp_path, capsys):
+    path = tmp_path / "predictions.csv"
+    path.write_text("bag_id,true_label,p0,p1,p2\nb0,0,0.8,0.1,0.1\n"
+                    "b1,1,0.1,0.8,0.1\nb2,2,0.1,0.1,0.8\n")
+    code = main(["eval", "--predictions", str(path), "--seed", "1",
+                 "--n-boot", str(10**17), "--out", str(tmp_path / "e")])
+    assert code == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line.startswith("error: out of memory: ")
     assert not (tmp_path / "e" / "report.json").exists()
 
 

@@ -4,7 +4,6 @@ import pytest
 from milfusion import autodiff as ad
 from milfusion.data import Instance, generate_synthetic
 from milfusion.encoders import (
-    Encoder,
     EncoderConfig,
     encode_rows,
     glorot_bound,
@@ -26,17 +25,17 @@ def cine_instance(frames):
     return Instance("cine", frames.reshape(-1), frames.shape, relevance=0.5)
 
 
-def const_encoder(config, arrays):
-    return Encoder(config, {name: ad.Tensor.const(a) for name, a in arrays.items()})
+def const_weights(arrays):
+    return {name: ad.Tensor.const(a) for name, a in arrays.items()}
 
 
-def seeded_encoder(config, seed):
-    return const_encoder(config, init_encoder_arrays(config, np.random.default_rng(seed)))
+def seeded_weights(config, seed):
+    return const_weights(init_encoder_arrays(config, np.random.default_rng(seed)))
 
 
-def embedding(encoder, instance):
+def embedding(config, weights, instance):
     """The [1, M] embedding of one instance, as the model computes a bag's."""
-    return encode_rows(encoder, ad.Tensor.const(preprocess_rows(encoder.config, [instance])))
+    return encode_rows(config, weights, ad.Tensor.const(preprocess_rows(config, [instance])))
 
 
 def test_init_deterministic_per_seed():
@@ -63,44 +62,45 @@ def test_init_shapes_and_zero_biases():
 
 
 def test_zero_weight_encoder_maps_to_zero():
-    enc = const_encoder(CINE_CFG, {
+    weights = const_weights({
         "layer0.W": np.zeros((4, 5)),
         "layer0.b": np.zeros(5),
         "layer1.W": np.zeros((5, 3)),
         "layer1.b": np.zeros(3),
     })
-    out = embedding(enc, cine_instance(np.zeros((3, 2, 2))))
+    out = embedding(CINE_CFG, weights, cine_instance(np.zeros((3, 2, 2))))
     assert out.value().tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_frame_permutation_invariance():
-    enc = seeded_encoder(CINE_CFG, seed=1)
+    weights = seeded_weights(CINE_CFG, seed=1)
     frames = np.random.default_rng(0).normal(size=(4, 2, 2))
-    a = embedding(enc, cine_instance(frames)).value()
-    b = embedding(enc, cine_instance(frames[::-1])).value()
+    a = embedding(CINE_CFG, weights, cine_instance(frames)).value()
+    b = embedding(CINE_CFG, weights, cine_instance(frames[::-1])).value()
     assert np.allclose(a, b, atol=1e-15)
 
 
 def test_single_layer_identity_weights_equal_activation():
     cfg = EncoderConfig("doppler", input_dim=2, hidden_sizes=(), embed_dim=2)
-    enc = const_encoder(cfg, {"layer0.W": np.eye(2), "layer0.b": np.zeros(2)})
+    weights = const_weights({"layer0.W": np.eye(2), "layer0.b": np.zeros(2)})
     x = np.array([0.3, -1.2])
-    out = embedding(enc, Instance("doppler", x, (2, 1)))
+    out = embedding(cfg, weights, Instance("doppler", x, (2, 1)))
     assert np.allclose(out.value(), np.tanh(x), atol=1e-15)
 
 
 def test_relu_activation_config():
     cfg = EncoderConfig("doppler", input_dim=2, hidden_sizes=(), embed_dim=2,
                         activation="relu")
-    enc = const_encoder(cfg, {"layer0.W": np.eye(2), "layer0.b": np.zeros(2)})
-    out = embedding(enc, Instance("doppler", np.array([0.3, -1.2]), (2, 1)))
+    weights = const_weights({"layer0.W": np.eye(2), "layer0.b": np.zeros(2)})
+    out = embedding(cfg, weights, Instance("doppler", np.array([0.3, -1.2]), (2, 1)))
     assert out.value().tolist() == [[0.3, 0.0]]
 
 
 def test_encode_deterministic():
-    enc = seeded_encoder(DOP_CFG, seed=5)
+    weights = seeded_weights(DOP_CFG, seed=5)
     inst = Instance("doppler", np.arange(6.0), (2, 3))
-    assert np.array_equal(embedding(enc, inst).value(), embedding(enc, inst).value())
+    assert np.array_equal(embedding(DOP_CFG, weights, inst).value(),
+                          embedding(DOP_CFG, weights, inst).value())
 
 
 def test_modality_mismatch():
@@ -182,13 +182,13 @@ def test_encoder_gradient_matches_finite_differences(seed):
             arrays[n] = flat_all[off:off + size].reshape(s)
             off += size
         tape = ad.Tape()
-        enc = Encoder(DOP_CFG, {n: tape.leaf(arrays[n]) for n, _ in names})
-        out = embedding(enc, inst)
-        return tape, enc, ad.total(ad.mul(out, ad.Tensor.const(probe[None, :])))
+        weights = {n: tape.leaf(arrays[n]) for n, _ in names}
+        out = embedding(DOP_CFG, weights, inst)
+        return tape, weights, ad.total(ad.mul(out, ad.Tensor.const(probe[None, :])))
 
     flat0 = np.concatenate([base[n].reshape(-1) for n, _ in names])
-    tape, enc, loss = loss_at(flat0)
+    tape, weights, loss = loss_at(flat0)
     ad.backward(tape, loss)
-    got = np.concatenate([tape.grad(enc.weights[n]).data for n, _ in names])
+    got = np.concatenate([tape.grad(weights[n]).data for n, _ in names])
     want = numeric_gradient(lambda x: float(loss_at(x)[2].data[0]), flat0)
     assert max_rel_err(got, want) < 1e-4

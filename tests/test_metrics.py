@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milfusion import metrics
-from milfusion.cli import _save_config, _write_history_csv, _write_rounds
+from milfusion.cli import _write_history_csv, _write_rounds
 from milfusion.errors import ContractError, FormatError, MetricError
 from milfusion.metrics import (
     PredictionSet,
@@ -22,7 +22,7 @@ from milfusion.metrics import (
     load_predictions,
     save_confusion_csv,
     save_predictions,
-    save_report,
+    save_json,
     stream_indices,
     task_metric,
 )
@@ -569,10 +569,9 @@ def test_failed_writes_keep_the_previous_file(tmp_path):
     epoch = {"epoch": 1, "train_loss": 0.5, "val_balanced_accuracy": 1.0}
     cases = [
         (save_predictions, random_preds(rng, 6), broken, "preds.csv"),
-        (save_report, {"a": 1.0}, {"a": 1.0, "b": object()}, "report.json"),
+        (save_json, {"a": 1.0}, {"a": 1.0, "b": object()}, "report.json"),
         (save_confusion_csv, np.eye(3, dtype=int), [[1, 0, 0], [0, 1, 0], [0]],
          "confusion.csv"),
-        (_save_config, {"a": 1}, {"a": 1, "b": object()}, "config_used.json"),
         (_write_history_csv, {"epochs": [epoch]}, {"epochs": [epoch, None]}, "history.csv"),
         (_write_rounds, [{"round": 1}], [{"round": 1}, {"round": object()}], "rounds.jsonl"),
     ]
@@ -584,8 +583,7 @@ def test_failed_writes_keep_the_previous_file(tmp_path):
             save(bad, path)
         assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "config_used.json", "confusion.csv", "history.csv", "preds.csv", "report.json",
-        "rounds.jsonl"]  # no temporary file left
+        "confusion.csv", "history.csv", "preds.csv", "report.json", "rounds.jsonl"]  # no temporary file left
 
 
 def test_prediction_csv_bad_header(tmp_path):

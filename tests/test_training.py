@@ -469,6 +469,31 @@ def test_pseudo_label_accuracy_scores_the_labels_each_round_trains_on(monkeypatc
     assert any(trained_on[1:])
 
 
+@pytest.mark.parametrize("round_2, rounds_run, best_round", [(0.4, 2, 1), (0.85, 6, 3)])
+def test_early_abort_fires_on_a_drop_beyond_its_threshold(monkeypatch, caplog, round_2,
+                                                          rounds_run, best_round):
+    # each round reports a chosen validation accuracy; the default threshold is 0.10
+    accuracies = iter([0.9, round_2, 0.95, 0.95, 0.95, 0.95])
+    models = []
+    train = training.train_supervised
+
+    def reporting(*args):
+        model, history = train(*args)
+        history["best_val_balanced_accuracy"] = next(accuracies)
+        models.append(model)
+        return model, history
+
+    monkeypatch.setattr(training, "train_supervised", reporting)
+    ds, hidden = tiny_dataset()
+    with caplog.at_level(logging.WARNING, logger="milfusion.training"):
+        model, report = run_curriculum(ds, tiny_model_config(),
+                                       tiny_train_config(max_epochs=1), hidden)
+    assert len(report) == len(models) == rounds_run
+    aborts = [r for r in caplog.records if r.getMessage().startswith("early abort")]
+    assert len(aborts) == (rounds_run < len(ROUND_FRACTIONS))
+    assert params_digest(model.params) == params_digest(models[best_round - 1].params)
+
+
 def test_curriculum_without_unlabeled_equals_supervised():
     ds, _ = tiny_dataset(n_unlabeled=0)
     config = tiny_model_config()
