@@ -29,11 +29,14 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .data import (
+    MODALITIES,
     SyntheticConfig,
     generate_synthetic,
+    instance_count,
     iterate_split,
     load,
     load_hidden_truth,
+    row_blocks,
     save,
 )
 from .errors import MilError, UsageError, exit_code_for
@@ -107,11 +110,11 @@ def _synthetic_config(file_cfg, args):
 
 def _infer_input_dims(dataset):
     """(cine, doppler) encoder input sizes, read off each modality's first instance
-    (the cine frame mean drops the leading axis)."""
-    cine = next((b.cine_instances[0] for b in dataset.bags if b.cine_instances), None)
-    doppler = next((b.doppler_instances[0] for b in dataset.bags if b.doppler_instances), None)
-    return (math.prod(cine.shape[1:]) if cine and len(cine.shape) >= 2 else None,
-            doppler.features.size if doppler else None)
+    shape (the cine frame mean drops the leading axis)."""
+    cine, doppler = (next((row_blocks(b, modality)[0][1] for b in dataset.bags
+                           if instance_count(b, modality)), None) for modality in MODALITIES)
+    return (math.prod(cine[1:]) if cine is not None and len(cine) >= 2 else None,
+            math.prod(doppler) if doppler is not None else None)
 
 
 # The flat ``model`` section sets these for both encoders.

@@ -32,9 +32,20 @@ resolves it once, so a symlink that leads out of the directory is refused.
 ``load`` checks each run once and each distinct shape once per load, reads
 ``features.bin`` into one array with one size check, compares its digest
 trailer with the manifest's without hashing, checks the relevance section and
-the finiteness of the values as whole arrays, and makes every instance a row
-view of one reshape per run. ``save`` computes the digest while it writes, so
-a ``features.bin`` left beside another save's manifest is refused.
+the finiteness of the values as whole arrays, and builds no ``Instance``: each
+loaded bag keeps, per modality, its runs as row blocks (one reshape of
+``features.bin`` per run) and its slice of the relevance section, and builds
+its ``cine_instances`` or ``doppler_instances`` list (row views of those
+blocks) only when that list is first read. ``save`` computes the digest while
+it writes, so a ``features.bin`` left beside another save's manifest is
+refused.
+
+A row block is a tuple ``(modality, shape, rows)``: ``rows`` is a [count,
+prod(shape)] float64 array whose rows are the values of ``count`` consecutive
+instances of that modality and shape. ``row_blocks``, ``instance_count`` and
+``relevances`` read a bag through its row source: a loaded bag's runs while
+its list is unread, otherwise one block per instance of the list, so an edit
+to a list is honoured.
 """
 
 from __future__ import annotations
@@ -45,7 +56,7 @@ import json
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from pathlib import Path
 
@@ -114,9 +125,17 @@ class Instance:
         )
 
 
+_LISTS = {"cine": "cine_instances", "doppler": "doppler_instances"}
+
+
 @dataclass(eq=True)
 class Bag:
-    """One study: unordered multimodal instances plus an optional 3-class label."""
+    """One study: unordered multimodal instances plus an optional 3-class label.
+
+    A bag made by ``load`` holds row blocks instead of instance lists until a
+    list is first read (``__getattr__`` builds it then); see the module
+    docstring.
+    """
 
     id: str
     cine_instances: list = field(default_factory=list)
@@ -127,12 +146,61 @@ class Bag:
         if (not isinstance(self.id, str) or self.id in ("", ".", "..")
                 or "/" in self.id or "\\" in self.id or "\0" in self.id):
             raise FormatError(f"bag id {self.id!r} is not a plain file name")
-        if len(self.cine_instances) + len(self.doppler_instances) < 1:
+        if instance_count(self, "cine") + instance_count(self, "doppler") < 1:
             raise FormatError(f"bag {self.id!r} has no instances")
         if self.label is not None and (
                 isinstance(self.label, bool) or not isinstance(self.label, (int, np.integer))
                 or self.label not in (0, 1, 2)):
             raise FormatError(f"bag {self.id!r} has invalid label {self.label!r}")
+
+    def __getattr__(self, name):
+        # reached only for an attribute the bag lacks: a loaded bag's unread list
+        state = self.__dict__
+        modality = name.removesuffix("_instances")
+        if "_blocks" not in state or _LISTS.get(modality) != name:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        relevance = repeat(None)
+        if modality == "cine":  # NaN: an instance without a relevance score
+            relevance = iter([None if value != value else value
+                              for value in state["_relevance"].tolist()])
+        views = []
+        for _, shape, rows in state["_blocks"][modality]:
+            for row, value in zip(rows, relevance):
+                # load has made Instance.__post_init__'s checks for the whole dataset
+                view = object.__new__(Instance)
+                view.modality, view.features = modality, row
+                view.shape, view.relevance = shape, value
+                views.append(view)
+        state[name] = views
+        return views
+
+
+def row_blocks(bag, modality):
+    """The bag's instances of ``modality`` as row blocks, in order (module docstring)."""
+    state = bag.__dict__
+    instances = state.get(_LISTS[modality])
+    return state["_blocks"][modality] if instances is None else instance_blocks(instances)
+
+
+def instance_blocks(instances):
+    """One row block per instance: a [1, size] view of its (1-D) features."""
+    return [(inst.modality, inst.shape, inst.features[None]) for inst in instances]
+
+
+def instance_count(bag, modality):
+    """The number of the bag's instances of ``modality``, without building a list."""
+    state = bag.__dict__
+    instances = state.get(_LISTS[modality])
+    return state["_counts"][modality] if instances is None else len(instances)
+
+
+def relevances(bag):
+    """The float64 relevance of each of the bag's cine instances, NaN for none."""
+    state = bag.__dict__
+    if "cine_instances" in state:
+        return np.array([math.nan if inst.relevance is None else inst.relevance
+                         for inst in state["cine_instances"]], dtype=np.float64)
+    return state["_relevance"]
 
 
 @dataclass(eq=True)
@@ -307,10 +375,10 @@ def generate_synthetic(config):
 # on-disk format
 
 
-def _runs(instances):
+def _runs(blocks):
     """A modality's instance shapes as runs ``[[shape, count], ...]`` of equal shapes."""
-    return [[list(shape), sum(1 for _ in group)]
-            for shape, group in groupby(inst.shape for inst in instances)]
+    return [[list(shape), sum(len(rows) for _, _, rows in group)]
+            for shape, group in groupby(blocks, key=lambda block: block[1])]
 
 
 def save(dataset, dir_path, hidden_truth=None):
@@ -324,29 +392,28 @@ def save(dataset, dir_path, hidden_truth=None):
     ``features.bin`` sits beside the previous manifest, whose digest it does
     not match, so ``load`` refuses the pair.
     """
+    blocks = [(row_blocks(bag, "cine"), row_blocks(bag, "doppler")) for bag in dataset.bags]
     lines = ",\n".join(json.dumps({  # one bag record per line
         "id": bag.id,
         "label": bag.label,
         "split": dataset.split_assignment[bag.id],
-        "cine_shapes": _runs(bag.cine_instances),
-        "doppler_shapes": _runs(bag.doppler_instances),
-    }) for bag in dataset.bags)
+        "cine_shapes": _runs(cine),
+        "doppler_shapes": _runs(doppler),
+    }) for bag, (cine, doppler) in zip(dataset.bags, blocks))
     hidden = None if hidden_truth is None else json.dumps(hidden_truth, indent=1)
     root = Path(dir_path)
     root.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256()
     with atomic_file(root / FEATURES, binary=True) as f:
-        for bag in dataset.bags:
-            values = np.concatenate([inst.features for inst in
-                                     bag.cine_instances + bag.doppler_instances], dtype="<f8")
+        for bag, (cine, doppler) in zip(dataset.bags, blocks):
+            values = np.concatenate([rows for _, _, rows in cine + doppler], axis=None,
+                                    dtype="<f8")
             if not np.isfinite(values).all():
                 raise FormatError(f"bag {bag.id!r}: non-finite feature values; "
                                   f"{FEATURES!r} holds finite values only")
             digest.update(values)
             f.write(values)
-        relevance = np.array([math.nan if inst.relevance is None else inst.relevance
-                              for bag in dataset.bags for inst in bag.cine_instances],
-                             dtype="<f8")
+        relevance = np.concatenate([np.empty(0), *map(relevances, dataset.bags)], dtype="<f8")
         digest.update(relevance)
         f.write(relevance)
         f.write(digest.digest())
@@ -425,33 +492,27 @@ def _shape_runs(runs, bag_id, field, known):
     return sized
 
 
-def _views(modality, values, start, runs, relevance):
-    """Instances of ``modality`` for ``runs``, from ``values[start]`` on, and the
-    index after the last. Each run's instances are the rows of one reshape;
-    ``relevance`` yields one value per instance.
-
-    ``load`` has made ``Instance.__post_init__``'s checks for the whole
-    dataset already, so the instances are built without it.
-    """
-    views = []
+def _blocks(modality, values, start, runs):
+    """The row blocks of ``modality`` for ``runs``, from ``values[start]`` on, their
+    row count and the index after the last: each run's rows are one reshape."""
+    blocks, total = [], 0
     for shape, size, count in runs:
         stop = start + size * count
-        for row, value in zip(values[start:stop].reshape(count, size), relevance):
-            view = object.__new__(Instance)
-            view.modality, view.features = modality, row
-            view.shape, view.relevance = shape, value
-            views.append(view)
-        start = stop
-    return views, start
+        blocks.append((modality, shape, values[start:stop].reshape(count, size)))
+        start, total = stop, total + count
+    return blocks, total, start
 
 
 def load(dir_path):
     """Read a dataset directory written by :func:`save`.
 
     Cyclic garbage collection is paused meanwhile (and left as it was after):
-    parsing the manifest and building the bags allocate tens of thousands of
-    containers but no cycles, so the dozens of collections they would set off
-    free nothing.
+    parsing the manifest allocates tens of thousands of containers but no
+    cycles, so the dozens of collections it would set off free nothing. The
+    pause only defers the work on what the load keeps: the first young
+    collection after it traverses every tracked object the dataset holds.
+    That is why a loaded bag holds a few row blocks and no ``Instance``: a
+    920-bag dataset keeps about 6,400 tracked objects, not 15,700.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -498,7 +559,7 @@ def _load(root):
         ends.append(end)
         cine_ends.append(n_cine)
 
-    # then the feature file, read straight into one array, which every instance views
+    # then the feature file, read straight into one array, which every row block views
     def at_fault(index, bounds):  # the owner of the bag whose section holds this index
         return f"bag {layout[bisect_right(bounds, index)][0]!r}"
 
@@ -525,27 +586,30 @@ def _load(root):
                           "manifest's features_sha256, so the two come from different saves "
                           "(an interrupted one, say); gen-data writes the dataset again")
     values, relevance = data[:end], data[end:end + n_cine]
-    missing = np.isnan(relevance)  # NaN: an instance without a relevance score
-    bad = ~(missing | ((relevance >= 0) & (relevance <= 1)))
+    # NaN: an instance without a relevance score
+    bad = ~(np.isnan(relevance) | ((relevance >= 0) & (relevance <= 1)))
     if bad.any():
         index = int(np.argmax(bad))
         raise FormatError(f"{at_fault(index, cine_ends)}: file {FEATURES!r} holds relevance "
                           f"{float(relevance[index])!r}, expected a number in [0, 1] or NaN "
                           "for none")
-    relevance = relevance.tolist()
-    if missing.any():
-        relevance = [None if none else value for value, none in zip(relevance, missing.tolist())]
     finite = np.isfinite(values)
     if not finite.all():
         raise FormatError(f"{at_fault(int(np.argmin(finite)), ends)}: file {FEATURES!r} holds "
                           "non-finite feature values")
 
-    bags, assignment, start, relevance = [], {}, 0, iter(relevance)
-    for bag_id, label, split, cine, doppler in layout:
-        cine, start = _views("cine", values, start, cine, relevance)
-        doppler, start = _views("doppler", values, start, doppler, repeat(None))
-        bags.append(Bag(bag_id, cine, doppler, label=label))
+    bags, assignment, start, cine_start = [], {}, 0, 0
+    for (bag_id, label, split, cine, doppler), cine_stop in zip(layout, cine_ends):
+        cine, n_cine, start = _blocks("cine", values, start, cine)
+        doppler, n_doppler, start = _blocks("doppler", values, start, doppler)
+        bag = object.__new__(Bag)  # Bag's checks, without instance lists
+        bag.__dict__.update(id=bag_id, label=label, _blocks={"cine": cine, "doppler": doppler},
+                            _counts={"cine": n_cine, "doppler": n_doppler},
+                            _relevance=relevance[cine_start:cine_stop])
+        bag.__post_init__()
+        bags.append(bag)
         assignment[bag_id] = split
+        cine_start = cine_stop
     return Dataset(bags, assignment)
 
 
@@ -566,5 +630,9 @@ def load_hidden_truth(dir_path):
 
 
 def with_label(bag, label):
-    """Copy of a bag with a (pseudo-)label attached."""
-    return replace(bag, label=int(label))
+    """Copy of a bag with a (pseudo-)label attached; it shares the bag's instance
+    lists, or a loaded bag's row blocks, and builds no list."""
+    copy = object.__new__(type(bag))
+    copy.__dict__.update(vars(bag), label=int(label))
+    copy.__post_init__()
+    return copy

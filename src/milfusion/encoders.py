@@ -82,38 +82,42 @@ def preprocess(config, instance):
     return np.add.reduce(frames, axis=0).reshape(-1) / instance.shape[0]
 
 
-def check_instances(config, instances):
-    """Refuse the first of ``instances`` that does not fit the encoder.
+def check_blocks(config, blocks):
+    """Refuse the first instance of the row ``blocks`` that does not fit the encoder.
 
     Whether an instance fits depends only on its modality and shape, so each
     distinct pair is checked once, in order of first occurrence.
     """
-    for modality, shape in dict.fromkeys([(inst.modality, inst.shape) for inst in instances]):
+    for modality, shape in dict.fromkeys([block[:2] for block in blocks]):
         _frame_count(config, modality, shape)
 
 
-def preprocess_rows(config, instances):
-    """The [K, input_dim] input rows of K instances in one pass, bitwise ``preprocess``'s.
+def preprocess_rows(config, blocks):
+    """The [K, input_dim] input rows of the K instances of the row ``blocks``
+    (``data.row_blocks``) in one pass, bitwise ``preprocess``'s.
 
-    Refuses an instance that does not fit the encoder (``check_instances``).
+    Refuses an instance that does not fit the encoder (``check_blocks``).
 
     The cine frames are summed by one ``np.add.reduce`` over the frame axis of
     a [K, frames, input_dim] stack, which adds frame by frame, in order and
-    from 0.0, as ``preprocess`` does. Instances with fewer frames than the
-    most are padded with zero frames at the end: the running sum is never
-    -0.0, so adding 0.0 leaves it unchanged.
+    from 0.0, as ``preprocess`` does; a single block is summed where it lies.
+    Instances with fewer frames than the most are padded with zero frames at
+    the end: the running sum is never -0.0, so adding 0.0 leaves it unchanged.
     """
-    check_instances(config, instances)
-    flat = np.concatenate([inst.features for inst in instances])
+    check_blocks(config, blocks)
+    arrays = [rows for _, _, rows in blocks]
     if config.modality == "doppler":
-        return flat.reshape(-1, config.input_dim)
-    counts = [inst.shape[0] for inst in instances]
+        return np.concatenate(arrays).reshape(-1, config.input_dim)
+    counts = [shape[0] for _, shape, _ in blocks]
     most = max(counts)
     if min(counts) == most:
-        return np.add.reduce(flat.reshape(len(counts), most, config.input_dim), axis=1) / most
+        stacked = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        return np.add.reduce(stacked.reshape(-1, most, config.input_dim), axis=1) / most
+    counts = np.repeat(counts, [len(rows) for rows in arrays])
     frames = np.zeros((len(counts), most, config.input_dim))
-    frames[np.arange(most) < np.array(counts)[:, None]] = flat.reshape(-1, config.input_dim)
-    return np.add.reduce(frames, axis=1) / np.array(counts, dtype=np.float64)[:, None]
+    frames[np.arange(most) < counts[:, None]] = np.concatenate(arrays, axis=None).reshape(
+        -1, config.input_dim)
+    return np.add.reduce(frames, axis=1) / counts.astype(np.float64)[:, None]
 
 
 def encode_rows(config, weights, rows):

@@ -23,9 +23,15 @@ Three paths compute this model:
     target and runs its checks, and ``Plan`` resolves the parameter and
     gradient arrays;
   * batched inference, ``predict_probs``: the class probabilities of a chunk
-    of bags at a time, one matmul per layer over the chunk's stacked
-    instances and a per-bag (segment) softmax for attention, equal to
-    ``forward``'s to rounding. It resolves a ``Plan`` once per call.
+    of bags at a time, one matmul per layer over the chunk's input rows and a
+    per-bag (segment) softmax for attention, equal to ``forward``'s to
+    rounding. It resolves a ``Plan`` once per call.
+
+The two tape-free paths read a bag through its row source (``data.row_blocks``,
+``instance_count`` and ``relevances``), so they never build a loaded bag's
+instance lists: a chunk's rows are one ``preprocess_rows`` over its bags' row
+blocks, one concatenation and one frame-axis sum. The taped path reads the
+instance lists.
 
 Degenerate bags: when an enabled modality has no instances in a bag, the
 forward pass falls back to the other enabled modality (alpha forced to 1 or
@@ -47,10 +53,18 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import checked_json, contained_file, read_json
+from .data import (
+    checked_json,
+    contained_file,
+    instance_blocks,
+    instance_count,
+    read_json,
+    relevances,
+    row_blocks,
+)
 from .encoders import (  # noqa: F401 -- preprocess stays bound here for bench/spans.py
     EncoderConfig,
-    check_instances,
+    check_blocks,
     encode_rows,
     init_encoder_arrays,
     preprocess,
@@ -209,13 +223,14 @@ def fuse(z, z_dop, att_fusion):
 def _encode_modality(config, prefix, leaves, instances):
     weights = {name.removeprefix(prefix): leaf for name, leaf in leaves.items()
                if name.startswith(prefix)}
-    return encode_rows(config, weights, ad.Tensor.const(preprocess_rows(config, instances)))
+    rows = preprocess_rows(config, instance_blocks(instances))
+    return encode_rows(config, weights, ad.Tensor.const(rows))
 
 
 def _branches(cfg, bag):
     """(run cine, run doppler) for one bag; raises BagSkipError if neither can run."""
-    run_cine = cfg.use_cine and len(bag.cine_instances) > 0
-    run_doppler = cfg.use_doppler and len(bag.doppler_instances) > 0
+    run_cine = cfg.use_cine and instance_count(bag, "cine") > 0
+    run_doppler = cfg.use_doppler and instance_count(bag, "doppler") > 0
     if not (run_cine or run_doppler):
         raise BagSkipError(f"bag {bag.id!r}: no instances in any enabled modality")
     if cfg.use_cine and not run_cine:
@@ -279,8 +294,8 @@ def total_loss(model, bag, label):
 
 def _relevance_target(cfg, bag):
     """The constant R of the bag's cine instances; refuses one without a relevance."""
-    raw = [inst.relevance for inst in bag.cine_instances]
-    if None in raw:
+    raw = relevances(bag)
+    if np.isnan(raw).any():
         raise DataError(
             f"bag {bag.id!r}: cine instance lacks a relevance score "
             "(required when lambda_sa > 0)"
@@ -336,9 +351,9 @@ class PreparedBag:
 
     ``r`` is the relevance target R and ``r_log_r`` the KL term's constant
     ``np.dot(r, np.log(r))``; both are None when the step has no KL term.
-    ``doppler_features`` are the doppler instances' own feature arrays, which
-    each step stacks into rows: a stacked copy kept per bag would hold every
-    doppler value of the training set twice.
+    ``doppler_blocks`` are the row arrays of the bag's doppler row blocks,
+    which each step stacks into rows: a stacked copy kept per bag would hold
+    every doppler value of the training set twice.
     """
 
     bag_id: str
@@ -348,7 +363,7 @@ class PreparedBag:
     cine_rows: np.ndarray | None
     r: np.ndarray | None
     r_log_r: np.float64 | None
-    doppler_features: tuple
+    doppler_blocks: tuple
     doppler_dim: int
 
 
@@ -365,19 +380,20 @@ def prepare_bag(config, bag):
         raise ContractError(f"label must be in {{0,1,2}}, got {label!r}")
     run_cine, run_doppler = _branches(config, bag)
     cine_rows = r = r_log_r = None
-    doppler_features = ()
+    doppler_blocks = ()
     if run_cine:
-        cine_rows = preprocess_rows(config.cine_encoder, bag.cine_instances)
+        cine_rows = preprocess_rows(config.cine_encoder, row_blocks(bag, "cine"))
     if run_doppler:
-        check_instances(config.doppler_encoder, bag.doppler_instances)
-        doppler_features = tuple(inst.features for inst in bag.doppler_instances)
+        blocks = row_blocks(bag, "doppler")
+        check_blocks(config.doppler_encoder, blocks)
+        doppler_blocks = tuple(rows for _, _, rows in blocks)
     if run_cine and config.lambda_sa > 0:
         r = _relevance_target(config, bag).data
         if (r <= 0.0).any():
             raise DomainError("kl_divergence needs strictly positive reference weights")
         r_log_r = np.dot(r, np.log(r))
     return PreparedBag(bag.id, label, run_cine, run_doppler, cine_rows, r, r_log_r,
-                       doppler_features, config.doppler_encoder.input_dim)
+                       doppler_blocks, config.doppler_encoder.input_dim)
 
 
 def _encoder_forward(layers, activation, rows):
@@ -454,7 +470,7 @@ def prepared_step(plan, bag):
         z = c @ H
     if bag.run_doppler:
         hd = _encoder_forward(plan.doppler, plan.doppler_activation,
-                              np.concatenate(bag.doppler_features).reshape(-1, bag.doppler_dim))
+                              np.concatenate(bag.doppler_blocks).reshape(-1, bag.doppler_dim))
         Hd = hd[-1]
         Td, scores = _scores_forward(plan.att_doppler, Hd)
         d = ad.softmax_values(scores)
@@ -541,16 +557,17 @@ def _segment_softmax(scores, starts, counts):
     return e / np.repeat(np.add.reduceat(e, starts), counts)
 
 
-def _pool_batch(layers, enc_cfg, groups, atts):
-    """Pooled [B, M] representations of B bags' instance lists.
+def _pool_batch(layers, enc_cfg, bags, modality, atts):
+    """Pooled [B, M] representations of B bags' instances of ``modality``.
 
+    The input rows come from one ``preprocess_rows`` over the bags' row blocks.
     One attention module pools with its softmax weights; two combine their
     weights as c = a b / sum a b (the cine branch's dual attention).
     """
-    counts = np.array([len(g) for g in groups])
+    counts = np.array([instance_count(bag, modality) for bag in bags])
     starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    H = _encoder_forward(layers, enc_cfg.activation,
-                         preprocess_rows(enc_cfg, [inst for g in groups for inst in g]))[-1]
+    blocks = [block for bag in bags for block in row_blocks(bag, modality)]
+    H = _encoder_forward(layers, enc_cfg.activation, preprocess_rows(enc_cfg, blocks))[-1]
     weights = _segment_softmax(_scores_forward(atts[0], H)[1], starts, counts)
     if len(atts) == 2:
         prod = weights * _segment_softmax(_scores_forward(atts[1], H)[1], starts, counts)
@@ -564,14 +581,12 @@ def _chunk_probs(plan, cfg, chunk):
     run_d = np.array([rd for _, _, rd in chunk])
     s = np.empty((len(chunk), cfg.embed_dim))
     if run_c.any():
-        z = _pool_batch(plan.cine, cfg.cine_encoder,
-                        [bag.cine_instances for bag, rc, _ in chunk if rc],
-                        (plan.att_a, plan.att_b))
+        z = _pool_batch(plan.cine, cfg.cine_encoder, [bag for bag, rc, _ in chunk if rc],
+                        "cine", (plan.att_a, plan.att_b))
         s[run_c] = z
     if run_d.any():
-        zt = _pool_batch(plan.doppler, cfg.doppler_encoder,
-                         [bag.doppler_instances for bag, _, rd in chunk if rd],
-                         (plan.att_doppler,))
+        zt = _pool_batch(plan.doppler, cfg.doppler_encoder, [bag for bag, _, rd in chunk if rd],
+                         "doppler", (plan.att_doppler,))
         s[run_d & ~run_c] = zt[~run_c[run_d]]
         both = run_c & run_d
         if both.any():

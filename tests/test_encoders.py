@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from milfusion import autodiff as ad
-from milfusion.data import Instance, generate_synthetic
+from milfusion.data import Instance, generate_synthetic, instance_blocks
 from milfusion.encoders import (
     EncoderConfig,
     encode_rows,
@@ -33,9 +33,14 @@ def seeded_weights(config, seed):
     return const_weights(init_encoder_arrays(config, np.random.default_rng(seed)))
 
 
+def rows_of(config, instances):
+    """``preprocess_rows`` of hand-built instances: one row block each."""
+    return preprocess_rows(config, instance_blocks(instances))
+
+
 def embedding(config, weights, instance):
     """The [1, M] embedding of one instance, as the model computes a bag's."""
-    return encode_rows(config, weights, ad.Tensor.const(preprocess_rows(config, [instance])))
+    return encode_rows(config, weights, ad.Tensor.const(rows_of(config, [instance])))
 
 
 def test_init_deterministic_per_seed():
@@ -105,12 +110,12 @@ def test_encode_deterministic():
 
 def test_modality_mismatch():
     with pytest.raises(ContractError, match="cine encoder got a doppler instance"):
-        preprocess_rows(CINE_CFG, [Instance("doppler", np.zeros(4), (2, 2))])
+        rows_of(CINE_CFG, [Instance("doppler", np.zeros(4), (2, 2))])
 
 
 def test_wrong_input_dim():
     with pytest.raises(ContractError, match="flattens to 4 values, encoder expects 6"):
-        preprocess_rows(DOP_CFG, [Instance("doppler", np.zeros(4), (2, 2))])
+        rows_of(DOP_CFG, [Instance("doppler", np.zeros(4), (2, 2))])
 
 
 def test_cine_needs_frame_axis():
@@ -118,7 +123,7 @@ def test_cine_needs_frame_axis():
         preprocess(CINE_CFG, Instance("cine", np.zeros(4), (4,), relevance=0.1))
 
 
-@pytest.mark.parametrize("prep", [preprocess, lambda cfg, inst: preprocess_rows(cfg, [inst])])
+@pytest.mark.parametrize("prep", [preprocess, lambda cfg, inst: rows_of(cfg, [inst])])
 @pytest.mark.parametrize("cfg, instance", [
     (CINE_CFG, Instance("cine", np.zeros(4), (4,), relevance=0.1)),  # no frame axis
     (CINE_CFG, Instance("doppler", np.zeros(4), (2, 2))),  # wrong modality
@@ -135,9 +140,9 @@ def test_batched_rows_name_the_first_instance_that_does_not_fit():
     wrong_shape = Instance("cine", np.zeros(6), (1, 6), relevance=0.1)
     wrong_modality = Instance("doppler", np.zeros(4), (2, 2))
     with pytest.raises(ContractError, match="flattens to 6 values, encoder expects 4"):
-        preprocess_rows(CINE_CFG, [good, good, wrong_shape, wrong_modality, wrong_shape])
+        rows_of(CINE_CFG, [good, good, wrong_shape, wrong_modality, wrong_shape])
     with pytest.raises(ContractError, match="cine encoder got a doppler instance"):
-        preprocess_rows(CINE_CFG, [good, wrong_modality, wrong_shape])
+        rows_of(CINE_CFG, [good, wrong_modality, wrong_shape])
 
 
 def test_batched_rows_equal_the_per_instance_rows_on_the_reference_dataset():
@@ -147,7 +152,7 @@ def test_batched_rows_equal_the_per_instance_rows_on_the_reference_dataset():
                                (REFERENCE_MODEL.doppler_encoder, bag.doppler_instances)):
             if instances:
                 want = np.stack([preprocess(cfg, inst) for inst in instances])
-                assert preprocess_rows(cfg, instances).tobytes() == want.tobytes()
+                assert rows_of(cfg, instances).tobytes() == want.tobytes()
 
 
 def test_batched_rows_of_instances_with_different_frame_counts():
@@ -155,7 +160,7 @@ def test_batched_rows_of_instances_with_different_frame_counts():
     instances = [cine_instance(rng.standard_normal((n, 2, 2))) for n in (3, 5, 1, 5)]
     instances.append(cine_instance(np.full((2, 2, 2), -0.0)))
     want = np.stack([preprocess(CINE_CFG, inst) for inst in instances])
-    assert preprocess_rows(CINE_CFG, instances).tobytes() == want.tobytes()
+    assert rows_of(CINE_CFG, instances).tobytes() == want.tobytes()
 
 
 def test_invalid_configs():
@@ -192,3 +197,16 @@ def test_encoder_gradient_matches_finite_differences(seed):
     got = np.concatenate([tape.grad(weights[n]).data for n, _ in names])
     want = numeric_gradient(lambda x: float(loss_at(x)[2].data[0]), flat0)
     assert max_rel_err(got, want) < 1e-4
+
+
+def test_rows_of_multi_row_blocks_equal_the_per_instance_rows():
+    rng = np.random.default_rng(6)
+    blocks = [("cine", (n, 2, 2), rng.standard_normal((k, 4 * n))) for n, k in ((3, 2), (3, 1))]
+    mixed = blocks + [("cine", (5, 2, 2), rng.standard_normal((2, 20)))]
+    for chosen in (blocks, blocks[:1], mixed):
+        want = np.stack([preprocess(CINE_CFG, Instance("cine", row, shape))
+                         for _, shape, rows in chosen for row in rows])
+        assert preprocess_rows(CINE_CFG, chosen).tobytes() == want.tobytes()
+    doppler = [("doppler", (2, 3), rng.standard_normal((k, 6))) for k in (2, 1)]
+    assert preprocess_rows(DOP_CFG, doppler).tobytes() == np.concatenate(
+        [rows for _, _, rows in doppler]).tobytes()

@@ -23,13 +23,19 @@ def load_spans():
     return module
 
 
-def test_tracer_sees_the_training_step(tmp_path):
+def tiny_data(tmp_path):
+    """The run config file of a tiny dataset generated under ``tmp_path / "data"``."""
     data_cfg = tmp_path / "dataset.json"
     data_cfg.write_text(json.dumps({"dataset": TINY_DATASET}))
     run_cfg = tmp_path / "run.json"
     run_cfg.write_text(json.dumps(TINY_RUN))
     assert cli.main(["gen-data", "--config", str(data_cfg), "--seed", "7",
                      "--out", str(tmp_path / "data")]) == 0
+    return run_cfg
+
+
+def test_tracer_sees_the_training_step(tmp_path):
+    run_cfg = tiny_data(tmp_path)
 
     spans = load_spans()
     tracer = spans.Tracer()
@@ -54,3 +60,31 @@ def test_tracer_sees_the_training_step(tmp_path):
     for name in ("training.epochs", "training.validation_s", "training.inference_bags",
                  "training.step_self_s"):
         assert metrics[name][0] > 0, name
+
+
+def test_traced_predict_writes_the_untraced_predictions(tmp_path):
+    # the tracer's on_load reads every loaded bag's instance lists, so a traced
+    # run builds them all and scores bags that are ordinary from then on
+    run_cfg = tiny_data(tmp_path)
+    data = str(tmp_path / "data")
+    assert cli.main(["train", "--config", str(run_cfg), "--data", data, "--seed", "3",
+                     "--out", str(tmp_path / "run")]) == 0
+
+    def predict(out):
+        assert cli.main(["predict", "--checkpoint", str(tmp_path / "run" / "checkpoint"),
+                         "--data", data, "--split", "test", "--seed", "3",
+                         "--out", str(tmp_path / out)]) == 0
+        return (tmp_path / out / "predictions.csv").read_bytes()
+
+    untraced = predict("untraced")
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        with tracer.span("cli.main"):
+            traced = predict("traced")
+    finally:
+        tracer.restore()
+    assert traced == untraced
+    assert tracer.calls["data.load"] == 1
+    assert tracer.counts["data.files_read"] > 1  # on_load counted the instances
