@@ -32,11 +32,9 @@ from .data import (
     MODALITIES,
     SyntheticConfig,
     generate_synthetic,
-    instance_count,
     iterate_split,
     load,
     load_hidden_truth,
-    row_blocks,
     save,
 )
 from .errors import MilError, UsageError, exit_code_for
@@ -111,8 +109,8 @@ def _synthetic_config(file_cfg, args):
 def _infer_input_dims(dataset):
     """(cine, doppler) encoder input sizes, read off each modality's first instance
     shape (the cine frame mean drops the leading axis)."""
-    cine, doppler = (next((row_blocks(b, modality)[0][1] for b in dataset.bags
-                           if instance_count(b, modality)), None) for modality in MODALITIES)
+    cine, doppler = (next((b.blocks[modality][0][1] for b in dataset.bags
+                           if b.counts[modality]), None) for modality in MODALITIES)
     return (math.prod(cine[1:]) if cine is not None and len(cine) >= 2 else None,
             math.prod(doppler) if doppler is not None else None)
 

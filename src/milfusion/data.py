@@ -32,20 +32,17 @@ resolves it once, so a symlink that leads out of the directory is refused.
 ``load`` checks each run once and each distinct shape once per load, reads
 ``features.bin`` into one array with one size check, compares its digest
 trailer with the manifest's without hashing, checks the relevance section and
-the finiteness of the values as whole arrays, and builds no ``Instance``: each
-loaded bag keeps, per modality, its runs as row blocks (one reshape of
-``features.bin`` per run) and its slice of the relevance section, and builds
-its ``cine_instances`` or ``doppler_instances`` list (row views of those
-blocks) only when that list is first read. ``save`` computes the digest while
-it writes, so a ``features.bin`` left beside another save's manifest is
-refused.
+the finiteness of the values as whole arrays, and builds no ``Instance``:
+each loaded bag's row blocks are reshapes of ``features.bin``. ``save``
+computes the digest while it writes, so a ``features.bin`` left beside another
+save's manifest is refused.
 
-A row block is a tuple ``(modality, shape, rows)``: ``rows`` is a [count,
-prod(shape)] float64 array whose rows are the values of ``count`` consecutive
-instances of that modality and shape. ``row_blocks``, ``instance_count`` and
-``relevances`` read a bag through its row source: a loaded bag's runs while
-its list is unread, otherwise one block per instance of the list, so an edit
-to a list is honoured.
+A bag holds, per modality, its instances as row blocks ``(modality, shape,
+rows)``: ``rows`` is a [count, prod(shape)] float64 array whose rows are the
+values of ``count`` consecutive instances of that modality and shape. It also
+holds each modality's instance count and one float64 relevance per cine
+instance (NaN for none). Its instance lists are read-only tuples of
+``Instance`` views of those rows, built on each read.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ import json
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby, repeat
 from pathlib import Path
 
@@ -125,82 +122,87 @@ class Instance:
         )
 
 
-_LISTS = {"cine": "cine_instances", "doppler": "doppler_instances"}
+def _stacked(instances):
+    """Row blocks of ``instances``: one per run of consecutive equal (modality, shape)."""
+    return [(modality, shape, np.stack([inst.features for inst in run]))
+            for (modality, shape), run in groupby(instances, key=lambda i: (i.modality, i.shape))]
 
 
-@dataclass(eq=True)
 class Bag:
     """One study: unordered multimodal instances plus an optional 3-class label.
 
-    A bag made by ``load`` holds row blocks instead of instance lists until a
-    list is first read (``__getattr__`` builds it then); see the module
-    docstring.
+    ``blocks`` maps each modality to its row blocks, ``counts`` to its
+    instance count, and ``relevance`` holds the cine instances' relevance
+    (module docstring). ``Bag(id, cine_instances, doppler_instances, label)``
+    copies the instances' values into blocks; :meth:`from_blocks` keeps the
+    blocks it is given.
     """
 
-    id: str
-    cine_instances: list = field(default_factory=list)
-    doppler_instances: list = field(default_factory=list)
-    label: int | None = None
+    def __init__(self, id, cine_instances=(), doppler_instances=(), label=None):
+        cine = list(cine_instances)
+        relevance = np.array([math.nan if inst.relevance is None else inst.relevance
+                              for inst in cine], dtype=np.float64)
+        self._fill(id, label, _stacked(cine), _stacked(doppler_instances), relevance)
 
-    def __post_init__(self):
-        if (not isinstance(self.id, str) or self.id in ("", ".", "..")
-                or "/" in self.id or "\\" in self.id or "\0" in self.id):
-            raise FormatError(f"bag id {self.id!r} is not a plain file name")
-        if instance_count(self, "cine") + instance_count(self, "doppler") < 1:
-            raise FormatError(f"bag {self.id!r} has no instances")
-        if self.label is not None and (
-                isinstance(self.label, bool) or not isinstance(self.label, (int, np.integer))
-                or self.label not in (0, 1, 2)):
-            raise FormatError(f"bag {self.id!r} has invalid label {self.label!r}")
+    @classmethod
+    def from_blocks(cls, id, label, cine, doppler, relevance):
+        """A bag over the given row blocks and cine relevance array, without copies.
 
-    def __getattr__(self, name):
-        # reached only for an attribute the bag lacks: a loaded bag's unread list
-        state = self.__dict__
-        modality = name.removesuffix("_instances")
-        if "_blocks" not in state or _LISTS.get(modality) != name:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        The blocks and relevance values are taken as valid instances' (``load``
+        has checked them); the bag's id, label and size are checked here.
+        """
+        bag = cls.__new__(cls)
+        bag._fill(id, label, cine, doppler, relevance)
+        return bag
+
+    def _fill(self, id, label, cine, doppler, relevance):
+        if (not isinstance(id, str) or id in ("", ".", "..")
+                or "/" in id or "\\" in id or "\0" in id):
+            raise FormatError(f"bag id {id!r} is not a plain file name")
+        self.id, self.label, self.relevance = id, label, relevance
+        self.blocks = {"cine": cine, "doppler": doppler}
+        self.counts = {modality: sum(len(rows) for _, _, rows in blocks)
+                       for modality, blocks in self.blocks.items()}
+        if self.counts["cine"] + self.counts["doppler"] < 1:
+            raise FormatError(f"bag {id!r} has no instances")
+        if label is not None and (
+                isinstance(label, bool) or not isinstance(label, (int, np.integer))
+                or label not in (0, 1, 2)):
+            raise FormatError(f"bag {id!r} has invalid label {label!r}")
+
+    @property
+    def cine_instances(self):
+        return self._views("cine")
+
+    @property
+    def doppler_instances(self):
+        return self._views("doppler")
+
+    def _views(self, modality):
+        """The instances of ``modality`` as ``Instance`` views of the bag's rows."""
         relevance = repeat(None)
         if modality == "cine":  # NaN: an instance without a relevance score
             relevance = iter([None if value != value else value
-                              for value in state["_relevance"].tolist()])
+                              for value in self.relevance.tolist()])
         views = []
-        for _, shape, rows in state["_blocks"][modality]:
+        for kind, shape, rows in self.blocks[modality]:
             for row, value in zip(rows, relevance):
-                # load has made Instance.__post_init__'s checks for the whole dataset
+                # a block's rows are valid instances: Instance.__post_init__ is skipped
                 view = object.__new__(Instance)
-                view.modality, view.features = modality, row
-                view.shape, view.relevance = shape, value
+                view.modality, view.features, view.shape, view.relevance = kind, row, shape, value
                 views.append(view)
-        state[name] = views
-        return views
+        return tuple(views)
 
+    def __eq__(self, other):
+        if not isinstance(other, Bag):
+            return NotImplemented
+        return (self.id == other.id and self.label == other.label
+                and self.cine_instances == other.cine_instances
+                and self.doppler_instances == other.doppler_instances)
 
-def row_blocks(bag, modality):
-    """The bag's instances of ``modality`` as row blocks, in order (module docstring)."""
-    state = bag.__dict__
-    instances = state.get(_LISTS[modality])
-    return state["_blocks"][modality] if instances is None else instance_blocks(instances)
-
-
-def instance_blocks(instances):
-    """One row block per instance: a [1, size] view of its (1-D) features."""
-    return [(inst.modality, inst.shape, inst.features[None]) for inst in instances]
-
-
-def instance_count(bag, modality):
-    """The number of the bag's instances of ``modality``, without building a list."""
-    state = bag.__dict__
-    instances = state.get(_LISTS[modality])
-    return state["_counts"][modality] if instances is None else len(instances)
-
-
-def relevances(bag):
-    """The float64 relevance of each of the bag's cine instances, NaN for none."""
-    state = bag.__dict__
-    if "cine_instances" in state:
-        return np.array([math.nan if inst.relevance is None else inst.relevance
-                         for inst in state["cine_instances"]], dtype=np.float64)
-    return state["_relevance"]
+    def __repr__(self):
+        return (f"Bag(id={self.id!r}, label={self.label!r}, cine={self.counts['cine']}, "
+                f"doppler={self.counts['doppler']})")
 
 
 @dataclass(eq=True)
@@ -305,10 +307,6 @@ def _unit_directions(rng, dim):
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _clamp01(x):
-    return float(min(1.0, max(0.0, x)))
-
-
 def generate_synthetic(config):
     """Build a Dataset plus the hidden-truth side table for unlabeled bags.
 
@@ -344,28 +342,24 @@ def generate_synthetic(config):
                 k_dop = 1
 
             n_rel = int(round(config.relevant_fraction * k_cine))
-            planted = set(rng_select.choice(k_cine, size=n_rel, replace=False).tolist()) if k_cine else set()
+            planted = np.zeros(k_cine, dtype=bool)
+            if k_cine:
+                planted[rng_select.choice(k_cine, size=n_rel, replace=False)] = True
 
-            cine = []
-            for k in range(k_cine):
-                frames = rng_noise.standard_normal(config.cine_shape) * config.noise_std
-                if k in planted:
-                    frames += cine_dirs[label].reshape(config.cine_shape[1:])
-                    rel = _clamp01(rng_rel.normal(0.95, 0.02))
-                else:
-                    rel = _clamp01(rng_rel.normal(0.05, 0.02))
-                cine.append(Instance("cine", frames.reshape(-1), config.cine_shape, rel))
-            doppler = []
-            for _ in range(k_dop):
-                img = rng_noise.standard_normal(config.doppler_shape) * config.noise_std
-                img += dop_dirs[label].reshape(config.doppler_shape)
-                doppler.append(Instance("doppler", img.reshape(-1), config.doppler_shape))
+            # each stream yields its values in instance order, whether drawn whole or per instance
+            cine = rng_noise.standard_normal((k_cine, *config.cine_shape)) * config.noise_std
+            cine[planted] += cine_dirs[label].reshape(config.cine_shape[1:])
+            relevance = np.clip(rng_rel.normal(np.where(planted, 0.95, 0.05), 0.02), 0.0, 1.0)
+            doppler = rng_noise.standard_normal((k_dop, *config.doppler_shape)) * config.noise_std
+            doppler += dop_dirs[label].reshape(config.doppler_shape)
 
             if split == "unlabeled":
                 hidden_truth[bag_id] = label
-                bags.append(Bag(bag_id, cine, doppler, label=None))
-            else:
-                bags.append(Bag(bag_id, cine, doppler, label=label))
+            bags.append(Bag.from_blocks(
+                bag_id, None if split == "unlabeled" else label,
+                [("cine", config.cine_shape, cine.reshape(k_cine, -1))] if k_cine else [],
+                [("doppler", config.doppler_shape, doppler.reshape(k_dop, -1))] if k_dop else [],
+                relevance))
             assignment[bag_id] = split
 
     return Dataset(bags, assignment), hidden_truth
@@ -392,28 +386,28 @@ def save(dataset, dir_path, hidden_truth=None):
     ``features.bin`` sits beside the previous manifest, whose digest it does
     not match, so ``load`` refuses the pair.
     """
-    blocks = [(row_blocks(bag, "cine"), row_blocks(bag, "doppler")) for bag in dataset.bags]
     lines = ",\n".join(json.dumps({  # one bag record per line
         "id": bag.id,
         "label": bag.label,
         "split": dataset.split_assignment[bag.id],
-        "cine_shapes": _runs(cine),
-        "doppler_shapes": _runs(doppler),
-    }) for bag, (cine, doppler) in zip(dataset.bags, blocks))
+        "cine_shapes": _runs(bag.blocks["cine"]),
+        "doppler_shapes": _runs(bag.blocks["doppler"]),
+    }) for bag in dataset.bags)
     hidden = None if hidden_truth is None else json.dumps(hidden_truth, indent=1)
     root = Path(dir_path)
     root.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256()
     with atomic_file(root / FEATURES, binary=True) as f:
-        for bag, (cine, doppler) in zip(dataset.bags, blocks):
-            values = np.concatenate([rows for _, _, rows in cine + doppler], axis=None,
-                                    dtype="<f8")
+        for bag in dataset.bags:
+            blocks = bag.blocks["cine"] + bag.blocks["doppler"]
+            values = np.concatenate([rows for _, _, rows in blocks], axis=None, dtype="<f8")
             if not np.isfinite(values).all():
                 raise FormatError(f"bag {bag.id!r}: non-finite feature values; "
                                   f"{FEATURES!r} holds finite values only")
             digest.update(values)
             f.write(values)
-        relevance = np.concatenate([np.empty(0), *map(relevances, dataset.bags)], dtype="<f8")
+        relevance = np.concatenate([np.empty(0), *(bag.relevance for bag in dataset.bags)],
+                                   dtype="<f8")
         digest.update(relevance)
         f.write(relevance)
         f.write(digest.digest())
@@ -493,14 +487,14 @@ def _shape_runs(runs, bag_id, field, known):
 
 
 def _blocks(modality, values, start, runs):
-    """The row blocks of ``modality`` for ``runs``, from ``values[start]`` on, their
-    row count and the index after the last: each run's rows are one reshape."""
-    blocks, total = [], 0
+    """The row blocks of ``modality`` for ``runs``, from ``values[start]`` on, and the
+    index after the last: each run's rows are one reshape."""
+    blocks = []
     for shape, size, count in runs:
         stop = start + size * count
         blocks.append((modality, shape, values[start:stop].reshape(count, size)))
-        start, total = stop, total + count
-    return blocks, total, start
+        start = stop
+    return blocks, start
 
 
 def load(dir_path):
@@ -600,14 +594,10 @@ def _load(root):
 
     bags, assignment, start, cine_start = [], {}, 0, 0
     for (bag_id, label, split, cine, doppler), cine_stop in zip(layout, cine_ends):
-        cine, n_cine, start = _blocks("cine", values, start, cine)
-        doppler, n_doppler, start = _blocks("doppler", values, start, doppler)
-        bag = object.__new__(Bag)  # Bag's checks, without instance lists
-        bag.__dict__.update(id=bag_id, label=label, _blocks={"cine": cine, "doppler": doppler},
-                            _counts={"cine": n_cine, "doppler": n_doppler},
-                            _relevance=relevance[cine_start:cine_stop])
-        bag.__post_init__()
-        bags.append(bag)
+        cine, start = _blocks("cine", values, start, cine)
+        doppler, start = _blocks("doppler", values, start, doppler)
+        bags.append(Bag.from_blocks(bag_id, label, cine, doppler,
+                                    relevance[cine_start:cine_stop]))
         assignment[bag_id] = split
         cine_start = cine_stop
     return Dataset(bags, assignment)
@@ -630,9 +620,6 @@ def load_hidden_truth(dir_path):
 
 
 def with_label(bag, label):
-    """Copy of a bag with a (pseudo-)label attached; it shares the bag's instance
-    lists, or a loaded bag's row blocks, and builds no list."""
-    copy = object.__new__(type(bag))
-    copy.__dict__.update(vars(bag), label=int(label))
-    copy.__post_init__()
-    return copy
+    """Copy of a bag with a (pseudo-)label attached; it shares the bag's row blocks."""
+    return Bag.from_blocks(bag.id, int(label), bag.blocks["cine"], bag.blocks["doppler"],
+                           bag.relevance)

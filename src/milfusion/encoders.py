@@ -82,32 +82,26 @@ def preprocess(config, instance):
     return np.add.reduce(frames, axis=0).reshape(-1) / instance.shape[0]
 
 
-def check_blocks(config, blocks):
-    """Refuse the first instance of the row ``blocks`` that does not fit the encoder.
+def preprocess_rows(config, blocks):
+    """The [K, input_dim] input rows of the K instances of the row ``blocks``
+    (``Bag.blocks``) in one pass, bitwise ``preprocess``'s.
 
-    Whether an instance fits depends only on its modality and shape, so each
-    distinct pair is checked once, in order of first occurrence.
+    Refuses the first instance that does not fit the encoder; whether one
+    fits depends only on its modality and shape, so each distinct pair is
+    checked once, in order of first occurrence.
+
+    A single doppler block is returned where it lies. The cine frames are
+    summed by one ``np.add.reduce`` over the frame axis of a [K, frames,
+    input_dim] stack, which adds frame by frame, in order and from 0.0, as
+    ``preprocess`` does; a single block is summed where it lies. Instances
+    with fewer frames than the most are padded with zero frames at the end:
+    the running sum is never -0.0, so adding 0.0 leaves it unchanged.
     """
     for modality, shape in dict.fromkeys([block[:2] for block in blocks]):
         _frame_count(config, modality, shape)
-
-
-def preprocess_rows(config, blocks):
-    """The [K, input_dim] input rows of the K instances of the row ``blocks``
-    (``data.row_blocks``) in one pass, bitwise ``preprocess``'s.
-
-    Refuses an instance that does not fit the encoder (``check_blocks``).
-
-    The cine frames are summed by one ``np.add.reduce`` over the frame axis of
-    a [K, frames, input_dim] stack, which adds frame by frame, in order and
-    from 0.0, as ``preprocess`` does; a single block is summed where it lies.
-    Instances with fewer frames than the most are padded with zero frames at
-    the end: the running sum is never -0.0, so adding 0.0 leaves it unchanged.
-    """
-    check_blocks(config, blocks)
     arrays = [rows for _, _, rows in blocks]
     if config.modality == "doppler":
-        return np.concatenate(arrays).reshape(-1, config.input_dim)
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
     counts = [shape[0] for _, shape, _ in blocks]
     most = max(counts)
     if min(counts) == most:

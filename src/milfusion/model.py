@@ -27,11 +27,10 @@ Three paths compute this model:
     per-bag (segment) softmax for attention, equal to ``forward``'s to
     rounding. It resolves a ``Plan`` once per call.
 
-The two tape-free paths read a bag through its row source (``data.row_blocks``,
-``instance_count`` and ``relevances``), so they never build a loaded bag's
-instance lists: a chunk's rows are one ``preprocess_rows`` over its bags' row
-blocks, one concatenation and one frame-axis sum. The taped path reads the
-instance lists.
+Every path reads a bag's row blocks, instance counts and relevance array
+(``Bag.blocks``, ``counts`` and ``relevance``) and builds no ``Instance``: a
+bag's or a chunk's input rows are one ``preprocess_rows`` over the row blocks,
+one concatenation and one frame-axis sum.
 
 Degenerate bags: when an enabled modality has no instances in a bag, the
 forward pass falls back to the other enabled modality (alpha forced to 1 or
@@ -53,18 +52,9 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import (
-    checked_json,
-    contained_file,
-    instance_blocks,
-    instance_count,
-    read_json,
-    relevances,
-    row_blocks,
-)
+from .data import checked_json, contained_file, read_json
 from .encoders import (  # noqa: F401 -- preprocess stays bound here for bench/spans.py
     EncoderConfig,
-    check_blocks,
     encode_rows,
     init_encoder_arrays,
     preprocess,
@@ -220,17 +210,16 @@ def fuse(z, z_dop, att_fusion):
     return ad.gated_blend(z, z_dop, att_fusion.U, att_fusion.w)
 
 
-def _encode_modality(config, prefix, leaves, instances):
+def _encode_modality(config, prefix, leaves, blocks):
     weights = {name.removeprefix(prefix): leaf for name, leaf in leaves.items()
                if name.startswith(prefix)}
-    rows = preprocess_rows(config, instance_blocks(instances))
-    return encode_rows(config, weights, ad.Tensor.const(rows))
+    return encode_rows(config, weights, ad.Tensor.const(preprocess_rows(config, blocks)))
 
 
 def _branches(cfg, bag):
     """(run cine, run doppler) for one bag; raises BagSkipError if neither can run."""
-    run_cine = cfg.use_cine and instance_count(bag, "cine") > 0
-    run_doppler = cfg.use_doppler and instance_count(bag, "doppler") > 0
+    run_cine = cfg.use_cine and bag.counts["cine"] > 0
+    run_doppler = cfg.use_doppler and bag.counts["doppler"] > 0
     if not (run_cine or run_doppler):
         raise BagSkipError(f"bag {bag.id!r}: no instances in any enabled modality")
     if cfg.use_cine and not run_cine:
@@ -249,13 +238,13 @@ def forward(model, bag):
 
     pooled_c = pooled_d = cine_a = None
     if run_cine:
-        h = _encode_modality(cfg.cine_encoder, "cine_encoder.", leaves, bag.cine_instances)
+        h = _encode_modality(cfg.cine_encoder, "cine_encoder.", leaves, bag.blocks["cine"])
         pooled_c, cine_a = supervised_attention_pool(
             _attention_view(leaves, "att_a"), _attention_view(leaves, "att_b"), h
         )
     if run_doppler:
         h = _encode_modality(cfg.doppler_encoder, "doppler_encoder.", leaves,
-                             bag.doppler_instances)
+                             bag.blocks["doppler"])
         pooled_d = attention_pool(_attention_view(leaves, "att_doppler"), h)
 
     if run_cine and run_doppler:
@@ -294,7 +283,7 @@ def total_loss(model, bag, label):
 
 def _relevance_target(cfg, bag):
     """The constant R of the bag's cine instances; refuses one without a relevance."""
-    raw = relevances(bag)
+    raw = bag.relevance
     if np.isnan(raw).any():
         raise DataError(
             f"bag {bag.id!r}: cine instance lacks a relevance score "
@@ -351,9 +340,8 @@ class PreparedBag:
 
     ``r`` is the relevance target R and ``r_log_r`` the KL term's constant
     ``np.dot(r, np.log(r))``; both are None when the step has no KL term.
-    ``doppler_blocks`` are the row arrays of the bag's doppler row blocks,
-    which each step stacks into rows: a stacked copy kept per bag would hold
-    every doppler value of the training set twice.
+    ``doppler_rows`` views the bag's row block when it has one doppler shape,
+    so the training set's doppler values are not held twice.
     """
 
     bag_id: str
@@ -363,8 +351,7 @@ class PreparedBag:
     cine_rows: np.ndarray | None
     r: np.ndarray | None
     r_log_r: np.float64 | None
-    doppler_blocks: tuple
-    doppler_dim: int
+    doppler_rows: np.ndarray | None
 
 
 def prepare_bag(config, bag):
@@ -379,21 +366,18 @@ def prepare_bag(config, bag):
     if label not in (0, 1, 2):
         raise ContractError(f"label must be in {{0,1,2}}, got {label!r}")
     run_cine, run_doppler = _branches(config, bag)
-    cine_rows = r = r_log_r = None
-    doppler_blocks = ()
+    cine_rows = doppler_rows = r = r_log_r = None
     if run_cine:
-        cine_rows = preprocess_rows(config.cine_encoder, row_blocks(bag, "cine"))
+        cine_rows = preprocess_rows(config.cine_encoder, bag.blocks["cine"])
     if run_doppler:
-        blocks = row_blocks(bag, "doppler")
-        check_blocks(config.doppler_encoder, blocks)
-        doppler_blocks = tuple(rows for _, _, rows in blocks)
+        doppler_rows = preprocess_rows(config.doppler_encoder, bag.blocks["doppler"])
     if run_cine and config.lambda_sa > 0:
         r = _relevance_target(config, bag).data
         if (r <= 0.0).any():
             raise DomainError("kl_divergence needs strictly positive reference weights")
         r_log_r = np.dot(r, np.log(r))
     return PreparedBag(bag.id, label, run_cine, run_doppler, cine_rows, r, r_log_r,
-                       doppler_blocks, config.doppler_encoder.input_dim)
+                       doppler_rows)
 
 
 def _encoder_forward(layers, activation, rows):
@@ -469,8 +453,7 @@ def prepared_step(plan, bag):
         c = inv * p
         z = c @ H
     if bag.run_doppler:
-        hd = _encoder_forward(plan.doppler, plan.doppler_activation,
-                              np.concatenate(bag.doppler_blocks).reshape(-1, bag.doppler_dim))
+        hd = _encoder_forward(plan.doppler, plan.doppler_activation, bag.doppler_rows)
         Hd = hd[-1]
         Td, scores = _scores_forward(plan.att_doppler, Hd)
         d = ad.softmax_values(scores)
@@ -564,9 +547,9 @@ def _pool_batch(layers, enc_cfg, bags, modality, atts):
     One attention module pools with its softmax weights; two combine their
     weights as c = a b / sum a b (the cine branch's dual attention).
     """
-    counts = np.array([instance_count(bag, modality) for bag in bags])
+    counts = np.array([bag.counts[modality] for bag in bags])
     starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    blocks = [block for bag in bags for block in row_blocks(bag, modality)]
+    blocks = [block for bag in bags for block in bag.blocks[modality]]
     H = _encoder_forward(layers, enc_cfg.activation, preprocess_rows(enc_cfg, blocks))[-1]
     weights = _segment_softmax(_scores_forward(atts[0], H)[1], starts, counts)
     if len(atts) == 2:

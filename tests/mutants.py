@@ -74,8 +74,8 @@ MUTANTS = (
            "seed + block)", "seed)",
            ("tests/test_metrics.py::test_compute_report_matches_oracle_bitwise",)),
     Mutant("loaded_relevance_one_late", "data.py",
-           "_relevance=relevance[cine_start:cine_stop])",
-           "_relevance=relevance[cine_start + 1:cine_stop + 1])",
+           "relevance[cine_start:cine_stop]))",
+           "relevance[cine_start + 1:cine_stop + 1]))",
            ("tests/test_loaded_bags.py::test_loaded_bags_prepare_bitwise_as_rebuilt",
             "tests/test_loaded_bags.py::test_loaded_bag_steps_bitwise_as_rebuilt")),
     Mutant("block_rows_wrong_frame_count", "encoders.py",
@@ -83,6 +83,11 @@ MUTANTS = (
            "np.add.reduce(stacked.reshape(-1, most, config.input_dim), axis=1) / len(arrays)",
            ("tests/test_loaded_bags.py::test_loaded_bags_predict_bitwise_as_rebuilt",
             "tests/test_loaded_bags.py::test_loaded_bags_prepare_bitwise_as_rebuilt")),
+    Mutant("hand_built_relevance_zero", "data.py",
+           "math.nan if inst.relevance is None else inst.relevance",
+           "0.0 if inst.relevance is None else inst.relevance",
+           ("tests/test_loaded_bags.py::test_loaded_bags_prepare_bitwise_as_rebuilt",
+            "tests/test_step.py::test_step_raises_what_the_tape_raises[missing_relevance]")),
 )
 
 

@@ -735,6 +735,27 @@ def test_empty_bag_rejected():
         Bag("x", [], [], label=0)
 
 
+def test_instance_tuples_are_read_only_views():
+    cine = Instance("cine", np.arange(8.0), (2, 2, 2), relevance=0.5)
+    doppler = Instance("doppler", np.zeros(4), (2, 2))
+    bag = Bag("b", [cine], [doppler], label=0)
+    for name in ("cine_instances", "doppler_instances"):
+        instances = getattr(bag, name)
+        assert type(instances) is tuple and len(instances) == 1
+        with pytest.raises(AttributeError):
+            instances.append(doppler)
+        with pytest.raises(TypeError):
+            instances[0] = doppler
+        with pytest.raises(AttributeError):
+            setattr(bag, name, [doppler])
+    assert bag.cine_instances == (cine,) and bag.doppler_instances == (doppler,)
+    # the bag holds a copy of the values it was built from; its views write through
+    cine.features[0] = -1.0
+    assert bag.cine_instances[0].features[0] == 0.0
+    bag.cine_instances[0].features[0] = 7.0
+    assert bag.blocks["cine"][0][2][0, 0] == 7.0 and bag.cine_instances[0].features[0] == 7.0
+
+
 @pytest.mark.parametrize("relevance", [1.5, -0.5, math.nan, math.inf, True, np.bool_(False),
                                        "0.5", [0.5]])
 def test_relevance_must_be_a_number_in_the_unit_interval(relevance):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from milfusion import autodiff as ad
-from milfusion.data import Instance, generate_synthetic, instance_blocks
+from milfusion.data import Instance, generate_synthetic
 from milfusion.encoders import (
     EncoderConfig,
     encode_rows,
@@ -34,8 +34,9 @@ def seeded_weights(config, seed):
 
 
 def rows_of(config, instances):
-    """``preprocess_rows`` of hand-built instances: one row block each."""
-    return preprocess_rows(config, instance_blocks(instances))
+    """``preprocess_rows`` of hand-built instances: one [1, size] row block each."""
+    return preprocess_rows(config, [(inst.modality, inst.shape, inst.features[None])
+                                    for inst in instances])
 
 
 def embedding(config, weights, instance):

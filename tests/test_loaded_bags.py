@@ -1,12 +1,14 @@
 """Loaded bags against the same bags built by hand, bit for bit.
 
-``data.load`` builds no ``Instance``: a loaded bag keeps its runs as row blocks
-and builds an instance list only when that list is first read. Every path the
-program runs on a bag (batched inference, preparing a training bag and one
-training step) must give, byte for byte, what it gives on the bag rebuilt as
-``Bag(b.id, list(b.cine_instances), list(b.doppler_instances), label=b.label)``
-and on the bag that was saved; and none of those paths may build a list.
+``data.load`` builds no ``Instance``: a loaded bag's row blocks are reshapes of
+``features.bin``, and its instance tuples are views built on each read. Every
+path the program runs on a bag (batched inference, preparing a training bag
+and one training step) must give, byte for byte, what it gives on the bag
+rebuilt as ``Bag(b.id, b.cine_instances, b.doppler_instances, label=b.label)``
+and on the bag that was saved; and none of those paths may build views.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -39,8 +41,6 @@ from milfusion.training import run_curriculum, train_supervised
 from helpers import TINY_DOP_SHAPE, tiny_model_config
 from test_acceptance import REFERENCE_DATA, REFERENCE_MODEL
 from test_training import tiny_dataset, tiny_train_config
-
-LISTS = ("cine_instances", "doppler_instances")
 
 
 def hand_built_dataset():
@@ -87,13 +87,22 @@ def saved(tmp_path_factory):
     return out
 
 
+@pytest.fixture
+def views(monkeypatch):
+    """Each (bag id, modality) whose instance views are built while the test runs."""
+    built = []
+    build = Bag._views
+
+    def recording(bag, modality):
+        built.append((bag.id, modality))
+        return build(bag, modality)
+
+    monkeypatch.setattr(Bag, "_views", recording)
+    return built
+
+
 def rebuilt(bag):
-    return Bag(bag.id, list(bag.cine_instances), list(bag.doppler_instances), label=bag.label)
-
-
-def assert_no_list_built(bags):
-    for bag in bags:
-        assert not set(LISTS) & set(vars(bag)), bag.id
+    return Bag(bag.id, bag.cine_instances, bag.doppler_instances, label=bag.label)
 
 
 def labeled(bags):
@@ -103,7 +112,7 @@ def labeled(bags):
 def three_ways(saved, case):
     """(freshly loaded bags, the bags that were saved), unlabeled ones labeled 0.
 
-    A test computes on the loaded bags before ``rebuilt`` reads their lists.
+    A test computes on the loaded bags before ``rebuilt`` reads their views.
     """
     path, original = saved[case]
     loaded = labeled(load(path).bags)
@@ -123,12 +132,12 @@ def outcome(fn, *args):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_loaded_bags_predict_bitwise_as_rebuilt(saved, case):
+def test_loaded_bags_predict_bitwise_as_rebuilt(saved, views, case):
     _, config, seed = CASES[case]
     model = init_model(config, seed)
     loaded, original = three_ways(saved, case)
     kept, probs = predict_probs(model, loaded)
-    assert_no_list_built(loaded)
+    assert views == []
     for bags in ([rebuilt(bag) for bag in loaded], original):
         other_kept, other = predict_probs(model, bags)
         assert [b.id for b in other_kept] == [b.id for b in kept]
@@ -140,19 +149,16 @@ def prepared_bytes(config, bag):
     prepared = outcome(prepare_bag, config, bag)
     if isinstance(prepared, Raised):
         return prepared
-    fields = dict(vars(prepared))
-    doppler = fields.pop("doppler_blocks")
-    fields["doppler_rows"] = np.concatenate(doppler) if doppler else None
     return {name: value.tobytes() if isinstance(value, np.ndarray | np.float64) else value
-            for name, value in fields.items()}
+            for name, value in vars(prepared).items()}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_loaded_bags_prepare_bitwise_as_rebuilt(saved, case):
+def test_loaded_bags_prepare_bitwise_as_rebuilt(saved, views, case):
     _, config, _ = CASES[case]
     loaded, original = three_ways(saved, case)
     got = [prepared_bytes(config, bag) for bag in loaded]
-    assert_no_list_built(loaded)
+    assert views == []
     assert [prepared_bytes(config, rebuilt(bag)) for bag in loaded] == got
     assert [prepared_bytes(config, bag) for bag in original] == got
     for bag, fields in zip(original, got):  # the rows are the per-instance spec's
@@ -174,27 +180,19 @@ def step_bytes(model, bag):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_loaded_bag_steps_bitwise_as_rebuilt(saved, case):
+def test_loaded_bag_steps_bitwise_as_rebuilt(saved, views, case):
     _, config, seed = CASES[case]
     model = init_model(config, seed)
     loaded, original = three_ways(saved, case)
     got = [step_bytes(model, bag) for bag in loaded]
-    assert_no_list_built(loaded)
+    assert views == []
     assert [step_bytes(model, rebuilt(bag)) for bag in loaded] == got
     assert [step_bytes(model, bag) for bag in original] == got
 
 
-def test_no_runtime_path_builds_an_instance_list(tmp_path, monkeypatch):
+def test_no_runtime_path_builds_an_instance_list(tmp_path, views):
     dataset, _ = tiny_dataset()
     save(dataset, tmp_path)
-    built = []
-    getattr_ = Bag.__getattr__
-
-    def recording(bag, name):
-        built.append((bag.id, name))
-        return getattr_(bag, name)
-
-    monkeypatch.setattr(Bag, "__getattr__", recording)
     dataset = load(tmp_path)
     config, train_config = tiny_model_config(), tiny_train_config(max_epochs=1)
     train, val = iterate_split(dataset, "train"), iterate_split(dataset, "val")
@@ -207,13 +205,27 @@ def test_no_runtime_path_builds_an_instance_list(tmp_path, monkeypatch):
     copies = [with_label(bag, 1) for bag in unlabeled]
     run_curriculum(dataset, config, train_config)
     assert cli._infer_input_dims(dataset) == (9, 12)
-    assert built == []
-    assert_no_list_built(dataset.bags + copies)
+    assert views == []
     assert [c.label for c in copies] == [1] * len(unlabeled)
 
-    # a read list is the bag's from then on: an edit to it is what training sees
+    # a view's features are the bag's row: a NaN written there is what training sees
     bag = train[3]
-    bag.doppler_instances[0] = Instance("doppler", np.full(12, np.nan), TINY_DOP_SHAPE)
-    assert built == [(bag.id, "doppler_instances")]
+    bag.doppler_instances[0].features[:] = np.nan
+    assert views == [(bag.id, "doppler")]
     with pytest.raises(NumericError, match=f"non-finite loss on bag {bag.id!r}"):
         train_supervised(1, train, val, config, train_config)
+
+
+def test_runs_split_in_the_manifest_load_as_the_hand_built_bag(tmp_path):
+    original = hand_built_dataset()
+    save(original, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    rec = manifest["bags"][2]  # "no_doppler": one run of three cine instances
+    assert rec["cine_shapes"] == [[[2, 3, 3], 3]]
+    rec["cine_shapes"] = [[[2, 3, 3], 1], [[2, 3, 3], 2]]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    bag = load(tmp_path).bags[2]
+    assert [len(rows) for _, _, rows in bag.blocks["cine"]] == [1, 2]
+    assert bag == original.bags[2]
+    config = tiny_model_config()
+    assert prepared_bytes(config, bag) == prepared_bytes(config, original.bags[2])

@@ -63,8 +63,8 @@ def test_tracer_sees_the_training_step(tmp_path):
 
 
 def test_traced_predict_writes_the_untraced_predictions(tmp_path):
-    # the tracer's on_load reads every loaded bag's instance lists, so a traced
-    # run builds them all and scores bags that are ordinary from then on
+    # the tracer's on_load reads every loaded bag's instance tuples: it builds
+    # views, but the bags' rows stay where they are, so scoring runs the same path
     run_cfg = tiny_data(tmp_path)
     data = str(tmp_path / "data")
     assert cli.main(["train", "--config", str(run_cfg), "--data", data, "--seed", "3",

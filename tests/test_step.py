@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from milfusion.autodiff import backward
-from milfusion.data import Instance, generate_synthetic, iterate_split, with_label
+from milfusion.data import Bag, Instance, generate_synthetic, iterate_split, with_label
 from milfusion.errors import NumericError
 from milfusion.model import (
     Plan,
@@ -101,8 +101,9 @@ def test_step_on_hand_built_bags(overrides):
                      cine_encoder=replace(config.cine_encoder, activation=activation),
                      doppler_encoder=replace(config.doppler_encoder, activation=activation))
     rng = np.random.default_rng(21)
-    mixed = make_bag(rng, "mixed_frames", n_cine=0, n_doppler=2, label=2)
-    mixed.cine_instances = [_cine(rng, 1), _cine(rng, 4, 0.9), _cine(rng, 2, 0.1)]
+    doppler = make_bag(rng, "mixed_frames", n_cine=0, n_doppler=2).doppler_instances
+    mixed = Bag("mixed_frames", [_cine(rng, 1), _cine(rng, 4, 0.9), _cine(rng, 2, 0.1)],
+                doppler, label=2)
     bags = [
         make_bag(rng, "both", n_cine=3, n_doppler=2, label=0),
         make_bag(rng, "no_cine", n_cine=0, n_doppler=3, label=1),
@@ -147,8 +148,9 @@ def _bad_bags():
     model = random_model(config, seed=9)
     label_3 = make_bag(rng, "label_3")
     label_3.label = 3
-    wrong_modality = make_bag(rng, "wrong_modality", n_cine=2, n_doppler=1)
-    wrong_modality.cine_instances.append(wrong_modality.doppler_instances[0])
+    made = make_bag(rng, "wrong_modality", n_cine=2, n_doppler=1)
+    wrong_modality = Bag(made.id, [*made.cine_instances, made.doppler_instances[0]],
+                         made.doppler_instances, label=made.label)
     flat_gate = random_model(config, seed=10)
     flat_gate.params["output.b"][1] = -1e5  # p[label] underflows to 0
     sharp = random_model(config, seed=11)
@@ -175,8 +177,10 @@ def test_step_raises_what_the_tape_raises(case):
 def test_nan_features_in_memory_raise_numeric_error():
     rng = np.random.default_rng(12)
     bags = [make_bag(rng, f"b{i}", label=i % 3) for i in range(4)]
-    bad = bags[2].doppler_instances[0]
-    bags[2].doppler_instances[0] = Instance("doppler", np.full(bad.features.size, np.nan),
-                                            bad.shape)
+    b2 = bags[2]
+    bad, *rest = b2.doppler_instances
+    bags[2] = Bag(b2.id, b2.cine_instances,
+                  [Instance("doppler", np.full(bad.features.size, np.nan), bad.shape), *rest],
+                  label=b2.label)
     with pytest.raises(NumericError, match="'b2'"):
         train_supervised(1, bags, bags[:1], tiny_model_config(), TrainConfig(max_epochs=1))
