@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
@@ -288,6 +289,7 @@ def _cmd_predict(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves a parser as it was: one serves every call
 def build_parser():
     parser = _Parser(prog="milfusion",
                      description="multimodal multiple-instance bag classifier")

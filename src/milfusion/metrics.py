@@ -32,13 +32,19 @@ Screening tasks over 3-class probability rows (p0, p1, p2):
 Every metric is computed in weighted form: ``weights[a, i]`` is how many
 times row i appears in resample a, and a metric maps a ``[A, n]`` count
 matrix to ``[A]`` float64 values, NaN where it is undefined. The point
-estimate is the same computation on one all-ones row. Counts, midrank sums
-and the three recall divisions are exact, and the AUPR terms are added in
-threshold order, so the weighted form equals the formulas above applied to
-each resample's rows. A report ranks each screening task's rows once, for
-both its metrics and every resample, and sums counts over tie groups only
-when some group holds more than one row: a sum over one-row groups is the
-rows' counts themselves.
+estimate is the same computation on one all-ones row. Counts are float64:
+they are integers far below 2^53, so float64 holds them, their sums and the
+midrank sums exactly, in any order of addition, and no division converts
+them first. The three recall divisions are exact, and the AUPR terms are
+added in threshold order, so the weighted form equals the formulas above
+applied to each resample's rows. A report ranks each screening task's rows
+once, for both its metrics and every resample, and sums counts over tie
+groups only when some group holds more than one row: a sum over one-row
+groups is the rows' counts themselves.
+
+A block of draws takes its remainders modulo n by floor division,
+z - (z // n) n, which numpy computes faster than ``%``; the stream is the
+one defined above.
 """
 
 from __future__ import annotations
@@ -138,7 +144,7 @@ class PredictionSet:
 
 
 def _ones(n):
-    return np.ones((1, n), dtype=np.int64)
+    return np.ones((1, n))
 
 
 def _scalar(values, message):
@@ -162,7 +168,7 @@ def balanced_accuracy(preds, weights=None):
         return float(balanced_accuracy(preds, _ones(len(preds)))[0])
     is_class = preds.labels[:, None] == np.arange(N_CLASSES)
     hit = (np.argmax(preds.probs, axis=1) == preds.labels)[:, None]
-    counts = weights @ np.concatenate([is_class, is_class & hit], axis=1).astype(np.int64)
+    counts = weights @ np.concatenate([is_class, is_class & hit], axis=1).astype(np.float64)
     seen, correct = counts[:, :N_CLASSES], counts[:, N_CLASSES:]
     with np.errstate(divide="ignore", invalid="ignore"):
         recall = correct / seen  # 0/0 = NaN where a class is absent
@@ -184,7 +190,7 @@ class _Ranking:
         order = np.argsort(scores, kind="stable")
         ordered = scores[order]
         self.columns = columns[order]
-        self.positive = labels[order]
+        self.positive = labels[order].astype(np.float64)
         self.starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
 
     @classmethod
@@ -194,15 +200,16 @@ class _Ranking:
         return cls(np.arange(scores.size), scores, labels)
 
     def group_counts(self, weights):
-        """(positives, negatives), each [A, groups]: how often each tie group's
-        positive and negative rows appear in each resample."""
-        w = weights[:, self.columns]
-        pos = w * self.positive
+        """(positives, rows), each [A, groups] float64: how often each tie
+        group's positive rows, and all its rows, appear in each resample."""
+        # np.take gives C-contiguous rows, for the passes along them; [:, columns]
+        # would give a column-major copy
+        rows = np.take(np.asarray(weights, dtype=np.float64), self.columns, axis=1)
+        pos = rows * self.positive
         if self.starts.size < self.columns.size:  # some group holds several rows
             pos = np.add.reduceat(pos, self.starts, axis=1)
-            w = np.add.reduceat(w, self.starts, axis=1)
-        w -= pos
-        return pos, w
+            rows = np.add.reduceat(rows, self.starts, axis=1)
+        return pos, rows
 
 
 def _ranked_values(values_fn, ranking, weights):
@@ -211,39 +218,41 @@ def _ranked_values(values_fn, ranking, weights):
     return values_fn(*ranking.group_counts(weights))
 
 
-def _undefined(pos, neg):
-    return (pos.sum(axis=1) == 0) | (neg.sum(axis=1) == 0)
-
-
-def _auroc_values(pos, neg):
+def _auroc_values(pos, rows):
     """Mann-Whitney AUROC per resample from ascending tie-group counts."""
     n_pos = pos.sum(axis=1)
-    n_neg = neg.sum(axis=1)
-    # a group of c rows after b others has midrank (2 b + c + 1) / 2; the rank
-    # sum is a half-integer, so its value does not depend on the order
-    count = pos + neg
-    before = np.cumsum(count, axis=1) - count
-    rank_sum = (pos * (2 * before + count + 1)).sum(axis=1) / 2.0
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = u / (n_pos * n_neg)
-    values[_undefined(pos, neg)] = np.nan
-    return values
+    through = np.cumsum(rows, axis=1)  # rows up to and including each group
+    pairs = n_pos * (through[:, -1] - n_pos)
+    # a group of c rows after b others has midrank (2 b + c + 1) / 2; with
+    # t = b + c, 2 U = sum(pos (2 t - c + 1)) - n_pos (n_pos + 1)
+    # = 2 sum(pos t) - sum(pos c) - n_pos^2, integers all, so U is exact in
+    # any order of addition
+    twice_u = 2.0 * np.einsum("ij,ij->i", pos, through) - np.einsum("ij,ij->i", pos, rows)
+    twice_u -= n_pos * n_pos
+    return np.divide(twice_u / 2.0, pairs, out=np.full(len(pairs), np.nan), where=pairs > 0)
 
 
-def _aupr_values(pos, neg):
+def _aupr_values(pos, rows):
     """Average precision per resample from ascending tie-group counts."""
     tp = np.cumsum(pos[:, ::-1], axis=1)  # descending thresholds
-    fp = np.cumsum(neg[:, ::-1], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        precision = tp / (tp + fp)
-        terms = np.diff(tp / tp[:, -1:], axis=1, prepend=0.0)  # R_k - R_{k-1}
-        terms *= precision
-    # a threshold absent from a resample adds exactly 0.0; cumsum adds in
-    # threshold order, where np.sum would add pairwise
-    terms[(pos + neg)[:, ::-1] == 0] = 0.0
-    values = np.cumsum(terms, axis=1)[:, -1]
-    values[_undefined(pos, neg)] = np.nan
+    ranked = np.cumsum(rows[:, ::-1], axis=1)  # tp + fp
+    undefined = (tp[:, -1] == 0) | (tp[:, -1] == ranked[:, -1])
+    # denominators clamped to at least 1 avoid 0/0 and change no defined
+    # value: tp + fp is 0 only before a resample's first row, where tp = 0 and
+    # so precision, recall and the term are 0; P is 0 only where the resample
+    # is undefined. A threshold absent from a resample after its first row
+    # adds exactly +0.0, its recall being that of the threshold before.
+    precision = np.divide(tp, np.maximum(ranked, 1.0, out=ranked), out=ranked)
+    recall = np.divide(tp, np.maximum(tp[:, -1:], 1.0), out=tp)
+    # R_k - R_{k-1} over the flat rows, in one pass; each row's first term is R_1
+    terms = np.empty(recall.shape)
+    flat = recall.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=terms.reshape(-1)[1:])
+    terms[:, 0] = recall[:, 0]
+    terms *= precision
+    # cumsum adds in threshold order, where np.sum would add pairwise
+    values = np.cumsum(terms, axis=1, out=terms)[:, -1]
+    values[undefined] = np.nan
     return values
 
 
@@ -293,9 +302,12 @@ class SplitMix64:
         return [self.next() % n for _ in range(count)]
 
 
-def stream_indices(seed, start, count, n):
+def stream_indices(seed, start, count, n, attempts=1):
     """Draws start + 1 .. start + count of the stream for ``seed``, modulo n,
     as int64. uint64 array arithmetic wraps, which is the stream's mod 2^64.
+
+    With ``attempts`` > 1 the draws are split into that many equal runs and
+    run a's indices are offset by a * n: positions in a flat [attempts, n].
     """
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
@@ -305,8 +317,14 @@ def stream_indices(seed, start, count, n):
     z ^= z >> np.uint64(27)
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    z %= np.uint64(n)
-    return z.view(np.int64)  # every index is below n < 2^63
+    # z - (z // n - a) n: numpy divides uint64 by a scalar faster than it
+    # takes the remainder; the difference wraps back to z mod n + a n
+    z = z.reshape(attempts, -1)
+    q = z // np.uint64(n)
+    q -= np.arange(attempts, dtype=np.uint64)[:, None]
+    q *= np.uint64(n)
+    z -= q
+    return z.reshape(-1).view(np.int64)  # every index is below attempts * n < 2^63
 
 
 def percentile_linear(sorted_values, q):
@@ -320,10 +338,10 @@ def percentile_linear(sorted_values, q):
 
 
 def _resample_counts(seed, first, attempts, n):
-    """[attempts, n]: how often attempt first + a drew row i."""
-    rows = stream_indices(seed, first * n, attempts * n, n).reshape(attempts, n)
-    rows += (np.arange(attempts, dtype=np.int64) * n)[:, None]
-    return np.bincount(rows.reshape(-1), minlength=attempts * n).reshape(attempts, n)
+    """[attempts, n] float64: how often attempt first + a drew row i."""
+    rows = stream_indices(seed, first * n, attempts * n, n, attempts)
+    counts = np.bincount(rows, minlength=attempts * n).reshape(attempts, n)
+    return counts.astype(np.float64)
 
 
 def bootstrap_ci(metric_fn, preds, n_boot=5000, seed=0):

@@ -73,6 +73,15 @@ MUTANTS = (
     Mutant("bootstrap_seed_offset_dropped", "metrics.py",
            "seed + block)", "seed)",
            ("tests/test_metrics.py::test_compute_report_matches_oracle_bitwise",)),
+    Mutant("aupr_sum_pairwise", "metrics.py",
+           "values = np.cumsum(terms, axis=1, out=terms)[:, -1]",
+           "values = np.sum(terms, axis=1)",
+           ("tests/test_metrics.py::test_one_resample_over_many_thresholds_is_the_point_estimate",
+            "tests/test_metrics.py::test_compute_report_matches_oracle_bitwise")),
+    Mutant("resample_offset_dropped", "metrics.py",
+           "    q -= np.arange(attempts, dtype=np.uint64)[:, None]\n", "",
+           ("tests/test_metrics.py::test_bootstrap_matches_two_loop_oracle_bitwise",
+            "tests/test_metrics.py::test_compute_report_matches_oracle_bitwise")),
     Mutant("loaded_relevance_one_late", "data.py",
            "relevance[cine_start:cine_stop]))",
            "relevance[cine_start + 1:cine_stop + 1]))",

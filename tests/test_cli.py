@@ -95,6 +95,19 @@ def test_unknown_flag_is_usage_error(tmp_path):
     assert main(["gen-data", "--seed", "1", "--frobnicate"]) == 1
 
 
+def test_consecutive_calls_parse_independently(monkeypatch, capsys):
+    parsed = []
+    monkeypatch.setitem(cli._COMMANDS, "eval", lambda args: parsed.append(args) or 0)
+    assert main(["eval", "--seed", "1", "--n-boot", "50"]) == 0
+    assert main(["eval", "--seed", "2"]) == 0
+    assert main(["eval", "--seed", "3", "--n-boot", "many"]) == 1  # usage error
+    assert main(["eval", "--seed", "4", "--split", "val"]) == 0
+    assert [(a.seed, a.n_boot, a.split) for a in parsed] == [
+        (1, 50, "test"), (2, 5000, "test"), (4, 5000, "val")]
+    assert len(error_lines(capsys.readouterr().err)) == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize("command", ["gen-data", "train", "ssl"])
 def test_negative_seed_is_a_usage_error(workdir, capsys, command):
     args = [] if command == "gen-data" else ["--data", str(workdir / "data"),

@@ -490,12 +490,29 @@ def tied_rare_preds(rng, n):
     return rows_from(labels.tolist(), [TIE_GRID[i] for i in rng.integers(0, 6, size=n)])
 
 
-@pytest.mark.parametrize("case, n, n_boot", [("tied", 20, 300), ("random", 30, 200),
-                                             ("tied", 10, 5000)])
+@pytest.mark.parametrize("case, n, n_boot", [
+    ("tied", 20, 300), ("random", 30, 200), ("tied", 10, 5000),
+    # the benchmark's shapes: 273 attempts per block on 60 rows, two full
+    # blocks and a partial one; 20 per block on 800 tied rows
+    ("random", 60, 600), ("tied", 800, 25)])
 def test_compute_report_matches_oracle_bitwise(case, n, n_boot):
     rng = np.random.default_rng(n)
     preds = tied_rare_preds(rng, n) if case == "tied" else random_preds(rng, n)
     assert compute_report(preds, n_boot=n_boot, seed=21) == bf_report(preds, n_boot, 21)
+
+
+def test_one_resample_over_many_thresholds_is_the_point_estimate():
+    # 40 distinct scores: a pairwise sum of the AUPR terms, which numpy uses
+    # from 9 terms on, would differ from the in-order one in the last bits
+    rng = np.random.default_rng(40)
+    preds = random_preds(rng, 40)
+    for task in SCREENING_TASKS:
+        for kind, curve in (("auroc", bf_auroc), ("aupr", bf_aupr)):
+            want = bf_task_metric(task, curve)(preds.rows)
+            metric = task_metric(task, kind)
+            assert metric(preds, np.ones((1, 40))).tolist() == [want], (task.name, kind)
+            assert metric(preds, np.ones((3, 40))).tolist() == [want] * 3, (task.name, kind)
+            assert metric(preds) == want
 
 
 def test_compute_report_ranks_each_task_once(monkeypatch):
