@@ -3,9 +3,11 @@ confusion matrix, and bootstrap percentile confidence intervals.
 
 Conventions, fixed so an independent reimplementation can match bitwise:
 
-  * probabilities must be finite and non-negative (and sum to 1 within
-    1e-6); anything else is refused with FormatError, so NaN never enters as
-    data;
+  * a prediction row is checked against five rules in this order: a bag id
+    no earlier row has, three probabilities (once flattened), all finite and
+    non-negative, summing to 1 within 1e-6, and a label in {0, 1, 2}; the
+    first row that breaks one raises FormatError for the first rule it
+    breaks, so NaN never enters as data;
   * predicted class = argmax of the probability row, ties -> lowest index;
   * balanced accuracy = (recall_0 + recall_1 + recall_2) / 3, in that order;
   * AUROC is the Mann-Whitney statistic: P(random positive outranks random
@@ -17,8 +19,9 @@ Conventions, fixed so an independent reimplementation can match bitwise:
     (i = 1, 2, ...) is mix64(seed + i * 0x9E3779B97F4A7C15) and the index is
     that 64-bit value modulo n; attempt k (k = 0, 1, ...) takes draws
     k*n + 1 .. k*n + n; the first n_boot attempts on which the metric is
-    defined are kept, in stream order, and 101 undefined attempts in a row
-    raise MetricError (a resample is redrawn at most 100 times);
+    defined are kept, in stream order, and 101 undefined attempts in a row,
+    counted across the blocks of attempts computed at once, raise
+    MetricError (a resample is redrawn at most 100 times);
   * interval bounds are the empirical 2.5th/97.5th percentiles with linear
     interpolation: pos = q * (n_boot - 1), v = v_lo + (v_hi - v_lo) * frac.
 
@@ -74,60 +77,48 @@ class PredRow:
     probs: np.ndarray  # [3]
 
 
-_LABELS = {0, 1, 2}
-
-
-def _check_rows(rows):
-    """Check prediction rows one by one, flattening each row's probabilities to
-    float64; the first offending row raises FormatError."""
-    ids = set()
-    for row in rows:
-        if row.bag_id in ids:
-            raise FormatError(f"duplicate bag id {row.bag_id!r} in predictions")
-        ids.add(row.bag_id)
-        row.probs = np.asarray(row.probs, dtype=np.float64).reshape(-1)
-        if row.probs.size != N_CLASSES:
-            raise FormatError(f"bag {row.bag_id!r}: needs 3 probabilities")
-        if not (np.all(np.isfinite(row.probs)) and np.all(row.probs >= 0.0)):
-            raise FormatError(f"bag {row.bag_id!r}: probabilities must be finite "
-                              f"and non-negative, got {row.probs.tolist()!r}")
-        if abs(float(row.probs.sum()) - 1.0) > 1e-6:
-            raise FormatError(
-                f"bag {row.bag_id!r}: probabilities sum to {row.probs.sum()!r}"
-            )
-        if row.true_label not in (0, 1, 2):
-            raise FormatError(f"bag {row.bag_id!r}: bad label {row.true_label!r}")
+# FormatError texts of a prediction row's rules, in the order they are checked
+_ROW_FAULTS = ("duplicate bag id {0!r} in predictions",
+               "bag {0!r}: needs 3 probabilities",
+               "bag {0!r}: probabilities must be finite and non-negative, got {1!r}",
+               "bag {0!r}: probabilities sum to {2!r}",
+               "bag {0!r}: bad label {3!r}")
 
 
 class PredictionSet:
     """Rows of (bag_id, true_label, probability 3-vector); ids unique.
 
-    ``labels`` [n] and ``probs`` [n, 3] hold the rows as arrays.
+    ``labels`` [n] and ``probs`` [n, 3] hold the rows as arrays, and each
+    row's ``probs`` becomes its row of ``probs``; see the module docstring
+    for the rules a row must keep.
     """
 
     def __init__(self, rows):
         self.rows = list(rows)
         n = len(self.rows)
+        raw = [row.probs for row in self.rows]
         labels = [row.true_label for row in self.rows]
-        # The checks of _check_rows on whole arrays. A three-value row sums
-        # left to right both in ndarray.sum and along axis 1, so the sum test
-        # is bitwise the same; anything odd goes to _check_rows.
-        try:
-            probs = np.array([row.probs for row in self.rows],
-                             dtype=np.float64).reshape(n, N_CLASSES)
-            valid = (len({row.bag_id for row in self.rows}) == n
-                     and set(labels) <= _LABELS
-                     and bool(np.isfinite(probs).all()) and bool((probs >= 0.0).all())
-                     and bool((np.abs(probs.sum(axis=1) - 1.0) <= 1e-6).all()))
-        except (TypeError, ValueError):
-            valid = False
-        if valid:
-            for row, row_probs in zip(self.rows, probs):
-                row.probs = row_probs
-        else:
-            _check_rows(self.rows)
-            probs = np.array([row.probs for row in self.rows],
-                             dtype=np.float64).reshape(n, N_CLASSES)
+        ok = np.ones((5, n), dtype=bool)  # rule x row: the row keeps the rule
+        ok[0] = False  # then True at each id's first row
+        first = dict(zip(reversed([row.bag_id for row in self.rows]), range(n - 1, -1, -1)))
+        ok[0, np.fromiter(first.values(), np.int64, len(first))] = True
+        ndarray = np.ndarray  # whose .size costs a fraction of np.size
+        ok[1] = np.array([p.size if type(p) is ndarray else np.size(p) for p in raw]) == N_CLASSES
+        # the rows before the first one without three values flatten to
+        # [m, 3] (float64 by the empty head); no later row is the first at fault
+        m = n if ok[1].all() else int(np.argmin(ok[1]))
+        probs = np.concatenate([np.empty(0), *raw[:m]], axis=None).reshape(m, N_CLASSES)
+        ok[2, :m] = (np.isfinite(probs) & (probs >= 0.0)).all(axis=1)
+        ok[3, :m] = np.abs(probs.sum(axis=1) - 1.0) <= 1e-6  # summed as the row alone is
+        ok[4] = np.fromiter(map({0, 1, 2}.__contains__, labels), bool, n)
+        faults = np.flatnonzero(~ok.all(axis=0))
+        if faults.size:
+            i = faults[0]
+            row, p = self.rows[i], probs[i] if i < m else np.empty(0)
+            raise FormatError(_ROW_FAULTS[np.argmin(ok[:, i])].format(
+                row.bag_id, p.tolist(), p.sum(), row.true_label))
+        for row, row_probs in zip(self.rows, probs):
+            row.probs = row_probs
         self.labels = np.array(labels, dtype=np.int64)
         self.probs = probs
 
@@ -365,30 +356,24 @@ def bootstrap_ci(metric_fn, preds, n_boot=5000, seed=0):
     kept = 0
     per_block = max(1, BOOTSTRAP_BLOCK_ELEMENTS // n)
     attempted = 0
-    undefined_run = 0
+    run = 0  # undefined resamples in a row, carried from block to block
     while kept < n_boot:
         attempts = min(per_block, n_boot - kept)
         weights = _resample_counts(seed, attempted, attempts, n)
         attempted += attempts
         block = np.asarray(metric_fn(preds, weights), dtype=np.float64)
-        if not np.isnan(block).any():  # the whole block is kept
-            undefined_run = 0
-            values[kept:kept + attempts] = block
-            kept += attempts
-            continue
-        for value in block.tolist():
-            if value != value:
-                undefined_run += 1
-                if undefined_run > MAX_REDRAWS:
-                    raise MetricError(
-                        "bootstrap kept drawing resamples on which the metric is undefined"
-                    )
-                continue
-            undefined_run = 0
-            values[kept] = value
-            kept += 1
-            if kept == n_boot:
-                break
+        undefined = np.isnan(block)
+        last = -1  # a run at position 0 continues the carried one
+        for pos in undefined.nonzero()[0].tolist():
+            run = run + 1 if pos == last + 1 else 1
+            if run > MAX_REDRAWS:
+                raise MetricError("bootstrap kept drawing resamples on which the "
+                                  "metric is undefined")
+            last = pos
+        run = run if last == attempts - 1 else 0  # a defined resample ends a run
+        defined = block[~undefined]
+        values[kept:kept + defined.size] = defined
+        kept += defined.size
     values.sort(kind="stable")
     return (point, float(percentile_linear(values, 2.5)),
             float(percentile_linear(values, 97.5)))

@@ -56,6 +56,7 @@ from .data import checked_json, contained_file, read_json
 from .encoders import (  # noqa: F401 -- preprocess stays bound here for bench/spans.py
     EncoderConfig,
     encode_rows,
+    glorot_bound,
     init_encoder_arrays,
     preprocess,
     preprocess_rows,
@@ -90,6 +91,9 @@ class ModelConfig:
     def __post_init__(self):
         if not (self.use_cine or self.use_doppler):
             raise ConfigError("at least one modality must be enabled")
+        for slot, enc in (("cine", self.cine_encoder), ("doppler", self.doppler_encoder)):
+            if enc.modality != slot:
+                raise ConfigError(f"{slot}_encoder has modality {enc.modality!r}")
         if self.cine_encoder.embed_dim != self.doppler_encoder.embed_dim:
             raise ConfigError(
                 "fusion requires a common embedding dim, got "
@@ -164,12 +168,10 @@ def init_model(config, seed):
         for name, arr in init_encoder_arrays(enc, rng).items():
             params[prefix + name] = arr
     m, l = config.embed_dim, config.attention_dim
+    bu, bw, bo = glorot_bound(m, l), glorot_bound(l, 1), glorot_bound(m, N_CLASSES)
     for name in ATTENTION_NAMES:
-        bu = np.sqrt(6.0 / (m + l))
-        bw = np.sqrt(6.0 / (l + 1))
         params[f"{name}.U"] = rng.uniform(-bu, bu, size=(l, m))
         params[f"{name}.w"] = rng.uniform(-bw, bw, size=(l,))
-    bo = np.sqrt(6.0 / (m + N_CLASSES))
     params["output.W"] = rng.uniform(-bo, bo, size=(N_CLASSES, m))
     params["output.b"] = np.zeros(N_CLASSES)
     return MMILModel(config, params)

@@ -55,7 +55,8 @@ MUTANTS = (
            ("tests/test_inference.py::test_chunked_inference_matches_taped_forward",)),
     Mutant("pseudo_labels_shifted", "training.py",
            "by_id[b.id].predicted_class)", "(by_id[b.id].predicted_class + 1) % 3)",
-           ("tests/test_training.py::test_curriculum_not_worse_than_supervised",
+           ("tests/test_training.py::test_each_round_trains_on_the_previous_rounds_pseudo_labels",
+            "tests/test_training.py::test_curriculum_not_worse_than_supervised",
             "tests/test_acceptance.py::test_acceptance_4_curriculum_mechanics",
             "tests/test_acceptance.py::test_acceptance_5_end_to_end")),
     Mutant("early_abort_off", "training.py",
@@ -82,6 +83,14 @@ MUTANTS = (
            "    q -= np.arange(attempts, dtype=np.uint64)[:, None]\n", "",
            ("tests/test_metrics.py::test_bootstrap_matches_two_loop_oracle_bitwise",
             "tests/test_metrics.py::test_compute_report_matches_oracle_bitwise")),
+    Mutant("undefined_run_not_carried", "metrics.py",
+           "        last = -1  # a run at position 0 continues the carried one\n",
+           "        last, run = -1, 0\n",
+           ("tests/test_metrics.py::test_bootstrap_redraws_exactly_100_times",)),
+    Mutant("duplicate_ids_unchecked", "metrics.py",
+           "        ok[0] = False  # then True at each id's first row\n", "",
+           ("tests/test_metrics.py::test_prediction_set_validation",
+            "tests/test_metrics.py::test_prediction_set_names_the_first_offending_row")),
     Mutant("loaded_relevance_one_late", "data.py",
            "relevance[cine_start:cine_stop]))",
            "relevance[cine_start + 1:cine_stop + 1]))",

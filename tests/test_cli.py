@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -440,6 +443,32 @@ def test_eval_bytes_are_deterministic(workdir, trained, source):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_train_and_predict_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the default model dims, whose products are wide enough for OpenBLAS to
+    # split across threads; without threadpoolctl the test cannot show that a
+    # second thread ran
+    (tmp_path / "dataset.json").write_text(json.dumps({"dataset": {
+        "n_labeled": 30, "n_val": 12, "n_test": 60, "n_unlabeled": 0}}))
+    (tmp_path / "run.json").write_text(json.dumps({"train": {"max_epochs": 1}}))
+    data = str(tmp_path / "data")
+    assert main(["gen-data", "--config", str(tmp_path / "dataset.json"), "--seed", "7",
+                 "--out", data]) == 0
+    outcomes = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        for args in (["train", "--config", str(tmp_path / "run.json"), "--out", str(out)],
+                     ["predict", "--checkpoint", str(out / "checkpoint"), "--split", "test",
+                      "--out", str(out / "preds")]):
+            subprocess.run([sys.executable, "-m", "milfusion.cli", *args, "--data", data,
+                            "--seed", "7"], env=env, check=True, capture_output=True)
+        manifest = json.loads((out / "checkpoint" / "manifest.json").read_text())
+        outcomes.append((manifest["params_digest"],
+                         (out / "preds" / "predictions.csv").read_bytes()))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_eval_missing_checkpoint(workdir):
     code = main(["eval", "--checkpoint", str(workdir / "ghost"),
                  "--data", str(workdir / "data"), "--seed", "1",
@@ -505,6 +534,20 @@ def test_bad_checkpoint_manifest_exits_2(workdir, trained, capsys, key_path, val
                  "--seed", "1", "--out", str(workdir / "p")])
     assert code == 2
     assert len(error_lines(capsys.readouterr().err)) == 1
+
+
+@pytest.mark.parametrize("slot, modality", [("cine_encoder", "doppler"),
+                                            ("doppler_encoder", "cine")])
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_checkpoint_encoder_in_the_wrong_slot_exits_2(workdir, trained, capsys, command, slot,
+                                                      modality):
+    edit_json(trained / "manifest.json", ("config", slot, "modality"), modality)
+    capsys.readouterr()
+    code = main([command, "--checkpoint", str(trained), "--data", str(workdir / "data"),
+                 "--seed", "1", "--out", str(workdir / "p")])
+    assert code == 2
+    (line,) = error_lines(capsys.readouterr().err)
+    assert f"{slot} has modality {modality!r}" in line
 
 
 @pytest.mark.parametrize("key_path, value", [

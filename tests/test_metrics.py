@@ -366,12 +366,12 @@ def undefined_on(undefined):
     return metric
 
 
-@pytest.mark.parametrize("block_elements", [3, 6])
+@pytest.mark.parametrize("block_elements", [3, 6, 900])
 def test_bootstrap_redraws_exactly_100_times(monkeypatch, block_elements):
     monkeypatch.setattr(metrics, "BOOTSTRAP_BLOCK_ELEMENTS", block_elements)
     preds = rows_from([0, 1, 2], [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
-    # one and two attempts per block; 100 undefined attempts before each of
-    # the two resamples succeeds
+    # one, two and up to 300 attempts per block; 100 undefined attempts before
+    # each of the two resamples succeeds
     twice = undefined_on(lambda k: (k != 100) & (k != 201))
     assert bootstrap_ci(twice, preds, n_boot=2, seed=0) == (1.0, 1.0, 1.0)
     with pytest.raises(MetricError):
@@ -382,6 +382,15 @@ def test_bootstrap_redraws_exactly_100_times(monkeypatch, block_elements):
     # with two attempts per block, attempts 100 and 101 are one such block
     ended = undefined_on(lambda k: (k < 100) | ((k >= 102) & (k < 202)))
     assert bootstrap_ci(ended, preds, n_boot=3, seed=0) == (1.0, 1.0, 1.0)
+    # n_boot 250: with 300 attempts per block the first block holds attempts
+    # 0-249, so a run from attempt 10 lies inside it and a run from attempt
+    # 200 crosses into the next blocks
+    for start in (10, 200):
+        hundred = undefined_on(lambda k: (k >= start) & (k < start + 100))
+        assert bootstrap_ci(hundred, preds, n_boot=250, seed=0) == (1.0, 1.0, 1.0)
+        with pytest.raises(MetricError):
+            bootstrap_ci(undefined_on(lambda k: (k >= start) & (k <= start + 100)), preds,
+                         n_boot=250, seed=0)
 
 
 def test_weighted_metrics_agree_with_point_estimates():

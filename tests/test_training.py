@@ -469,6 +469,33 @@ def test_pseudo_label_accuracy_scores_the_labels_each_round_trains_on(monkeypatc
     assert any(trained_on[1:])
 
 
+def test_each_round_trains_on_the_previous_rounds_pseudo_labels(monkeypatch):
+    ds, hidden = tiny_dataset()
+    models, trained_on, labelled = [], [], []
+    train, pseudo_label = training.train_supervised, training.pseudo_label
+
+    def recording_train(init_seed, train_bags, *args):
+        trained_on.append({b.id: b.label for b in train_bags if b.id in hidden})
+        model, history = train(init_seed, train_bags, *args)
+        models.append(model)
+        return model, history
+
+    def recording_pseudo_label(model, bags):
+        assert model is models[-1]  # the model of the round before
+        records = pseudo_label(model, bags)
+        labelled.append({r.bag_id: r.predicted_class for r in records})
+        return records
+
+    monkeypatch.setattr(training, "train_supervised", recording_train)
+    monkeypatch.setattr(training, "pseudo_label", recording_pseudo_label)
+    run_curriculum(ds, tiny_model_config(), tiny_train_config(max_epochs=1), hidden,
+                   early_abort_drop=None)
+    assert len(trained_on) == len(ROUND_FRACTIONS) == len(labelled) + 1
+    assert trained_on[0] == {}
+    for pseudo, selected in zip(labelled, trained_on[1:]):
+        assert selected and selected == {i: pseudo[i] for i in selected}
+
+
 @pytest.mark.parametrize("round_2, rounds_run, best_round", [(0.4, 2, 1), (0.85, 6, 3)])
 def test_early_abort_fires_on_a_drop_beyond_its_threshold(monkeypatch, caplog, round_2,
                                                           rounds_run, best_round):
