@@ -12,8 +12,8 @@ Commands:
 
 Every command takes --config (JSON file) with flags overriding file values,
 requires --seed, and echoes the fully resolved configuration into the output
-directory. Exit codes: 0 success, 1 usage/config error or out of memory,
-2 data/format error, 3 numeric failure.
+directory. Exit codes: 0 success, 1 usage/config error, out of memory or an
+OS error on a path, 2 data/format error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import logging
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -54,7 +55,6 @@ from .training import (
     predictions_for,
     run_curriculum,
     train_supervised,
-    val_split,
 )
 
 
@@ -67,10 +67,10 @@ def _read_config_file(path):
     if path is None:
         return {}
     p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"config file not found: {p}")
     try:
         cfg = json.loads(p.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise UsageError(f"config file {p}: {exc.strerror}") from exc
     except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -90,11 +90,19 @@ def _require(args, name):
 
 def _out_dir(args):
     """``--out`` as a Path, refused unless it, or its first existing ancestor, is a
-    directory. Nothing is created: a run that fails leaves no output directory."""
+    directory, and unless the OS accepts the path (its length, its permissions).
+    Nothing is created: a run that fails leaves no output directory."""
     out = Path(_require(args, "out"))
-    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
-    if not existing.is_dir():
-        raise UsageError(f"--out {out}: {existing} is not a directory")
+    for path in (out, *out.parents):
+        try:
+            os.lstat(path)
+            break
+        except (FileNotFoundError, NotADirectoryError):
+            pass
+        except OSError as exc:
+            raise UsageError(f"--out {out}: {exc.strerror}") from exc
+    if not path.is_dir():
+        raise UsageError(f"--out {out}: {path} is not a directory")
     return out
 
 
@@ -179,15 +187,10 @@ def _cmd_gen_data(args):
     dataset, hidden_truth = generate_synthetic(config)
     save(dataset, out, hidden_truth)
     save_json({"command": "gen-data", "dataset": asdict(config)}, out / "config_used.json")
-    counts = {}
-    hist = {0: 0, 1: 0, 2: 0}
-    for bag in dataset.bags:
-        split = dataset.split_assignment[bag.id]
-        counts[split] = counts.get(split, 0) + 1
-        if bag.label is not None:
-            hist[bag.label] += 1
+    counts = Counter(dataset.split_assignment.values())
+    hist = Counter(bag.label for bag in dataset.bags)
     print(f"wrote dataset to {out}")
-    print("bags per split: " + ", ".join(f"{s}={counts.get(s, 0)}" for s in ("train", "val", "test", "unlabeled")))
+    print("bags per split: " + ", ".join(f"{s}={counts[s]}" for s in ("train", "val", "test", "unlabeled")))
     print("labeled class histogram: " + ", ".join(f"{c}={hist[c]}" for c in (0, 1, 2)))
     return 0
 
@@ -210,10 +213,8 @@ def _write_rounds(report, path):
 def _cmd_train(args):
     out = _out_dir(args)
     dataset, model_config, train_config = _run_inputs(args)
-    model, history = train_supervised(
-        train_config.seed + 1, iterate_split(dataset, "train"), val_split(dataset),
-        model_config, train_config
-    )
+    model, history = train_supervised(train_config.seed + 1, iterate_split(dataset, "train"),
+                                      iterate_split(dataset, "val"), model_config, train_config)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "checkpoint")
     _write_history_csv(history, out / "history.csv")
@@ -358,6 +359,9 @@ def main(argv=None):
         return exit_code_for(exc)
     except MemoryError as exc:  # numpy names the allocation it refused
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the OS refused an output path or file
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -499,11 +499,11 @@ def save_predictions(preds, path):
 
 def load_predictions(path):
     path = Path(path)
-    if not path.is_file():
-        raise FormatError(f"no prediction file at {path}")
     try:
         with open(path, newline="", encoding="utf-8") as f:
             lines = list(csv.reader(f))
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise FormatError(f"no prediction file at {path}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines:

@@ -716,6 +716,8 @@ def load_model(dir_path):
     if path is None:
         raise FormatError(f"no checkpoint manifest under {root}")
     manifest = checked_json(read_json(path, "checkpoint manifest"), dict, "checkpoint manifest")
+    if manifest.keys() & {"bags", "features_sha256"}:
+        raise FormatError(f"{root} holds a dataset, not a checkpoint")
     version = manifest.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise FormatError(f"unsupported checkpoint format_version {version!r}; format_version "

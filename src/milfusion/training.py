@@ -29,7 +29,7 @@ import numpy as np
 from .autodiff import backward  # noqa: F401 -- bench/spans.py patches training.backward
 from .data import iterate_split, with_label
 from .errors import ConfigError, NumericError, UsageError
-from .metrics import PredictionSet, PredRow, balanced_accuracy
+from .metrics import N_CLASSES, PredictionSet, PredRow, balanced_accuracy
 from .model import (  # noqa: F401 -- bench/spans.py patches forward and total_loss here
     MMILModel,
     Plan,
@@ -94,18 +94,26 @@ def validation_balanced_accuracy(model, bags, branches=None):
 def train_supervised(init_seed, train_bags, val_bags, model_config, train_config):
     """Train one model; returns (model at the best-validation epoch, history).
 
+    Checks, before the model exists: a non-empty train split, its labels, each
+    train bag's preparation, then a val split whose scorable bags (those
+    ``resolve_branches`` keeps) hold every class, so every epoch is scored.
     History is a dict with per-epoch rows and the init fingerprint used by the
     fresh-initialization audit.
     """
     train_bags = list(train_bags)
-    val_bags = list(val_bags)
     if not train_bags:
-        raise UsageError("empty training set")
+        raise UsageError("dataset has no labeled train split")
     for bag in train_bags:
         if bag.label is None:
             raise UsageError(f"training bag {bag.id!r} has no label")
     prepared = [prepare_bag(model_config, bag) for bag in train_bags]
+    val_bags = list(val_bags)
     val_branches = resolve_branches(model_config, val_bags)  # logs each fallback once
+    scorable = {bag.label for bag, branch in zip(val_bags, val_branches) if branch is not None}
+    missing = [c for c in range(N_CLASSES) if c not in scorable]
+    if missing:
+        raise UsageError(f"val split has no scorable bag of class {missing[0]} ({len(val_bags)} "
+                         "val bags): validation balanced accuracy needs every class")
 
     model = init_model(model_config, init_seed)
     history = {
@@ -131,10 +139,7 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
     mom = train_config.momentum
     wd = train_config.weight_decay
 
-    best_bacc = -np.inf
-    best_theta = theta.copy()
-    best_epoch = 0
-    since_best = 0
+    best_bacc, best_theta, best_epoch, since_best = -np.inf, None, 0, 0  # epoch 1 sets all
     for epoch in range(1, train_config.max_epochs + 1):
         order = rng.permutation(len(prepared))
         epoch_loss = 0.0
@@ -150,8 +155,7 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
             velocity += scratch  # v += grad + wd * theta
             np.multiply(velocity, lr, out=scratch)
             theta -= scratch  # theta -= lr * v
-        val_bacc = (validation_balanced_accuracy(model, val_bags, val_branches)
-                    if val_bags else 0.0)
+        val_bacc = validation_balanced_accuracy(model, val_bags, val_branches)
         history["epochs"].append(
             {
                 "epoch": epoch,
@@ -169,7 +173,7 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
             if since_best >= train_config.patience:
                 break
     history["best_epoch"] = best_epoch
-    history["best_val_balanced_accuracy"] = float(best_bacc) if val_bags else None
+    history["best_val_balanced_accuracy"] = float(best_bacc)
     return MMILModel(model_config, param_views(model_config, best_theta)), history
 
 
@@ -208,15 +212,6 @@ def _round_row(round_num, fraction, selected_count, history, pl_accuracy):
     }
 
 
-def val_split(dataset):
-    """The val split's bags; refuses an empty one, which leaves no epoch or round to pick."""
-    bags = iterate_split(dataset, "val")
-    if not bags:
-        raise UsageError("dataset has no val split: training picks its best epoch and "
-                         "round by validation accuracy")
-    return bags
-
-
 def run_curriculum(dataset, model_config, train_config, hidden_truth=None,
                    early_abort_drop=0.10):
     """Six curriculum rounds; returns (best model, per-round report rows).
@@ -232,9 +227,7 @@ def run_curriculum(dataset, model_config, train_config, hidden_truth=None,
     round; pass None to always run all six rounds.
     """
     labeled = iterate_split(dataset, "train")
-    if not labeled:
-        raise UsageError("dataset has no labeled train split")
-    val_bags = val_split(dataset)
+    val_bags = iterate_split(dataset, "val")
     unlabeled = iterate_split(dataset, "unlabeled")
     fractions = ROUND_FRACTIONS
     if not unlabeled:

@@ -106,6 +106,14 @@ MUTANTS = (
            "0.0 if inst.relevance is None else inst.relevance",
            ("tests/test_loaded_bags.py::test_loaded_bags_prepare_bitwise_as_rebuilt",
             "tests/test_step.py::test_step_raises_what_the_tape_raises[missing_relevance]")),
+    Mutant("val_class_unchecked", "training.py",
+           "    if missing:\n", "    if False:\n",
+           ("tests/test_training.py::"
+            "test_val_split_that_cannot_score_every_class_is_refused_before_any_step",
+            "tests/test_cli.py::test_val_split_missing_a_class_is_refused_before_training")),
+    Mutant("out_path_unchecked", "cli.py",
+           "        except (FileNotFoundError, NotADirectoryError):\n", "        except OSError:\n",
+           ("tests/test_cli.py::test_out_path_the_os_refuses_is_refused_before_any_work",)),
 )
 
 

@@ -144,6 +144,41 @@ def test_out_that_is_not_a_directory_is_refused_before_any_work(tmp_path, capsys
     assert blocker.read_text() == "keep"
 
 
+# one path component longer than any file system takes (NAME_MAX is 255 bytes)
+LONG_NAME = "x" * 300
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "ssl", "predict", "eval"])
+def test_out_path_the_os_refuses_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("generate_synthetic", "load", "load_model", "load_predictions"):
+        monkeypatch.setattr(cli, name, no_work)
+    args = {"gen-data": [], "train": ["--data", str(tmp_path)], "ssl": ["--data", str(tmp_path)],
+            "predict": ["--data", str(tmp_path), "--checkpoint", str(tmp_path)],
+            "eval": ["--data", str(tmp_path), "--checkpoint", str(tmp_path)]}[command]
+    out = tmp_path / LONG_NAME
+    capsys.readouterr()
+    assert main([command, *args, "--seed", "1", "--out", str(out)]) == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line.startswith(f"error: --out {out}: ")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command, flag", [("gen-data", "--config"), ("train", "--config"),
+                                           ("eval", "--predictions")])
+def test_input_path_the_os_refuses_is_one_error_line(workdir, capsys, command, flag):
+    args = ["--data", str(workdir / "data")] if command == "train" else []
+    capsys.readouterr()
+    code = main([command, *args, flag, str(workdir / LONG_NAME), "--seed", "1",
+                 "--out", str(workdir / "o")])
+    assert code == 1
+    assert len(error_lines(capsys.readouterr().err)) == 1
+    assert not (workdir / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -336,6 +371,27 @@ def test_empty_val_split_is_refused_before_training(workdir, capsys, command):
     assert not (workdir / "noval").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ssl"])
+def test_val_split_missing_a_class_is_refused_before_training(tmp_path, capsys, monkeypatch,
+                                                              command):
+    cfg = tmp_path / "one_class.json"
+    cfg.write_text(json.dumps({"dataset": {"class_priors": [1, 0, 0], "n_unlabeled": 0}}))
+    assert main(["gen-data", "--config", str(cfg), "--seed", "1",
+                 "--out", str(tmp_path / "data")]) == 0
+
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(training, "prepared_step", no_step)
+    capsys.readouterr()
+    code = main([command, "--data", str(tmp_path / "data"), "--seed", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert "val split" in line and "class 1" in line
+    assert not (tmp_path / "out").exists()
+
+
 def test_nan_features_exit_numeric(workdir):
     # corrupt one bag's features; the loader refuses them before training (a
     # non-finite loss inside training still exits 3, see tests/test_step.py)
@@ -364,6 +420,16 @@ def test_non_finite_features_are_refused_by_the_loader(workdir, trained, capsys,
     (line,) = error_lines(capsys.readouterr().err)
     assert "'features.bin'" in line and "'test_000'" in line  # the file and the bag
     assert "non-finite" in line
+
+
+def test_dataset_passed_as_checkpoint_is_named_a_dataset(workdir, capsys):
+    capsys.readouterr()
+    code = main(["predict", "--checkpoint", str(workdir / "data"), "--data",
+                 str(workdir / "data"), "--seed", "1", "--out", str(workdir / "p")])
+    assert code == 2
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line.endswith("holds a dataset, not a checkpoint")
+    assert not (workdir / "p").exists()
 
 
 def test_corrupt_checkpoint_tensor_exits_2(workdir, trained, capsys):

@@ -182,5 +182,6 @@ def test_nan_features_in_memory_raise_numeric_error():
     bags[2] = Bag(b2.id, b2.cine_instances,
                   [Instance("doppler", np.full(bad.features.size, np.nan), bad.shape), *rest],
                   label=b2.label)
+    val = [make_bag(rng, f"v{c}", label=c) for c in range(3)]
     with pytest.raises(NumericError, match="'b2'"):
-        train_supervised(1, bags, bags[:1], tiny_model_config(), TrainConfig(max_epochs=1))
+        train_supervised(1, bags, val, tiny_model_config(), TrainConfig(max_epochs=1))

@@ -68,6 +68,11 @@ def labeled_bags(rng, n, label_cycle=(0, 1, 2)):
                      label=label_cycle[i % len(label_cycle)]) for i in range(n)]
 
 
+def one_val_bag_per_class(rng):
+    """The smallest val split training accepts: one scorable bag of each class."""
+    return [make_bag(rng, bag_id=f"v{c}", label=c) for c in range(3)]
+
+
 # ---------------------------------------------------------------------------
 # train_supervised
 
@@ -88,7 +93,7 @@ def test_single_bag_memorization():
     config = tiny_model_config(lambda_sa=0.0)
     tc = tiny_train_config(learning_rate=1e-2, weight_decay=0.0,
                            max_epochs=400, patience=400)
-    model, history = train_supervised(0, [bag], [], config, tc)
+    model, history = train_supervised(0, [bag], one_val_bag_per_class(rng), config, tc)
     final = history["epochs"][-1]["train_loss"]
     assert final < 1e-2
 
@@ -120,7 +125,7 @@ def test_sgd_momentum_weight_decay_update_rule():
         expected[name] = start.params[name] - lr * (grad + wd * start.params[name])
 
     trained, _ = train_supervised(
-        9, [bag], [], config,
+        9, [bag], one_val_bag_per_class(rng), config,
         tiny_train_config(learning_rate=lr, weight_decay=wd, max_epochs=1),
     )
     for name in expected:
@@ -157,7 +162,29 @@ def test_nan_features_raise_numeric_error():
     bag = make_bag(rng, label=0)
     bag.cine_instances[0].features[0] = np.nan
     with pytest.raises(NumericError):
-        train_supervised(0, [bag], [], tiny_model_config(), tiny_train_config())
+        train_supervised(0, [bag], one_val_bag_per_class(rng), tiny_model_config(),
+                         tiny_train_config())
+
+
+@pytest.mark.parametrize("case, missing", [("empty", 0), ("no_class_2", 2),
+                                           ("class_2_skipped", 2)])
+def test_val_split_that_cannot_score_every_class_is_refused_before_any_step(
+        monkeypatch, case, missing):
+    # a cine-empty bag is skipped once the doppler branch is off
+    rng = np.random.default_rng(14)
+    train = labeled_bags(rng, 3)
+    val = {"empty": [],
+           "no_class_2": one_val_bag_per_class(rng)[:2],
+           "class_2_skipped": [*one_val_bag_per_class(rng)[:2],
+                               make_bag(rng, "v2_nocine", n_cine=0, n_doppler=2, label=2)],
+           }[case]
+    config = tiny_model_config(use_doppler=case != "class_2_skipped")
+    calls = Counter()
+    counting(monkeypatch, calls, training, "init_model")
+    counting(monkeypatch, calls, training, "prepared_step")
+    with pytest.raises(UsageError, match=f"val split has no scorable bag of class {missing} "):
+        train_supervised(0, train, val, config, tiny_train_config())
+    assert calls == Counter()
 
 
 def test_train_config_validation():
@@ -200,7 +227,7 @@ def taped_train_supervised(init_seed, train_bags, val_bags, config, tc):
             velocity *= tc.momentum
             velocity += theta * tc.weight_decay + grad
             theta -= velocity * tc.learning_rate
-        val_bacc = validation_balanced_accuracy(model, val_bags) if val_bags else 0.0
+        val_bacc = validation_balanced_accuracy(model, val_bags)
         history["epochs"].append({"epoch": epoch, "train_loss": epoch_loss / len(train_bags),
                                   "val_balanced_accuracy": val_bacc})
         if val_bacc > best_bacc:
@@ -210,7 +237,7 @@ def taped_train_supervised(init_seed, train_bags, val_bags, config, tc):
             if since_best >= tc.patience:
                 break
     history["best_epoch"] = best_epoch
-    history["best_val_balanced_accuracy"] = float(best_bacc) if val_bags else None
+    history["best_val_balanced_accuracy"] = float(best_bacc)
     return MMILModel(config, param_views(config, best_theta)), history
 
 
@@ -253,12 +280,14 @@ def test_training_prepares_each_bag_once(monkeypatch):
     counting(monkeypatch, calls, model_module, "relevance_renormalize")
     counting(monkeypatch, calls, model_module, "preprocess_rows",
              key=lambda enc_cfg, instances: enc_cfg.modality)
-    train_supervised(4, train, [], tiny_model_config(), tiny_train_config(max_epochs=3))
+    _, history = train_supervised(4, train, iterate_split(ds, "val"), tiny_model_config(),
+                                  tiny_train_config(max_epochs=3))
     with_cine = sum(1 for bag in train if bag.cine_instances)
     with_doppler = sum(1 for bag in train if bag.doppler_instances)
+    validations = len(history["epochs"])  # each scores the val split as one chunk
     assert calls["relevance_renormalize", None] == with_cine
-    assert calls["preprocess_rows", "cine"] == with_cine
-    assert calls["preprocess_rows", "doppler"] <= with_doppler
+    assert calls["preprocess_rows", "cine"] == with_cine + validations
+    assert calls["preprocess_rows", "doppler"] <= with_doppler + validations
 
 
 def _raised(fn):
@@ -292,7 +321,8 @@ def test_modality_fallback_is_logged_once_per_training_call(caplog):
     rng = np.random.default_rng(11)
     bags = labeled_bags(rng, 3) + [make_bag(rng, "no_cine", n_cine=0, n_doppler=2, label=1)]
     with caplog.at_level(logging.INFO, logger="milfusion.model"):
-        train_supervised(0, bags, [], tiny_model_config(), tiny_train_config(max_epochs=3))
+        train_supervised(0, bags, one_val_bag_per_class(rng), tiny_model_config(),
+                         tiny_train_config(max_epochs=3))
     assert [r.getMessage() for r in caplog.records if "falling back" in r.getMessage()] == [
         "bag no_cine: cine empty, falling back to doppler only"]
 
