@@ -297,8 +297,9 @@ def pick(x, index):
 
 def softmax_values(x):
     """Softmax of a 1-D array, computed with max-subtraction."""
-    e = np.exp(x - np.maximum.reduce(x))
-    return e / np.add.reduce(e)
+    e = x - np.maximum.reduce(x)
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e), out=e)
 
 
 def softmax(x):
@@ -321,9 +322,9 @@ def _check_operands(ok, signature, *operands):
 
 
 def activate(z, activation):
-    """The encoder activation ("tanh" or "relu") applied to an array."""
+    """The encoder activation ("tanh" or "relu") of an array; tanh is written into ``z``."""
     if activation == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if activation == "relu":
         return np.where(z > 0.0, z, 0.0)
     raise ContractError(f"unknown activation {activation!r}")

@@ -52,6 +52,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby, repeat
@@ -451,14 +452,17 @@ def contained_file(root, name, owner, missing=None):
     leads out of ``root`` is refused with a FormatError. If the path names
     no regular file (nothing there, a dangling link, a directory), the
     result is None, or with a ``missing`` text the FormatError
-    ``"{owner}: {missing} {name!r}"``.
+    ``"{owner}: {missing} {name!r}"``; any other OS refusal raises its OSError.
     """
     root = os.fspath(root)
     path = os.path.realpath(os.path.join(root, name))
     if not path.startswith(os.path.join(root, "")):
         raise FormatError(f"{owner}: file {name!r} points outside the directory")
-    if os.path.isfile(path):
-        return path
+    try:
+        if stat.S_ISREG(os.stat(path).st_mode):
+            return path
+    except (FileNotFoundError, NotADirectoryError):
+        pass
     if missing is not None:
         raise FormatError(f"{owner}: {missing} {name!r}")
     return None

@@ -18,10 +18,13 @@ Three paths compute this model:
     against finite differences and straight-line oracles;
   * the training step, ``prepared_step``: the loss and the gradient of one bag
     in straight-line numpy, bitwise those of the taped path, written into the
-    trainer's gradient buffer. What no parameter changes is built once per
-    training run: ``prepare_bag`` makes each bag's input rows and relevance
-    target and runs its checks, and ``Plan`` resolves the parameter and
-    gradient arrays;
+    trainer's gradient buffer. Its rule: the tape's floating-point operations
+    in the tape's order (``ndarray.dot`` for ``@``, Python floats for scalars
+    alone), written in place only into temporaries the step made or, through
+    ``out=``, into the gradient views. What no parameter changes is built once
+    per training run: ``prepare_bag`` makes each bag's input rows and
+    relevance target and runs its checks, and ``Plan`` resolves the parameter
+    and gradient arrays;
   * batched inference, ``predict_probs``: the class probabilities of a chunk
     of bags at a time, one matmul per layer over the chunk's input rows and a
     per-bag (segment) softmax for attention, equal to ``forward``'s to
@@ -386,44 +389,44 @@ def _encoder_forward(layers, activation, rows):
     """Each encoder layer's input rows and, last, the encoder's output [K, M]."""
     hs = [rows]
     for W, b, _, _ in layers:
-        hs.append(ad.activate(hs[-1] @ W + b, activation))
+        y = hs[-1].dot(W)
+        hs.append(ad.activate(np.add(y, b, out=y), activation))
     return hs
 
 
 def _encoder_backward(layers, activation, hs, G):
-    """``linear``'s backward pass through every encoder layer, last layer first."""
+    """``linear``'s backward pass through every layer, last first; overwrites ``hs[1:]``."""
     for i in reversed(range(len(layers))):
         W, _, gW, gb = layers[i]
         y = hs[i + 1]
-        G = (1.0 - y * y) * G if activation == "tanh" else np.where(y > 0.0, G, 0.0)
-        np.matmul(hs[i].T, G, out=gW)
+        G = _tanh_backward(y, G) if activation == "tanh" else np.where(y > 0.0, G, 0.0)
+        hs[i].T.dot(G, out=gW)
         np.add.reduce(G, axis=0, out=gb)
         if i:  # the input rows are constants
-            G = G @ W.T
+            G = G.dot(W.T)
+
+
+def _tanh_backward(y, g):
+    """(1 - y y) g for y = tanh(x), written into ``y``."""
+    return np.multiply(np.subtract(1.0, np.multiply(y, y, out=y), out=y), g, out=y)
 
 
 def _scores_forward(att, H):
     """(tanh(H U'), the attention scores w' tanh(U h_k)) of the rows of H."""
-    T = np.tanh(H @ att[0].T)
-    return T, T @ att[1]
+    T = H.dot(att[0].T)
+    np.tanh(T, out=T)
+    return T, T.dot(att[1])
 
 
-def _scores_backward(att, H, T, g):
-    """``attention_scores``' backward pass; returns the gradient of H."""
+def _attention_backward(att, H, T, y, g):
+    """``softmax``'s, then ``attention_scores``' backward pass from the gradient g of the
+    weights y = softmax(w' T'), T = tanh(H U'); returns H's gradient, overwrites T and g."""
     U, w, gU, gw = att
-    gT = g[:, None] * w * (1.0 - T * T)
-    np.matmul(gT.T, H, out=gU)
-    np.matmul(T.T, g, out=gw)
-    return gT @ U
-
-
-def _softmax_backward(y, g):
-    return y * (g - np.dot(g, y))
-
-
-def _zero(views):
-    for view in views:
-        view.fill(0.0)
+    g = np.multiply(np.subtract(g, g.dot(y), out=g), y, out=g)  # y (g - g.y)
+    T.T.dot(g, out=gw)
+    gT = _tanh_backward(T, g[:, None] * w)
+    gT.T.dot(H, out=gU)
+    return gT.dot(U)
 
 
 def prepared_step(plan, bag):
@@ -432,14 +435,13 @@ def prepared_step(plan, bag):
     Writes the gradient of every parameter into the gradient views of
     ``plan`` and returns the loss as a float, bitwise those of
     ``total_loss`` + ``backward``: the forward pass and the fused ops'
-    backward expressions are the same numpy expressions, run in the tape's
-    reverse node order, and a node with several consumers sums their
+    backward expressions are the same floating-point operations, run in the
+    tape's reverse node order, and a node with several consumers sums their
     gradients in that order. A parameter the bag does not reach gets exact
     zeros. Raises the checks that depend on the parameters: a dual-attention
     product that sums to zero, p[label] = 0, and an attention weight of 0 in
     the KL term.
     """
-    label = bag.label
     if bag.run_cine:
         hc = _encoder_forward(plan.cine, plan.cine_activation, bag.cine_rows)
         H = hc[-1]
@@ -447,82 +449,83 @@ def prepared_step(plan, bag):
         a = ad.softmax_values(scores)
         Tb, scores = _scores_forward(plan.att_b, H)
         b = ad.softmax_values(scores)
-        p = a * b
-        total_p = np.add.reduce(p)
+        c = a * b
+        total_p = np.add.reduce(c)
         if total_p == 0.0:
             raise DomainError("normalized_product: the products sum to zero")
         inv = 1.0 / total_p
-        c = inv * p
-        z = c @ H
+        c *= inv
+        z = c.dot(H)
     if bag.run_doppler:
         hd = _encoder_forward(plan.doppler, plan.doppler_activation, bag.doppler_rows)
         Hd = hd[-1]
         Td, scores = _scores_forward(plan.att_doppler, Hd)
         d = ad.softmax_values(scores)
-        zt = d @ Hd
+        zt = d.dot(Hd)
     both = bag.run_cine and bag.run_doppler
     if both:
-        Uf, wf = plan.att_fusion[:2]
-        t = np.tanh(Uf @ z)
-        tt = np.tanh(Uf @ zt)
-        # the branch ad.logistic would take for this one value: its ufuncs, not its mask
-        x = np.array([wf @ t - wf @ tt])
-        e = np.exp(-np.abs(x))
-        alpha = float((1.0 / (1.0 + e) if x[0] >= 0 else e / (1.0 + e))[0])
+        Uf, wf, gUf, gwf = plan.att_fusion
+        t, tt = (np.tanh(v, out=v) for v in (Uf.dot(z), Uf.dot(zt)))
+        # the branch ad.logistic takes for this one value, its exp on a one-element array
+        x = wf.dot(t) - wf.dot(tt)
+        e = float(np.exp(np.array([-abs(x)]))[0])
+        alpha = 1.0 / (1.0 + e) if x >= 0 else e / (1.0 + e)
         s = alpha * z + (1.0 - alpha) * zt
     else:
         s = z if bag.run_cine else zt
     Wo, bo, gWo, gbo = plan.output
-    probs = ad.softmax_values(Wo @ s + bo)
-    py = probs[label]
+    probs = ad.softmax_values(Wo.dot(s) + bo)
+    py = float(probs[bag.label])
     if py <= 0.0:
-        raise DomainError(f"log: non-positive input ({py!r})")
+        raise DomainError(f"log: non-positive input ({probs[bag.label]!r})")
     loss = -np.log(py)
 
     ga = None  # the KL term's gradient of a, which the tape sums first
     r = bag.r
     if r is not None:
-        if (a <= 0.0).any():
+        if np.minimum.reduce(a) <= 0.0:
             raise DomainError(f"log: non-positive input (min={a.min()!r})")
         lam = plan.lambda_sa
-        loss = loss + lam * (bag.r_log_r - np.dot(r, np.log(a)))
+        loss = loss + lam * (bag.r_log_r - r.dot(np.log(a)))
         ga = (r * -lam) / a
 
-    g = np.zeros(N_CLASSES)
-    g[label] = -1.0 / py
-    g = _softmax_backward(probs, g)
+    # softmax's backward pass of the one-hot nll gradient, whose dot with probs is gy * py
+    gy = -1.0 / py
+    g = np.multiply(probs, 0.0 - gy * py, out=gbo)
+    g[bag.label] = py * (gy - gy * py)
     np.multiply(g[:, None], s, out=gWo)
-    gbo[...] = g
-    g = Wo.T @ g
+    g = Wo.T.dot(g)
     if both:
-        _, _, gUf, gwf = plan.att_fusion
-        gd = (np.dot(g, z) - np.dot(g, zt)) * (alpha * (1.0 - alpha))
-        gt = gd * wf * (1.0 - t * t)
-        gtt = -gd * wf * (1.0 - tt * tt)
-        gz = alpha * g + Uf.T @ gt
-        gzt = (1.0 - alpha) * g + Uf.T @ gtt
-        np.add(gt[:, None] * z, gtt[:, None] * zt, out=gUf)
+        gd = (g.dot(z) - g.dot(zt)) * (alpha * (1.0 - alpha))
         np.multiply(gd, t - tt, out=gwf)
+        gt = _tanh_backward(t, wf * gd)
+        gtt = _tanh_backward(tt, wf * -gd)
+        gz = alpha * g + Uf.T.dot(gt)
+        gzt = (1.0 - alpha) * g + Uf.T.dot(gtt)
+        np.add(gt[:, None] * z, gtt[:, None] * zt, out=gUf)
     else:
         gz = gzt = g
-        _zero(plan.zero_fusion)
+        for view in plan.zero_fusion:
+            view.fill(0.0)
 
     if bag.run_cine:
-        gc = H @ gz
+        gc = H.dot(gz)
         gH = c[:, None] * gz
-        gp = inv * (gc - np.dot(gc, c))
-        ga = gp * b if ga is None else ga + gp * b
-        gH = gH + _scores_backward(plan.att_b, H, Tb, _softmax_backward(b, gp * a))
-        gH = gH + _scores_backward(plan.att_a, H, Ta, _softmax_backward(a, ga))
+        gp = np.multiply(np.subtract(gc, gc.dot(c), out=gc), inv, out=gc)
+        ga = gp * b if ga is None else np.add(ga, gp * b, out=ga)
+        gH += _attention_backward(plan.att_b, H, Tb, b, gp * a)
+        gH += _attention_backward(plan.att_a, H, Ta, a, ga)
         _encoder_backward(plan.cine, plan.cine_activation, hc, gH)
     else:
-        _zero(plan.zero_cine)
+        for view in plan.zero_cine:
+            view.fill(0.0)
     if bag.run_doppler:
         gH = d[:, None] * gzt
-        gH = gH + _scores_backward(plan.att_doppler, Hd, Td, _softmax_backward(d, Hd @ gzt))
+        gH += _attention_backward(plan.att_doppler, Hd, Td, d, Hd.dot(gzt))
         _encoder_backward(plan.doppler, plan.doppler_activation, hd, gH)
     else:
-        _zero(plan.zero_doppler)
+        for view in plan.zero_doppler:
+            view.fill(0.0)
     return float(loss)
 
 

@@ -229,10 +229,7 @@ def run_curriculum(dataset, model_config, train_config, hidden_truth=None,
     labeled = iterate_split(dataset, "train")
     val_bags = iterate_split(dataset, "val")
     unlabeled = iterate_split(dataset, "unlabeled")
-    fractions = ROUND_FRACTIONS
-    if not unlabeled:
-        logger.warning("no unlabeled bags: degrading to supervised-only training")
-        fractions = ROUND_FRACTIONS[:1]
+    fractions = ROUND_FRACTIONS if unlabeled else ROUND_FRACTIONS[:1]
 
     report = []
     best = None  # (bacc, round, model)
@@ -252,6 +249,8 @@ def run_curriculum(dataset, model_config, train_config, hidden_truth=None,
             train_config.seed + round_num, labeled + extra, val_bags,
             model_config, train_config,
         )
+        if not unlabeled:  # round 1 trained, so its input checks passed
+            logger.warning("no unlabeled bags: degrading to supervised-only training")
         bacc = history["best_val_balanced_accuracy"]
         report.append(_round_row(round_num, fraction, len(extra), history, pl_accuracy))
         logger.info(

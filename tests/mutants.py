@@ -111,6 +111,21 @@ MUTANTS = (
            ("tests/test_training.py::"
             "test_val_split_that_cannot_score_every_class_is_refused_before_any_step",
             "tests/test_cli.py::test_val_split_missing_a_class_is_refused_before_training")),
+    Mutant("contained_file_swallows_os_errors", "data.py",
+           "    except (FileNotFoundError, NotADirectoryError):\n", "    except OSError:\n",
+           ("tests/test_cli.py::"
+            "test_a_path_the_os_refuses_is_not_a_missing_dataset_or_checkpoint",)),
+    Mutant("dual_attention_gradients_summed_out_of_order", "model.py",
+           "        gH += _attention_backward(plan.att_b, H, Tb, b, gp * a)\n"
+           "        gH += _attention_backward(plan.att_a, H, Ta, a, ga)\n",
+           "        gH += _attention_backward(plan.att_a, H, Ta, a, ga)\n"
+           "        gH += _attention_backward(plan.att_b, H, Tb, b, gp * a)\n",
+           ("tests/test_step.py::test_step_is_bitwise_the_taped_step",)),
+    Mutant("step_writes_into_the_relevance_target", "model.py",
+           "ga = (r * -lam) / a", "ga = np.multiply(r, -lam, out=r) / a",
+           ("tests/test_step.py::test_a_step_repeated_on_one_bag_gives_the_same_bytes",
+            "tests/test_loaded_bags.py::"
+            "test_training_writes_into_no_array_of_the_loaded_bags")),
     Mutant("out_path_unchecked", "cli.py",
            "        except (FileNotFoundError, NotADirectoryError):\n", "        except OSError:\n",
            ("tests/test_cli.py::test_out_path_the_os_refuses_is_refused_before_any_work",)),

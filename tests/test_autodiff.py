@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from milfusion import autodiff as ad
 from milfusion.errors import ContractError, DimensionError, DomainError
@@ -140,6 +142,15 @@ def test_softmax_sums_to_one_and_shift_invariant():
         assert np.all(y > 0)
         y_shift = ad.softmax(ad.Tensor.const(x + 123.456)).value()
         assert np.max(np.abs(y - y_shift)) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(1, 40), elements=st.floats(width=64)))
+def test_softmax_values_is_bitwise_the_out_of_place_expression(x):
+    # the in-place chain runs exp(x - max(x)) / sum(...) as the expression does
+    with np.errstate(all="ignore"):
+        e = np.exp(x - np.maximum.reduce(x))
+        assert ad.softmax_values(x).tobytes() == (e / np.add.reduce(e)).tobytes()
 
 
 def test_softmax_rejects_non_1d():

@@ -1,5 +1,6 @@
 import copy
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -179,6 +180,21 @@ def test_input_path_the_os_refuses_is_one_error_line(workdir, capsys, command, f
     assert not (workdir / "o").exists()
 
 
+@pytest.mark.parametrize("name, code", [(LONG_NAME, 1), ("absent", 2)], ids=["long", "absent"])
+@pytest.mark.parametrize("flag", ["--data", "--checkpoint"])
+def test_a_path_the_os_refuses_is_not_a_missing_dataset_or_checkpoint(workdir, capsys, flag,
+                                                                      name, code):
+    paths = {"--data": workdir / "data", "--checkpoint": workdir}
+    paths[flag] = workdir / name
+    capsys.readouterr()
+    assert main(["predict", "--data", str(paths["--data"]), "--checkpoint",
+                 str(paths["--checkpoint"]), "--seed", "1", "--out", str(workdir / "p")]) == code
+    (line,) = error_lines(capsys.readouterr().err)
+    missing = line.startswith(("error: no manifest", "error: no checkpoint manifest"))
+    assert name in line and missing == (code == 2)
+    assert not (workdir / "p").exists()
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -306,8 +322,8 @@ def test_ssl_with_unlabeled_writes_rounds(workdir):
     load_model(out / "checkpoint")
 
 
-def test_ssl_without_unlabeled_matches_train(workdir, tmp_path):
-    # a dataset with zero unlabeled bags degrades ssl to plain train
+def test_ssl_without_unlabeled_matches_train(workdir, tmp_path, caplog):
+    # a dataset with zero unlabeled bags degrades ssl to plain train, with one warning
     cfg = tmp_path / "nounlab.json"
     cfg.write_text(json.dumps({"dataset": dict(TINY_DATASET, n_unlabeled=0)}))
     assert main(["gen-data", "--config", str(cfg), "--seed", "7",
@@ -316,7 +332,10 @@ def test_ssl_without_unlabeled_matches_train(workdir, tmp_path):
     args = ["--config", str(workdir / "run.json"), "--data", str(tmp_path / "data0"),
             "--seed", "3"]
     assert main(["train", *args, "--out", str(t_out)]) == 0
+    caplog.clear()
     assert main(["ssl", *args, "--out", str(s_out)]) == 0
+    assert [r.message for r in caplog.records if "unlabeled" in r.message] == [
+        "no unlabeled bags: degrading to supervised-only training"]
     t_model = load_model(t_out / "checkpoint")
     s_model = load_model(s_out / "checkpoint")
     assert params_digest(t_model.params) == params_digest(s_model.params)
@@ -372,8 +391,8 @@ def test_empty_val_split_is_refused_before_training(workdir, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["train", "ssl"])
-def test_val_split_missing_a_class_is_refused_before_training(tmp_path, capsys, monkeypatch,
-                                                              command):
+def test_val_split_missing_a_class_is_refused_before_training(tmp_path, capsys, caplog,
+                                                              monkeypatch, command):
     cfg = tmp_path / "one_class.json"
     cfg.write_text(json.dumps({"dataset": {"class_priors": [1, 0, 0], "n_unlabeled": 0}}))
     assert main(["gen-data", "--config", str(cfg), "--seed", "1",
@@ -390,6 +409,8 @@ def test_val_split_missing_a_class_is_refused_before_training(tmp_path, capsys, 
     (line,) = error_lines(capsys.readouterr().err)
     assert "val split" in line and "class 1" in line
     assert not (tmp_path / "out").exists()
+    # ssl warns of the supervised-only schedule only once round 1 has trained
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def test_nan_features_exit_numeric(workdir):

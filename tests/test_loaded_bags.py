@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from milfusion import cli
+from milfusion import cli, training
 from milfusion.data import (
     Bag,
     Dataset,
@@ -229,3 +229,34 @@ def test_runs_split_in_the_manifest_load_as_the_hand_built_bag(tmp_path):
     assert bag == original.bags[2]
     config = tiny_model_config()
     assert prepared_bytes(config, bag) == prepared_bytes(config, original.bags[2])
+
+
+def prepared_arrays(prepared):
+    return {name: value.tobytes() for name, value in vars(prepared).items()
+            if isinstance(value, np.ndarray)}
+
+
+def test_training_writes_into_no_array_of_the_loaded_bags(tmp_path, monkeypatch):
+    # the step writes in place only into arrays it made, never into the rows it reads
+    dataset, _ = tiny_dataset()
+    save(dataset, tmp_path)
+    dataset = load(tmp_path)
+    train, val = iterate_split(dataset, "train"), iterate_split(dataset, "val")
+    features = train[0].blocks["doppler"][0][2]
+    while features.base is not None:
+        features = features.base
+    snapshots = []
+
+    def recording(config, bag):
+        prepared = prepare_bag(config, bag)
+        snapshots.append((prepared, prepared_arrays(prepared)))
+        return prepared
+
+    monkeypatch.setattr(training, "prepare_bag", recording)
+    before = features.tobytes(), [bag.relevance.tobytes() for bag in train]
+    train_supervised(1, train, val, tiny_model_config(), tiny_train_config(max_epochs=2))
+    assert len(snapshots) == len(train)
+    assert all(np.shares_memory(prepared.doppler_rows, features) for prepared, _ in snapshots)
+    assert (features.tobytes(), [bag.relevance.tobytes() for bag in train]) == before
+    assert [prepared_arrays(prepared) for prepared, _ in snapshots] == [
+        arrays for _, arrays in snapshots]

@@ -88,6 +88,20 @@ def test_step_is_bitwise_the_taped_step(reference_bags, config_name, init_seed):
     assert mismatches(model, reference_bags) == []
 
 
+@pytest.mark.parametrize("config_name", sorted(REFERENCE_CONFIGS))
+def test_a_step_repeated_on_one_bag_gives_the_same_bytes(reference_bags, config_name):
+    # a step that wrote into a prepared bag's arrays would read other inputs the second time
+    config = replace(REFERENCE_MODEL, **REFERENCE_CONFIGS[config_name])
+    model = init_model(config, 1)
+    grad = np.full(sum(int(np.prod(shape)) for _, shape in param_specs(config)), np.nan)
+    plan = Plan(model, param_views(config, grad))
+    for bag in reference_bags[::31]:
+        prepared = prepare_bag(config, bag)
+        steps = [(np.float64(prepared_step(plan, prepared)).tobytes(), grad.tobytes())
+                 for _ in range(2)]
+        assert steps[1] == steps[0], bag.id
+
+
 def _cine(rng, frames, relevance=0.5):
     shape = (frames, *TINY_CINE_SHAPE[1:])
     return Instance("cine", rng.uniform(-2, 2, size=shape).reshape(-1), shape, relevance)
