@@ -10,9 +10,10 @@ Commands:
                prediction CSV
     predict    write the prediction CSV for a dataset split
 
-Every command takes --config (JSON file) with flags overriding file values,
-requires --seed, and echoes the fully resolved configuration into the output
-directory. Exit codes: 0 success, 1 usage/config error, out of memory or an
+Every command requires --seed and --out; main checks --out before the command
+runs and echoes the resolved configuration into <out>/config_used.json after
+it. gen-data, train and ssl take --config (JSON file) with flags overriding
+file values. Exit codes: 0 success, 1 usage/config error, out of memory or an
 OS error on a path, 2 data/format error, 3 numeric failure.
 """
 
@@ -63,6 +64,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The sections a command reads, plus the two extra keys of a config_used.json.
+_CONFIG_KEYS = {"dataset", "model", "train", "command", "data"}
+
+
 def _read_config_file(path):
     if path is None:
         return {}
@@ -75,6 +80,9 @@ def _read_config_file(path):
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
+    unknown = sorted(cfg.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise UsageError(f"config file: unknown keys {unknown}")
     bad = [key for key in ("dataset", "model", "train") if not isinstance(cfg.get(key, {}), dict)]
     if bad:
         raise UsageError(f"config sections must be JSON objects: {bad}")
@@ -111,7 +119,7 @@ def _out_dir(args):
 
 
 def _synthetic_config(file_cfg, args):
-    section = {**file_cfg.get("dataset", file_cfg), "seed": args.seed}
+    section = {**file_cfg.get("dataset", {}), "seed": args.seed}
     return config_from_dict(SyntheticConfig, section, UsageError, "dataset")
 
 
@@ -177,22 +185,20 @@ def _run_echo(args, model_config, train_config):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each writes its artifacts under ``out`` and returns the echo that
+# ``main`` writes as ``config_used.json``
 
 
-def _cmd_gen_data(args):
-    file_cfg = _read_config_file(args.config)
-    out = _out_dir(args)
-    config = _synthetic_config(file_cfg, args)
+def _cmd_gen_data(args, out):
+    config = _synthetic_config(_read_config_file(args.config), args)
     dataset, hidden_truth = generate_synthetic(config)
     save(dataset, out, hidden_truth)
-    save_json({"command": "gen-data", "dataset": asdict(config)}, out / "config_used.json")
     counts = Counter(dataset.split_assignment.values())
     hist = Counter(bag.label for bag in dataset.bags)
     print(f"wrote dataset to {out}")
     print("bags per split: " + ", ".join(f"{s}={counts[s]}" for s in ("train", "val", "test", "unlabeled")))
     print("labeled class histogram: " + ", ".join(f"{c}={hist[c]}" for c in (0, 1, 2)))
-    return 0
+    return {"command": "gen-data", "dataset": asdict(config)}
 
 
 def _write_history_csv(history, path):
@@ -210,35 +216,29 @@ def _write_rounds(report, path):
             f.write(json.dumps(row) + "\n")
 
 
-def _cmd_train(args):
-    out = _out_dir(args)
+def _cmd_train(args, out):
     dataset, model_config, train_config = _run_inputs(args)
     model, history = train_supervised(train_config.seed + 1, iterate_split(dataset, "train"),
                                       iterate_split(dataset, "val"), model_config, train_config)
-    out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "checkpoint")
     _write_history_csv(history, out / "history.csv")
-    save_json(_run_echo(args, model_config, train_config), out / "config_used.json")
     print(f"best validation balanced accuracy: {history['best_val_balanced_accuracy']:.4f} "
           f"(epoch {history['best_epoch']})")
     print(f"checkpoint written to {out / 'checkpoint'}")
-    return 0
+    return _run_echo(args, model_config, train_config)
 
 
-def _cmd_ssl(args):
-    out = _out_dir(args)
+def _cmd_ssl(args, out):
     dataset, model_config, train_config = _run_inputs(args)
     hidden_truth = load_hidden_truth(Path(args.data))
     model, report = run_curriculum(dataset, model_config, train_config, hidden_truth)
-    out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "checkpoint")
     _write_rounds(report, out / "rounds.jsonl")
-    save_json(_run_echo(args, model_config, train_config), out / "config_used.json")
     best = max(report, key=lambda r: r["val_balanced_accuracy"])
     print(f"rounds: {len(report)}; best round {best['round']} "
           f"(val balanced accuracy {best['val_balanced_accuracy']:.4f})")
     print(f"checkpoint written to {out / 'checkpoint'}")
-    return 0
+    return _run_echo(args, model_config, train_config)
 
 
 def _split_predictions(args):
@@ -252,8 +252,7 @@ def _split_predictions(args):
     return predictions_for(model, bags)
 
 
-def _cmd_eval(args):
-    out = _out_dir(args)
+def _cmd_eval(args, out):
     if args.predictions is not None:
         preds = load_predictions(args.predictions)
         source = {"predictions": str(args.predictions)}
@@ -262,29 +261,23 @@ def _cmd_eval(args):
         source = {"checkpoint": str(args.checkpoint), "data": str(args.data),
                   "split": args.split}
     report = compute_report(preds, n_boot=args.n_boot, seed=args.seed)
-    out.mkdir(parents=True, exist_ok=True)
     save_json(report, out / "report.json")
     save_confusion_csv(confusion_matrix(preds), out / "confusion_matrix.csv")
-    save_json({"command": "eval", "seed": args.seed, "n_boot": args.n_boot, **source},
-              out / "config_used.json")
     bacc = report["balanced_accuracy"]
     print(f"balanced accuracy: {bacc['point']:.4f} [{bacc['lo']:.4f}, {bacc['hi']:.4f}]")
     for key in ("no_vs_some_auroc", "early_vs_sig_auroc", "sig_vs_nosig_auroc"):
         block = report[key]
         print(f"{key}: {block['point']:.4f} [{block['lo']:.4f}, {block['hi']:.4f}]")
     print(f"report written to {out / 'report.json'}")
-    return 0
+    return {"command": "eval", "seed": args.seed, "n_boot": args.n_boot, **source}
 
 
-def _cmd_predict(args):
-    out = _out_dir(args)
+def _cmd_predict(args, out):
     preds = _split_predictions(args)
-    out.mkdir(parents=True, exist_ok=True)
     save_predictions(preds, out / "predictions.csv")
-    save_json({"command": "predict", "checkpoint": str(args.checkpoint),
-               "data": str(args.data), "split": args.split}, out / "config_used.json")
     print(f"wrote {len(preds)} predictions to {out / 'predictions.csv'}")
-    return 0
+    return {"command": "predict", "checkpoint": str(args.checkpoint),
+            "data": str(args.data), "split": args.split}
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +289,9 @@ def build_parser():
                      description="multimodal multiple-instance bag classifier")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_train_flags=False):
-        p.add_argument("--config", help="JSON config file; flags override its values")
+    def common(p, with_config=True, with_train_flags=False):
+        if with_config:
+            p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--seed", type=int, help="seed (required)")
         p.add_argument("--out", help="output directory")
         if with_train_flags:
@@ -320,7 +314,7 @@ def build_parser():
     common(p, with_train_flags=True)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or a prediction CSV")
-    common(p)
+    common(p, with_config=False)
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--checkpoint", help="checkpoint directory")
     p.add_argument("--split", default="test", help="dataset split (default: test)")
@@ -329,7 +323,7 @@ def build_parser():
                    help="bootstrap resamples (default: 5000)")
 
     p = sub.add_parser("predict", help="write a prediction CSV")
-    common(p)
+    common(p, with_config=False)
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--checkpoint", help="checkpoint directory")
     p.add_argument("--split", default="test", help="dataset split (default: test)")
@@ -353,7 +347,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.seed is None:
             raise UsageError("--seed is required")
-        return _COMMANDS[args.command](args)
+        out = _out_dir(args)
+        save_json(_COMMANDS[args.command](args, out), out / "config_used.json")
+        return 0
     except MilError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

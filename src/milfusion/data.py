@@ -339,8 +339,6 @@ def generate_synthetic(config):
             label = int(rng_labels.choice(3, p=priors))
             k_cine = int(rng_sizes.integers(config.cine_bag_size[0], config.cine_bag_size[1] + 1))
             k_dop = int(rng_sizes.integers(config.doppler_bag_size[0], config.doppler_bag_size[1] + 1))
-            if k_cine + k_dop == 0:
-                k_dop = 1
 
             n_rel = int(round(config.relevant_fraction * k_cine))
             planted = np.zeros(k_cine, dtype=bool)
@@ -396,7 +394,6 @@ def save(dataset, dir_path, hidden_truth=None):
     }) for bag in dataset.bags)
     hidden = None if hidden_truth is None else json.dumps(hidden_truth, indent=1)
     root = Path(dir_path)
-    root.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256()
     with atomic_file(root / FEATURES, binary=True) as f:
         for bag in dataset.bags:

@@ -476,8 +476,10 @@ CSV_HEADER = ["bag_id", "true_label", "p0", "p1", "p2"]
 @contextmanager
 def atomic_file(path, binary=False):
     """A text (or binary) file that replaces ``path`` only once the block
-    completes; if it raises, ``path`` keeps its previous content."""
+    completes; if it raises, ``path`` keeps its previous content. The file's
+    directory is made first, with any missing parents."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") if binary else open(tmp, "w", newline="") as f:

@@ -564,25 +564,27 @@ def _pool_batch(layers, enc_cfg, bags, modality, atts):
 
 
 def _chunk_probs(plan, cfg, chunk):
-    """[B, 3] class probabilities of (bag, run cine, run doppler) triples."""
+    """[B, 3] class probabilities of (bag, run cine, run doppler) triples.
+
+    Every bag is fused as alpha z + (1 - alpha) zt over zero-filled pools, with
+    alpha 1 for a cine-only bag, 0 for a doppler-only one, the gate's otherwise.
+    """
     run_c = np.array([rc for _, rc, _ in chunk])
     run_d = np.array([rd for _, _, rd in chunk])
-    s = np.empty((len(chunk), cfg.embed_dim))
+    z = np.zeros((len(chunk), cfg.embed_dim))
+    zt = np.zeros_like(z)
+    alpha = run_c.astype(np.float64)
     if run_c.any():
-        z = _pool_batch(plan.cine, cfg.cine_encoder, [bag for bag, rc, _ in chunk if rc],
-                        "cine", (plan.att_a, plan.att_b))
-        s[run_c] = z
+        z[run_c] = _pool_batch(plan.cine, cfg.cine_encoder, [bag for bag, rc, _ in chunk if rc],
+                               "cine", (plan.att_a, plan.att_b))
     if run_d.any():
-        zt = _pool_batch(plan.doppler, cfg.doppler_encoder, [bag for bag, _, rd in chunk if rd],
-                         "doppler", (plan.att_doppler,))
-        s[run_d & ~run_c] = zt[~run_c[run_d]]
-        both = run_c & run_d
-        if both.any():
-            zb, ztb = z[run_d[run_c]], zt[run_c[run_d]]
-            diff = (_scores_forward(plan.att_fusion, zb)[1]
-                    - _scores_forward(plan.att_fusion, ztb)[1])
-            alpha = ad.logistic(diff)[:, None]
-            s[both] = alpha * zb + (1.0 - alpha) * ztb
+        zt[run_d] = _pool_batch(plan.doppler, cfg.doppler_encoder,
+                                [bag for bag, _, rd in chunk if rd], "doppler", (plan.att_doppler,))
+    both = run_c & run_d
+    alpha[both] = ad.logistic(_scores_forward(plan.att_fusion, z[both])[1]
+                              - _scores_forward(plan.att_fusion, zt[both])[1])
+    alpha = alpha[:, None]
+    s = alpha * z + (1.0 - alpha) * zt
     Wo, bo = plan.output[:2]
     logits = s @ Wo.T + bo
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -617,16 +619,12 @@ def predict_probs(model, bags, branches=None):
     bags = list(bags)
     if branches is None:
         branches = resolve_branches(model.config, bags)
+    kept = [(bag, *branch) for bag, branch in zip(bags, branches) if branch is not None]
     plan = Plan(model)
-    kept, chunks = [], []
-    for start in range(0, len(bags), INFERENCE_CHUNK):
-        stop = start + INFERENCE_CHUNK
-        chunk = [(bag, *branch) for bag, branch in zip(bags[start:stop], branches[start:stop])
-                 if branch is not None]
-        if chunk:
-            kept.extend(bag for bag, _, _ in chunk)
-            chunks.append(_chunk_probs(plan, model.config, chunk))
-    return kept, (np.concatenate(chunks) if chunks else np.empty((0, N_CLASSES)))
+    chunks = [_chunk_probs(plan, model.config, kept[start:start + INFERENCE_CHUNK])
+              for start in range(0, len(kept), INFERENCE_CHUNK)]
+    return ([bag for bag, _, _ in kept],
+            np.concatenate(chunks) if chunks else np.empty((0, N_CLASSES)))
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +698,6 @@ def save_model(model, dir_path):
         "params_digest": params_digest(model.params),
     }
     root = Path(dir_path)
-    (root / "tensors").mkdir(parents=True, exist_ok=True)
     with atomic_file(root / PARAMS, binary=True) as f:
         f.write(flat)
     with atomic_file(root / "manifest.json") as f:

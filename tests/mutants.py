@@ -51,7 +51,7 @@ MUTANTS = (
            ("tests/test_training.py::test_select_confident_matches_brute_force",
             "tests/test_acceptance.py::test_acceptance_4_curriculum_mechanics")),
     Mutant("inference_gate_frozen", "model.py",
-           "alpha = ad.logistic(diff)[:, None]", "alpha = 0.5",
+           "alpha[both] = ad.logistic(", "alpha[both] = 0.5 + 0 * ad.logistic(",
            ("tests/test_inference.py::test_chunked_inference_matches_taped_forward",)),
     Mutant("pseudo_labels_shifted", "training.py",
            "by_id[b.id].predicted_class)", "(by_id[b.id].predicted_class + 1) % 3)",
@@ -129,6 +129,9 @@ MUTANTS = (
     Mutant("out_path_unchecked", "cli.py",
            "        except (FileNotFoundError, NotADirectoryError):\n", "        except OSError:\n",
            ("tests/test_cli.py::test_out_path_the_os_refuses_is_refused_before_any_work",)),
+    Mutant("config_keys_unchecked", "cli.py",
+           "unknown = sorted(cfg.keys() - _CONFIG_KEYS)", "unknown = []",
+           ("tests/test_cli.py::test_unknown_config_keys_are_refused_before_any_work",)),
 )
 
 

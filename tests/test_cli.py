@@ -99,13 +99,14 @@ def test_unknown_flag_is_usage_error(tmp_path):
     assert main(["gen-data", "--seed", "1", "--frobnicate"]) == 1
 
 
-def test_consecutive_calls_parse_independently(monkeypatch, capsys):
+def test_consecutive_calls_parse_independently(tmp_path, monkeypatch, capsys):
     parsed = []
-    monkeypatch.setitem(cli._COMMANDS, "eval", lambda args: parsed.append(args) or 0)
-    assert main(["eval", "--seed", "1", "--n-boot", "50"]) == 0
-    assert main(["eval", "--seed", "2"]) == 0
-    assert main(["eval", "--seed", "3", "--n-boot", "many"]) == 1  # usage error
-    assert main(["eval", "--seed", "4", "--split", "val"]) == 0
+    monkeypatch.setitem(cli._COMMANDS, "eval", lambda args, out: parsed.append(args) or {})
+    out = ["--out", str(tmp_path / "out")]
+    assert main(["eval", "--seed", "1", "--n-boot", "50", *out]) == 0
+    assert main(["eval", "--seed", "2", *out]) == 0
+    assert main(["eval", "--seed", "3", "--n-boot", "many", *out]) == 1  # usage error
+    assert main(["eval", "--seed", "4", "--split", "val", *out]) == 0
     assert [(a.seed, a.n_boot, a.split) for a in parsed] == [
         (1, 50, "test"), (2, 5000, "test"), (4, 5000, "val")]
     assert len(error_lines(capsys.readouterr().err)) == 1
@@ -260,6 +261,48 @@ def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     assert code == 1
     assert len(error_lines(capsys.readouterr().err)) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cfg, unknown", [
+    ({"modle": {"embed_dim": 8}, "train": {"max_epochs": 1}}, ["modle"]),
+    ({"n_labeled": 30}, ["n_labeled"]),  # a dataset section must be nested
+], ids=["misspelled", "flat"])
+@pytest.mark.parametrize("command", ["gen-data", "train", "ssl"])
+def test_unknown_config_keys_are_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                         command, cfg, unknown):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config file was checked")
+
+    for name in ("generate_synthetic", "load"):
+        monkeypatch.setattr(cli, name, no_work)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    args = [] if command == "gen-data" else ["--data", str(tmp_path)]
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([command, *args, "--config", str(path), "--seed", "1", "--out", str(out)]) == 1
+    assert error_lines(capsys.readouterr().err) == [f"error: config file: unknown keys {unknown}"]
+    assert not out.exists()
+
+
+def test_gen_data_reads_only_the_dataset_section(workdir, tmp_path):
+    # run.json holds only model and train: the dataset is the default one
+    assert main(["gen-data", "--config", str(workdir / "run.json"), "--seed", "7",
+                 "--out", str(tmp_path / "from_run")]) == 0
+    assert main(["gen-data", "--seed", "7", "--out", str(tmp_path / "default")]) == 0
+    assert read_bytes_map(tmp_path / "from_run") == read_bytes_map(tmp_path / "default")
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_commands_that_read_no_config_refuse_the_flag(workdir, capsys, command):
+    out = workdir / "o"
+    capsys.readouterr()
+    code = main([command, "--config", str(workdir / "run.json"), "--data", str(workdir / "data"),
+                 "--checkpoint", str(workdir), "--seed", "1", "--out", str(out)])
+    assert code == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert "--config" in line
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
