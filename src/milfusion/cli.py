@@ -10,11 +10,12 @@ Commands:
                prediction CSV
     predict    write the prediction CSV for a dataset split
 
-Every command requires --seed and --out; main checks --out before the command
-runs and echoes the resolved configuration into <out>/config_used.json after
-it. gen-data, train and ssl take --config (JSON file) with flags overriding
-file values. Exit codes: 0 success, 1 usage/config error, out of memory or an
-OS error on a path, 2 data/format error, 3 numeric failure.
+Every command requires --seed and --out. main checks --out before the command
+runs; after it, main echoes the resolved configuration into config_used.json
+and logs each degenerate bag of the splits the command read, once. gen-data,
+train and ssl take --config (JSON file) with flags overriding file values.
+Exit codes: 0 success, 1 usage/config error, out of memory or an OS error on
+a path, 2 data/format error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .metrics import (
     save_json,
     save_predictions,
 )
-from .model import ModelConfig, config_from_dict, load_model, save_model
+from .model import ModelConfig, config_from_dict, load_model, resolve_branches, save_model
 from .training import (
     TrainConfig,
     predictions_for,
@@ -186,7 +187,7 @@ def _run_echo(args, model_config, train_config):
 
 # ---------------------------------------------------------------------------
 # commands: each writes its artifacts under ``out`` and returns the echo that
-# ``main`` writes as ``config_used.json``
+# ``main`` writes as ``config_used.json`` and the (model config, bags) it read
 
 
 def _cmd_gen_data(args, out):
@@ -198,7 +199,7 @@ def _cmd_gen_data(args, out):
     print(f"wrote dataset to {out}")
     print("bags per split: " + ", ".join(f"{s}={counts[s]}" for s in ("train", "val", "test", "unlabeled")))
     print("labeled class histogram: " + ", ".join(f"{c}={hist[c]}" for c in (0, 1, 2)))
-    return {"command": "gen-data", "dataset": asdict(config)}
+    return {"command": "gen-data", "dataset": asdict(config)}, ()
 
 
 def _write_history_csv(history, path):
@@ -218,14 +219,14 @@ def _write_rounds(report, path):
 
 def _cmd_train(args, out):
     dataset, model_config, train_config = _run_inputs(args)
-    model, history = train_supervised(train_config.seed + 1, iterate_split(dataset, "train"),
-                                      iterate_split(dataset, "val"), model_config, train_config)
+    train, val = iterate_split(dataset, "train"), iterate_split(dataset, "val")
+    model, history = train_supervised(train_config.seed + 1, train, val, model_config, train_config)
     save_model(model, out / "checkpoint")
     _write_history_csv(history, out / "history.csv")
     print(f"best validation balanced accuracy: {history['best_val_balanced_accuracy']:.4f} "
           f"(epoch {history['best_epoch']})")
     print(f"checkpoint written to {out / 'checkpoint'}")
-    return _run_echo(args, model_config, train_config)
+    return _run_echo(args, model_config, train_config), [(model_config, train), (model_config, val)]
 
 
 def _cmd_ssl(args, out):
@@ -238,7 +239,8 @@ def _cmd_ssl(args, out):
     print(f"rounds: {len(report)}; best round {best['round']} "
           f"(val balanced accuracy {best['val_balanced_accuracy']:.4f})")
     print(f"checkpoint written to {out / 'checkpoint'}")
-    return _run_echo(args, model_config, train_config)
+    return _run_echo(args, model_config, train_config), [
+        (model_config, iterate_split(dataset, split)) for split in ("train", "val", "unlabeled")]
 
 
 def _split_predictions(args):
@@ -249,15 +251,15 @@ def _split_predictions(args):
     if any(b.label is None for b in bags):
         raise UsageError(f"split {args.split!r} has unlabeled bags; cannot evaluate")
     model = load_model(Path(_require(args, "checkpoint")))
-    return predictions_for(model, bags)
+    return predictions_for(model, bags), [(model.config, bags)]
 
 
 def _cmd_eval(args, out):
     if args.predictions is not None:
-        preds = load_predictions(args.predictions)
+        preds, read = load_predictions(args.predictions), ()
         source = {"predictions": str(args.predictions)}
     else:
-        preds = _split_predictions(args)
+        preds, read = _split_predictions(args)
         source = {"checkpoint": str(args.checkpoint), "data": str(args.data),
                   "split": args.split}
     report = compute_report(preds, n_boot=args.n_boot, seed=args.seed)
@@ -269,15 +271,15 @@ def _cmd_eval(args, out):
         block = report[key]
         print(f"{key}: {block['point']:.4f} [{block['lo']:.4f}, {block['hi']:.4f}]")
     print(f"report written to {out / 'report.json'}")
-    return {"command": "eval", "seed": args.seed, "n_boot": args.n_boot, **source}
+    return {"command": "eval", "seed": args.seed, "n_boot": args.n_boot, **source}, read
 
 
 def _cmd_predict(args, out):
-    preds = _split_predictions(args)
+    preds, read = _split_predictions(args)
     save_predictions(preds, out / "predictions.csv")
     print(f"wrote {len(preds)} predictions to {out / 'predictions.csv'}")
     return {"command": "predict", "checkpoint": str(args.checkpoint),
-            "data": str(args.data), "split": args.split}
+            "data": str(args.data), "split": args.split}, read
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +350,10 @@ def main(argv=None):
         if args.seed is None:
             raise UsageError("--seed is required")
         out = _out_dir(args)
-        save_json(_COMMANDS[args.command](args, out), out / "config_used.json")
+        echo, read = _COMMANDS[args.command](args, out)
+        save_json(echo, out / "config_used.json")
+        for model_config, bags in read:  # once per run, after its work succeeded
+            resolve_branches(model_config, bags)
         return 0
     except MilError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -221,17 +221,19 @@ def _encode_modality(config, prefix, leaves, blocks):
     return encode_rows(config, weights, ad.Tensor.const(preprocess_rows(config, blocks)))
 
 
-def _branches(cfg, bag):
-    """(run cine, run doppler) for one bag; raises BagSkipError if neither can run."""
+def bag_branches(cfg, bag):
+    """(run cine, run doppler) for one bag, or None when no enabled modality has instances."""
     run_cine = cfg.use_cine and bag.counts["cine"] > 0
     run_doppler = cfg.use_doppler and bag.counts["doppler"] > 0
-    if not (run_cine or run_doppler):
+    return (run_cine, run_doppler) if run_cine or run_doppler else None
+
+
+def _run_branches(cfg, bag):
+    """:func:`bag_branches` of a bag that must run; raises BagSkipError if neither can."""
+    branches = bag_branches(cfg, bag)
+    if branches is None:
         raise BagSkipError(f"bag {bag.id!r}: no instances in any enabled modality")
-    if cfg.use_cine and not run_cine:
-        logger.info("bag %s: cine empty, falling back to doppler only", bag.id)
-    if cfg.use_doppler and not run_doppler:
-        logger.info("bag %s: doppler empty, falling back to cine only", bag.id)
-    return run_cine, run_doppler
+    return branches
 
 
 def forward(model, bag):
@@ -239,7 +241,7 @@ def forward(model, bag):
     cfg = model.config
     tape = ad.Tape()
     leaves = {name: tape.leaf(arr) for name, arr in model.params.items()}
-    run_cine, run_doppler = _branches(cfg, bag)
+    run_cine, run_doppler = _run_branches(cfg, bag)
 
     pooled_c = pooled_d = cine_a = None
     if run_cine:
@@ -363,14 +365,14 @@ def prepare_bag(config, bag):
     """The :class:`PreparedBag` of ``bag``, labeled with its own label, under ``config``.
 
     Runs every check of ``total_loss`` that needs no parameter, in its order:
-    the label, the enabled modalities (this logs a modality fallback), the
+    the label, the enabled modalities, the
     instances' shapes and modalities, a cine instance without relevance when
     the KL term is on, and a relevance target that is not strictly positive.
     """
     label = bag.label
     if label not in (0, 1, 2):
         raise ContractError(f"label must be in {{0,1,2}}, got {label!r}")
-    run_cine, run_doppler = _branches(config, bag)
+    run_cine, run_doppler = _run_branches(config, bag)
     cine_rows = doppler_rows = r = r_log_r = None
     if run_cine:
         cine_rows = preprocess_rows(config.cine_encoder, bag.blocks["cine"])
@@ -592,34 +594,31 @@ def _chunk_probs(plan, cfg, chunk):
 
 
 def resolve_branches(cfg, bags):
-    """Each bag's (run cine, run doppler), or None for a bag ``forward`` would skip.
+    """Report the bags' degenerate :func:`bag_branches`: the one place they are logged.
 
-    Logs each modality fallback and, as a warning, each skipped bag; bags that
-    are scored again and again (the val bags, after every epoch) are resolved
-    once and their branches passed to :func:`predict_probs`.
+    Logs each modality fallback (INFO) and each bag that no enabled modality
+    can run (WARNING). The CLI calls it once per split a command read, after
+    the command's work; training and inference log none of these bags.
     """
-    branches = []
     for bag in bags:
-        try:
-            branches.append(_branches(cfg, bag))
-        except BagSkipError as exc:
-            logger.warning("skipping bag: %s", exc)
-            branches.append(None)
-    return branches
+        branches = bag_branches(cfg, bag)
+        if branches is None:
+            logger.warning("skipping bag: bag %r: no instances in any enabled modality", bag.id)
+        elif cfg.use_cine and not branches[0]:
+            logger.info("bag %s: cine empty, falling back to doppler only", bag.id)
+        elif cfg.use_doppler and not branches[1]:
+            logger.info("bag %s: doppler empty, falling back to cine only", bag.id)
 
 
-def predict_probs(model, bags, branches=None):
+def predict_probs(model, bags):
     """Class probabilities of many bags without a tape, INFERENCE_CHUNK bags per pass.
 
     Returns ``(kept, probs)``: the scored bags in input order and their
     [len(kept), 3] probabilities, equal to ``forward``'s to rounding. A bag
-    ``forward`` would skip is left out. ``branches`` are the bags'
-    :func:`resolve_branches`; without them, they are resolved (and logged) here.
+    ``forward`` would skip is left out, silently (see :func:`resolve_branches`).
     """
-    bags = list(bags)
-    if branches is None:
-        branches = resolve_branches(model.config, bags)
-    kept = [(bag, *branch) for bag, branch in zip(bags, branches) if branch is not None]
+    resolved = ((bag, bag_branches(model.config, bag)) for bag in bags)
+    kept = [(bag, *branches) for bag, branches in resolved if branches is not None]
     plan = Plan(model)
     chunks = [_chunk_probs(plan, model.config, kept[start:start + INFERENCE_CHUNK])
               for start in range(0, len(kept), INFERENCE_CHUNK)]

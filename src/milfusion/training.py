@@ -33,6 +33,7 @@ from .metrics import N_CLASSES, PredictionSet, PredRow, balanced_accuracy
 from .model import (  # noqa: F401 -- bench/spans.py patches forward and total_loss here
     MMILModel,
     Plan,
+    bag_branches,
     forward,
     init_model,
     param_specs,
@@ -41,7 +42,6 @@ from .model import (  # noqa: F401 -- bench/spans.py patches forward and total_l
     predict_probs,
     prepare_bag,
     prepared_step,
-    resolve_branches,
     total_loss,
 )
 
@@ -78,17 +78,14 @@ class PseudoLabelRecord:
     confidence: float  # max component of the probability vector
 
 
-def predictions_for(model, bags, branches=None):
-    """Inference over bags as a PredictionSet; degenerate bags are skipped.
-
-    ``branches`` are the bags' ``model.resolve_branches``, if resolved already.
-    """
-    kept, probs = predict_probs(model, bags, branches)
+def predictions_for(model, bags):
+    """Inference over bags as a PredictionSet; degenerate bags are skipped."""
+    kept, probs = predict_probs(model, bags)
     return PredictionSet([PredRow(bag.id, bag.label, p) for bag, p in zip(kept, probs)])
 
 
-def validation_balanced_accuracy(model, bags, branches=None):
-    return balanced_accuracy(predictions_for(model, bags, branches))
+def validation_balanced_accuracy(model, bags):
+    return balanced_accuracy(predictions_for(model, bags))
 
 
 def train_supervised(init_seed, train_bags, val_bags, model_config, train_config):
@@ -96,7 +93,7 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
 
     Checks, before the model exists: a non-empty train split, its labels, each
     train bag's preparation, then a val split whose scorable bags (those
-    ``resolve_branches`` keeps) hold every class, so every epoch is scored.
+    ``bag_branches`` can run) hold every class, so every epoch is scored.
     History is a dict with per-epoch rows and the init fingerprint used by the
     fresh-initialization audit.
     """
@@ -108,8 +105,7 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
             raise UsageError(f"training bag {bag.id!r} has no label")
     prepared = [prepare_bag(model_config, bag) for bag in train_bags]
     val_bags = list(val_bags)
-    val_branches = resolve_branches(model_config, val_bags)  # logs each fallback once
-    scorable = {bag.label for bag, branch in zip(val_bags, val_branches) if branch is not None}
+    scorable = {bag.label for bag in val_bags if bag_branches(model_config, bag) is not None}
     missing = [c for c in range(N_CLASSES) if c not in scorable]
     if missing:
         raise UsageError(f"val split has no scorable bag of class {missing[0]} ({len(val_bags)} "
@@ -155,7 +151,7 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
             velocity += scratch  # v += grad + wd * theta
             np.multiply(velocity, lr, out=scratch)
             theta -= scratch  # theta -= lr * v
-        val_bacc = validation_balanced_accuracy(model, val_bags, val_branches)
+        val_bacc = validation_balanced_accuracy(model, val_bags)
         history["epochs"].append(
             {
                 "epoch": epoch,

@@ -132,6 +132,11 @@ MUTANTS = (
     Mutant("config_keys_unchecked", "cli.py",
            "unknown = sorted(cfg.keys() - _CONFIG_KEYS)", "unknown = []",
            ("tests/test_cli.py::test_unknown_config_keys_are_refused_before_any_work",)),
+    Mutant("cine_fallback_unreported", "model.py",
+           '            logger.info("bag %s: cine empty, falling back to doppler only", bag.id)\n',
+           "            pass\n",
+           ("tests/test_cli.py::test_each_degenerate_bag_is_logged_once_per_command",
+            "tests/test_inference.py::test_degenerate_bags_over_several_chunks")),
 )
 
 

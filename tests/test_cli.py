@@ -10,7 +10,7 @@ import pytest
 
 from milfusion import cli, training
 from milfusion.cli import main
-from milfusion.data import load
+from milfusion.data import Bag, iterate_split, load, load_hidden_truth, save
 from milfusion.metrics import load_predictions
 from milfusion.model import load_model, params_digest
 
@@ -101,7 +101,7 @@ def test_unknown_flag_is_usage_error(tmp_path):
 
 def test_consecutive_calls_parse_independently(tmp_path, monkeypatch, capsys):
     parsed = []
-    monkeypatch.setitem(cli._COMMANDS, "eval", lambda args, out: parsed.append(args) or {})
+    monkeypatch.setitem(cli._COMMANDS, "eval", lambda args, out: (parsed.append(args) or {}, ()))
     out = ["--out", str(tmp_path / "out")]
     assert main(["eval", "--seed", "1", "--n-boot", "50", *out]) == 0
     assert main(["eval", "--seed", "2", *out]) == 0
@@ -402,6 +402,63 @@ def test_ssl_round_1_is_train(workdir, monkeypatch):
     assert len(round_models) > 1  # the dataset has unlabeled bags
     checkpoint = load_model(workdir / "t" / "checkpoint")
     assert params_digest(round_models[0].params) == params_digest(checkpoint.params)
+
+
+@pytest.fixture()
+def degenerate_data(workdir):
+    """The tiny dataset with its first train bag doppler-empty and the first bag of
+    each other split cine-empty: (its directory, {split: that bag's id})."""
+    dataset = load(workdir / "data")
+    stripped = {}
+    for split in ("train", "val", "test", "unlabeled"):
+        bag = iterate_split(dataset, split)[0]
+        i = [b.id for b in dataset.bags].index(bag.id)
+        dataset.bags[i] = (Bag(bag.id, bag.cine_instances, [], bag.label) if split == "train"
+                           else Bag(bag.id, [], bag.doppler_instances, bag.label))
+        stripped[split] = bag.id
+    save(dataset, workdir / "degenerate", load_hidden_truth(workdir / "data"))
+    return workdir / "degenerate", stripped
+
+
+@pytest.mark.parametrize("ablate", [False, True], ids=["fallback", "skip"])
+def test_each_degenerate_bag_is_logged_once_per_command(workdir, degenerate_data, tmp_path,
+                                                        caplog, ablate):
+    # ssl validates every epoch and pseudo-labels every round, yet reports each
+    # degenerate bag of the splits it read once, as do train, predict and eval
+    data, stripped = degenerate_data
+    flags = ["--ablate-doppler"] if ablate else []
+
+    def expected(*splits):
+        lines = []
+        for split in splits:
+            bag_id = stripped[split]
+            if split == "train":  # doppler-empty: a fallback only while doppler is on
+                if not ablate:
+                    lines.append(("INFO", f"bag {bag_id}: doppler empty, falling back to cine only"))
+            elif ablate:  # cine-empty with doppler off: no enabled modality can run it
+                lines.append(("WARNING", f"skipping bag: bag {bag_id!r}: "
+                                         "no instances in any enabled modality"))
+            else:
+                lines.append(("INFO", f"bag {bag_id}: cine empty, falling back to doppler only"))
+        return lines
+
+    checkpoint = str(tmp_path / "train" / "checkpoint")
+    runs = {
+        "train": (["train", "--config", str(workdir / "run.json"), "--data", str(data), *flags],
+                  ("train", "val")),
+        "ssl": (["ssl", "--config", str(workdir / "run.json"), "--data", str(data), *flags],
+                ("train", "val", "unlabeled")),
+        "predict": (["predict", "--checkpoint", checkpoint, "--data", str(data)], ("test",)),
+        "eval": (["eval", "--checkpoint", checkpoint, "--data", str(data), "--n-boot", "50"],
+                 ("test",)),
+    }
+    caplog.set_level(logging.INFO)
+    for command, (argv, splits) in runs.items():
+        caplog.clear()
+        assert main([*argv, "--seed", "7", "--out", str(tmp_path / command)]) == 0, command
+        logged = [(r.levelname, r.getMessage()) for r in caplog.records
+                  if r.name == "milfusion.model"]
+        assert logged == expected(*splits), command
 
 
 def test_a_model_too_large_to_allocate_is_one_error_line(workdir, capsys):

@@ -7,7 +7,8 @@ import pytest
 
 from milfusion.data import generate_synthetic, iterate_split
 from milfusion.errors import BagSkipError
-from milfusion.model import INFERENCE_CHUNK, forward, init_model, predict_probs
+from milfusion.model import (INFERENCE_CHUNK, forward, init_model, predict_probs,
+                             resolve_branches)
 from milfusion.training import (
     ROUND_FRACTIONS,
     PseudoLabelRecord,
@@ -49,32 +50,39 @@ BAG_SHAPES = [(2, 2), (0, 3), (3, 0), (1, 1), (4, 2)]
 
 @pytest.mark.parametrize("overrides", [{}, {"use_doppler": False}, {"use_cine": False}])
 def test_degenerate_bags_over_several_chunks(overrides, caplog):
-    model = random_model(tiny_model_config(**overrides), seed=3)
+    config = tiny_model_config(**overrides)
+    model = random_model(config, seed=3)
     rng = np.random.default_rng(5)
     bags = []
     for i in range(2 * INFERENCE_CHUNK + 7):
         n_cine, n_doppler = BAG_SHAPES[i % len(BAG_SHAPES)]
         bags.append(make_bag(rng, bag_id=f"b{i:03d}", n_cine=n_cine, n_doppler=n_doppler))
-    expected = {}
+    caplog.set_level(logging.INFO)
+    expected, report = {}, []
     for bag in bags:
         try:
             expected[bag.id] = forward(model, bag).probs.value()
-        except BagSkipError:
-            pass
+        except BagSkipError as exc:
+            report.append(("WARNING", f"skipping bag: {exc}"))
+            continue
+        for modality, other in (("cine", "doppler"), ("doppler", "cine")):
+            if getattr(config, f"use_{modality}") and not bag.counts[modality]:
+                report.append(("INFO", f"bag {bag.id}: {modality} empty, "
+                                       f"falling back to {other} only"))
     skipped = [b.id for b in bags if b.id not in expected]
     assert bool(skipped) == bool(overrides)  # an ablated modality skips bags
+    assert report  # every case has degenerate bags to report
 
-    with caplog.at_level(logging.WARNING):
-        kept, probs = predict_probs(model, bags)
+    kept, probs = predict_probs(model, bags)
     assert [b.id for b in kept] == [b.id for b in bags if b.id in expected]
     for bag, p in zip(kept, probs):
         assert np.max(np.abs(p - expected[bag.id])) <= 1e-12
-    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-    assert len(warned) == len(skipped)
-    assert all(any(bag_id in m for m in warned) for bag_id in skipped)
-
     assert [r.bag_id for r in predictions_for(model, bags).rows] == [b.id for b in kept]
     assert [r.bag_id for r in pseudo_label(model, bags)] == [b.id for b in kept]
+    assert caplog.records == []  # inference, like forward, reports no degenerate bag
+
+    resolve_branches(config, bags)
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == report
 
 
 def test_no_bag_to_score():

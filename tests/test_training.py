@@ -28,6 +28,7 @@ from milfusion.model import (
     params_digest,
     prepare_bag,
     prepared_step,
+    resolve_branches,
     total_loss,
 )
 from milfusion.training import (
@@ -317,23 +318,30 @@ def test_faulty_training_bag_is_refused_before_any_step(monkeypatch, fault, erro
     assert calls == Counter()
 
 
-def test_modality_fallback_is_logged_once_per_training_call(caplog):
+def test_training_logs_no_modality_fallback_of_a_train_bag(caplog):
+    # the bag trains on doppler alone; only resolve_branches reports the fallback
     rng = np.random.default_rng(11)
     bags = labeled_bags(rng, 3) + [make_bag(rng, "no_cine", n_cine=0, n_doppler=2, label=1)]
-    with caplog.at_level(logging.INFO, logger="milfusion.model"):
-        train_supervised(0, bags, one_val_bag_per_class(rng), tiny_model_config(),
-                         tiny_train_config(max_epochs=3))
-    assert [r.getMessage() for r in caplog.records if "falling back" in r.getMessage()] == [
+    caplog.set_level(logging.INFO, logger="milfusion")
+    _, history = train_supervised(0, bags, one_val_bag_per_class(rng), tiny_model_config(),
+                                  tiny_train_config(max_epochs=3))
+    assert len(history["epochs"]) == 3 and caplog.records == []
+    resolve_branches(tiny_model_config(), bags)
+    assert [r.getMessage() for r in caplog.records] == [
         "bag no_cine: cine empty, falling back to doppler only"]
 
 
-def test_val_bag_fallback_is_logged_once_per_training_call(caplog):
+def test_training_logs_no_modality_fallback_of_a_val_bag(caplog):
+    # the bag is scored on doppler alone every epoch and logged by none of them
     rng = np.random.default_rng(12)
     val = labeled_bags(rng, 3) + [make_bag(rng, "v_nocine", n_cine=0, n_doppler=2, label=1)]
-    with caplog.at_level(logging.INFO, logger="milfusion.model"):
-        train_supervised(0, labeled_bags(rng, 3), val, tiny_model_config(),
-                         tiny_train_config(max_epochs=3, patience=3))
-    assert [r.getMessage() for r in caplog.records if "falling back" in r.getMessage()] == [
+    caplog.set_level(logging.INFO, logger="milfusion")
+    model, history = train_supervised(0, labeled_bags(rng, 3), val, tiny_model_config(),
+                                      tiny_train_config(max_epochs=3, patience=3))
+    assert len(history["epochs"]) == 3 and caplog.records == []
+    assert [r.bag_id for r in predictions_for(model, val).rows] == [b.id for b in val]
+    resolve_branches(tiny_model_config(), val)
+    assert [r.getMessage() for r in caplog.records] == [
         "bag v_nocine: cine empty, falling back to doppler only"]
 
 
