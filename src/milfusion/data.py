@@ -588,8 +588,9 @@ def _load(root):
         raise FormatError(f"{at_fault(index, cine_ends)}: file {FEATURES!r} holds relevance "
                           f"{float(relevance[index])!r}, expected a number in [0, 1] or NaN "
                           "for none")
-    finite = np.isfinite(values)
-    if not finite.all():
+    with np.errstate(over="ignore"):  # a finite sum proves every value finite, cheaply
+        total = np.add.reduce(values)
+    if not math.isfinite(total) and not (finite := np.isfinite(values)).all():
         raise FormatError(f"{at_fault(int(np.argmin(finite)), ends)}: file {FEATURES!r} holds "
                           "non-finite feature values")
 
@@ -619,8 +620,3 @@ def load_hidden_truth(dir_path):
                               "expected 0, 1 or 2")
     return raw
 
-
-def with_label(bag, label):
-    """Copy of a bag with a (pseudo-)label attached; it shares the bag's row blocks."""
-    return Bag.from_blocks(bag.id, int(label), bag.blocks["cine"], bag.blocks["doppler"],
-                           bag.relevance)

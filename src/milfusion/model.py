@@ -22,9 +22,9 @@ Three paths compute this model:
     in the tape's order (``ndarray.dot`` for ``@``, Python floats for scalars
     alone), written in place only into temporaries the step made or, through
     ``out=``, into the gradient views. What no parameter changes is built once
-    per training run: ``prepare_bag`` makes each bag's input rows and
-    relevance target and runs its checks, and ``Plan`` resolves the parameter
-    and gradient arrays;
+    per run (``ssl``: 560 preparations on the default dataset, not 1,860):
+    ``prepare_bag`` makes each bag's input rows and relevance target and runs
+    its checks, and ``Plan`` resolves the parameter and gradient arrays;
   * batched inference, ``predict_probs``: the class probabilities of a chunk
     of bags at a time, one matmul per layer over the chunk's input rows and a
     per-bag (segment) softmax for attention, equal to ``forward``'s to
@@ -345,14 +345,15 @@ class Plan:
 class PreparedBag:
     """What a training step reads of one bag: everything no parameter changes.
 
+    ``label`` is None for an unlabeled bag (``dataclasses.replace`` sets one).
     ``r`` is the relevance target R and ``r_log_r`` the KL term's constant
     ``np.dot(r, np.log(r))``; both are None when the step has no KL term.
     ``doppler_rows`` views the bag's row block when it has one doppler shape,
     so the training set's doppler values are not held twice.
     """
 
-    bag_id: str
-    label: int
+    id: str
+    label: int | None
     run_cine: bool
     run_doppler: bool
     cine_rows: np.ndarray | None
@@ -365,12 +366,12 @@ def prepare_bag(config, bag):
     """The :class:`PreparedBag` of ``bag``, labeled with its own label, under ``config``.
 
     Runs every check of ``total_loss`` that needs no parameter, in its order:
-    the label, the enabled modalities, the
+    the label (an unlabeled bag's None passes), the enabled modalities, the
     instances' shapes and modalities, a cine instance without relevance when
     the KL term is on, and a relevance target that is not strictly positive.
     """
     label = bag.label
-    if label not in (0, 1, 2):
+    if label is not None and label not in (0, 1, 2):
         raise ContractError(f"label must be in {{0,1,2}}, got {label!r}")
     run_cine, run_doppler = _run_branches(config, bag)
     cine_rows = doppler_rows = r = r_log_r = None

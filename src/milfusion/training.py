@@ -4,11 +4,12 @@ curriculum-labeling semi-supervised controller.
 Training step per bag: ``model.prepared_step`` writes the bag's loss gradient
 into a flat buffer laid out like the parameters, without building a tape (it
 is bitwise ``total_loss`` + ``backward``), and the trainer refuses a non-finite
-loss with NumericError. Each ``train_supervised`` call prepares every training
-bag once (``model.prepare_bag``: its input rows, relevance target and checks)
-and resolves the model's arrays once (``model.Plan``), so a bag with a fault
-that needs no parameter is refused before the first update. Update rule per
-parameter: v <- momentum * v + grad + weight_decay * theta; theta <- theta - lr * v.
+loss with NumericError. A run prepares each bag once (``model.prepare_bag``:
+its input rows, relevance target and checks; ``ssl`` makes 560 preparations on
+the default dataset, not 1,860) and each ``train_supervised`` call resolves the
+model's arrays once (``model.Plan``), so a faulty bag is refused before the
+first update. Update rule per parameter: v <- momentum * v + grad +
+weight_decay * theta; theta <- theta - lr * v.
 
 Curriculum schedule: six rounds selecting the top 0%, 20%, 40%, 60%, 80% and
 100% most-confident pseudo-labeled bags. Every round trains a fresh model from
@@ -22,17 +23,18 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import backward  # noqa: F401 -- bench/spans.py patches training.backward
-from .data import iterate_split, with_label
+from .data import iterate_split
 from .errors import ConfigError, NumericError, UsageError
 from .metrics import N_CLASSES, PredictionSet, PredRow, balanced_accuracy
 from .model import (  # noqa: F401 -- bench/spans.py patches forward and total_loss here
     MMILModel,
     Plan,
+    PreparedBag,
     bag_branches,
     forward,
     init_model,
@@ -88,22 +90,29 @@ def validation_balanced_accuracy(model, bags):
     return balanced_accuracy(predictions_for(model, bags))
 
 
+def _prepare_train_split(model_config, bags):
+    """The train split's checks in order: not empty, every label, each ``Bag``'s preparation."""
+    bags = list(bags)
+    if not bags:
+        raise UsageError("dataset has no labeled train split")
+    for bag in bags:
+        if bag.label is None:
+            raise UsageError(f"training bag {bag.id!r} has no label")
+    return [bag if isinstance(bag, PreparedBag) else prepare_bag(model_config, bag)
+            for bag in bags]
+
+
 def train_supervised(init_seed, train_bags, val_bags, model_config, train_config):
     """Train one model; returns (model at the best-validation epoch, history).
 
-    Checks, before the model exists: a non-empty train split, its labels, each
-    train bag's preparation, then a val split whose scorable bags (those
-    ``bag_branches`` can run) hold every class, so every epoch is scored.
-    History is a dict with per-epoch rows and the init fingerprint used by the
-    fresh-initialization audit.
+    ``train_bags`` holds ``Bag``s, ``PreparedBag``s prepared under
+    ``model_config``, or both. Checks, before the model exists: a non-empty
+    train split, its labels, each ``Bag``'s preparation, then a val split
+    whose scorable bags (those ``bag_branches`` can run) hold every class, so
+    every epoch is scored. History is a dict with per-epoch rows and the init
+    fingerprint used by the fresh-initialization audit.
     """
-    train_bags = list(train_bags)
-    if not train_bags:
-        raise UsageError("dataset has no labeled train split")
-    for bag in train_bags:
-        if bag.label is None:
-            raise UsageError(f"training bag {bag.id!r} has no label")
-    prepared = [prepare_bag(model_config, bag) for bag in train_bags]
+    prepared = _prepare_train_split(model_config, train_bags)
     val_bags = list(val_bags)
     scorable = {bag.label for bag in val_bags if bag_branches(model_config, bag) is not None}
     missing = [c for c in range(N_CLASSES) if c not in scorable]
@@ -143,7 +152,7 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
             bag = prepared[i]
             loss_value = prepared_step(plan, bag)
             if not math.isfinite(loss_value):
-                raise NumericError(f"non-finite loss on bag {bag.bag_id!r}: {loss_value!r}")
+                raise NumericError(f"non-finite loss on bag {bag.id!r}: {loss_value!r}")
             epoch_loss += loss_value
             velocity *= mom
             np.multiply(theta, wd, out=scratch)
@@ -155,7 +164,7 @@ def train_supervised(init_seed, train_bags, val_bags, model_config, train_config
         history["epochs"].append(
             {
                 "epoch": epoch,
-                "train_loss": epoch_loss / len(train_bags),
+                "train_loss": epoch_loss / len(prepared),
                 "val_balanced_accuracy": val_bacc,
             }
         )
@@ -195,26 +204,15 @@ def select_confident(records, fraction):
     return {r.bag_id for r in ranked[:count]}
 
 
-def _round_row(round_num, fraction, selected_count, history, pl_accuracy):
-    """One ``rounds.jsonl`` record: a round's selection and its training outcome."""
-    return {
-        "round": round_num,
-        "fraction": fraction,
-        "selected_count": selected_count,
-        "val_balanced_accuracy": history["best_val_balanced_accuracy"],
-        "pseudo_label_accuracy": pl_accuracy,
-        "init_seed": history["init_seed"],
-        "init_weights_sha256": history["init_weights_sha256"],
-    }
-
-
 def run_curriculum(dataset, model_config, train_config, hidden_truth=None,
                    early_abort_drop=0.10):
     """Six curriculum rounds; returns (best model, per-round report rows).
 
     Round 1 trains on the labeled bags alone, exactly as ``train`` does (init
-    seed ``config.seed + 1``). A dataset without unlabeled bags runs round 1
-    only, with a warning, and so returns ``train``'s model and one report row.
+    seed ``config.seed + 1``). Before it, every train bag and every unlabeled
+    bag the model can run is prepared once; a round relabels its selected ones.
+    A dataset without unlabeled bags runs round 1 only, with a warning, and so
+    returns ``train``'s model and one report row.
 
     ``hidden_truth`` is a diagnostics-only map of unlabeled bag id -> true
     label used solely for the pseudo_label_accuracy report field; no training
@@ -222,9 +220,11 @@ def run_curriculum(dataset, model_config, train_config, hidden_truth=None,
     validation balanced accuracy falls more than that far below the best
     round; pass None to always run all six rounds.
     """
-    labeled = iterate_split(dataset, "train")
-    val_bags = iterate_split(dataset, "val")
+    labeled = _prepare_train_split(model_config, iterate_split(dataset, "train"))
     unlabeled = iterate_split(dataset, "unlabeled")
+    prepared = {bag.id: prepare_bag(model_config, bag) for bag in unlabeled
+                if bag_branches(model_config, bag) is not None}
+    val_bags = iterate_split(dataset, "val")
     fractions = ROUND_FRACTIONS if unlabeled else ROUND_FRACTIONS[:1]
 
     report = []
@@ -236,19 +236,21 @@ def run_curriculum(dataset, model_config, train_config, hidden_truth=None,
             records = pseudo_label(prev_model, unlabeled)
             selected = select_confident(records, fraction)
             by_id = {r.bag_id: r for r in records}
-            extra = [with_label(b, by_id[b.id].predicted_class)
+            extra = [replace(prepared[b.id], label=by_id[b.id].predicted_class)
                      for b in unlabeled if b.id in selected]
             if hidden_truth and extra:  # scores the labels this round trains on
                 pl_accuracy = float(np.mean([b.label == hidden_truth.get(b.id) for b in extra]))
 
-        model, history = train_supervised(
-            train_config.seed + round_num, labeled + extra, val_bags,
-            model_config, train_config,
-        )
+        model, history = train_supervised(train_config.seed + round_num, labeled + extra,
+                                          val_bags, model_config, train_config)
         if not unlabeled:  # round 1 trained, so its input checks passed
             logger.warning("no unlabeled bags: degrading to supervised-only training")
         bacc = history["best_val_balanced_accuracy"]
-        report.append(_round_row(round_num, fraction, len(extra), history, pl_accuracy))
+        report.append({  # one rounds.jsonl record
+            "round": round_num, "fraction": fraction, "selected_count": len(extra),
+            "val_balanced_accuracy": bacc, "pseudo_label_accuracy": pl_accuracy,
+            "init_seed": history["init_seed"],
+            "init_weights_sha256": history["init_weights_sha256"]})
         logger.info(
             "curriculum round %d: %d pseudo-labeled bags, val balanced accuracy %.4f",
             round_num, len(extra), bacc,

@@ -46,6 +46,12 @@ def make_bag(rng, bag_id="b0", n_cine=2, n_doppler=2, label=0,
     return Bag(bag_id, cine, doppler, label=label)
 
 
+def with_label(bag, label):
+    """Copy of a bag with ``label`` attached; it shares the bag's row blocks."""
+    return Bag.from_blocks(bag.id, label, bag.blocks["cine"], bag.blocks["doppler"],
+                           bag.relevance)
+
+
 def bag_arrays(bag):
     """Arrays-only view of a bag for the straight-line oracle."""
     return {

@@ -59,6 +59,16 @@ MUTANTS = (
             "tests/test_training.py::test_curriculum_not_worse_than_supervised",
             "tests/test_acceptance.py::test_acceptance_4_curriculum_mechanics",
             "tests/test_acceptance.py::test_acceptance_5_end_to_end")),
+    Mutant("unlabeled_bags_prepared_when_selected", "training.py",
+           "    prepared = {bag.id: prepare_bag(model_config, bag) for bag in unlabeled\n"
+           "                if bag_branches(model_config, bag) is not None}\n",
+           "    class Selected(dict):  # prepares a bag each time a round selects it\n"
+           "        def __missing__(self, bag_id):\n"
+           "            return prepare_bag(model_config,\n"
+           "                               next(b for b in unlabeled if b.id == bag_id))\n"
+           "    prepared = Selected()\n",
+           ("tests/test_cli.py::test_unlabeled_bag_without_relevance_is_refused_before_any_model",
+            "tests/test_training.py::test_curriculum_prepares_each_bag_once")),
     Mutant("early_abort_off", "training.py",
            "elif early_abort_drop is not None and bacc < best[0] - early_abort_drop:",
            "elif False:",

@@ -513,6 +513,34 @@ def test_val_split_missing_a_class_is_refused_before_training(tmp_path, capsys, 
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
+def test_unlabeled_bag_without_relevance_is_refused_before_any_model(workdir, capsys,
+                                                                     monkeypatch):
+    # the last unlabeled bag is the one a round would select last, if ever
+    dataset = load(workdir / "data")
+    bad = iterate_split(dataset, "unlabeled")[-1]
+    relevance = bad.relevance.copy()
+    relevance[0] = np.nan
+    dataset.bags[[b.id for b in dataset.bags].index(bad.id)] = Bag.from_blocks(
+        bad.id, None, bad.blocks["cine"], bad.blocks["doppler"], relevance)
+    save(dataset, workdir / "bad", load_hidden_truth(workdir / "data"))
+    models = []
+    init_model = training.init_model
+
+    def recording(*args):
+        models.append(init_model(*args))
+        return models[-1]
+
+    monkeypatch.setattr(training, "init_model", recording)
+    capsys.readouterr()
+    code = main(["ssl", "--config", str(workdir / "run.json"), "--data", str(workdir / "bad"),
+                 "--seed", "7", "--out", str(workdir / "out")])
+    assert code == 2
+    assert error_lines(capsys.readouterr().err) == [
+        f"error: bag {bad.id!r}: cine instance lacks a relevance score "
+        "(required when lambda_sa > 0)"]
+    assert models == []
+
+
 def test_nan_features_exit_numeric(workdir):
     # corrupt one bag's features; the loader refuses them before training (a
     # non-finite loss inside training still exits 3, see tests/test_step.py)

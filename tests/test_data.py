@@ -220,6 +220,26 @@ def test_non_finite_feature_is_format_error(tmp_path, value):
     assert exit_code_for(info.value) == 2
 
 
+@pytest.mark.parametrize("nan_too", [False, True])
+def test_finite_values_whose_sum_overflows_still_load(tmp_path, nan_too):
+    # load sums the values first: an overflowing sum must not pass for a non-finite value,
+    # and must not hide one either
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    ranges = bag_value_ranges(manifest)
+    start, end = ranges[manifest["bags"][1]["id"]]
+    write_feature_values(tmp_path, slice(start, end), 1e308)
+    if not nan_too:
+        bag = load(tmp_path).bags[1]
+        assert all((rows == 1e308).all() for _, _, rows in bag.blocks["cine"])
+        return
+    bad = manifest["bags"][3]["id"]
+    write_feature_values(tmp_path, ranges[bad][0], np.nan)
+    with pytest.raises(FormatError, match=f"'{bad}'.*'features.bin'.*non-finite"):
+        load(tmp_path)
+
+
 @pytest.mark.parametrize("cut", [3, 8])
 def test_truncated_feature_file_is_format_error(tmp_path, cut):
     ds, _ = generate_synthetic(small_config())

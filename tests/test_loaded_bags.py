@@ -22,7 +22,6 @@ from milfusion.data import (
     iterate_split,
     load,
     save,
-    with_label,
 )
 from milfusion.encoders import preprocess
 from milfusion.errors import DataError, NumericError
@@ -38,7 +37,7 @@ from milfusion.model import (
 )
 from milfusion.training import run_curriculum, train_supervised
 
-from helpers import TINY_DOP_SHAPE, tiny_model_config
+from helpers import TINY_DOP_SHAPE, tiny_model_config, with_label
 from test_acceptance import REFERENCE_DATA, REFERENCE_MODEL
 from test_training import tiny_dataset, tiny_train_config
 
@@ -202,11 +201,9 @@ def test_no_runtime_path_builds_an_instance_list(tmp_path, views):
     resolve_branches(config, test)
     predict_probs(model, test + unlabeled)
     train_supervised(1, train, val, config, train_config)
-    copies = [with_label(bag, 1) for bag in unlabeled]
     run_curriculum(dataset, config, train_config)
     assert cli._infer_input_dims(dataset) == (9, 12)
     assert views == []
-    assert [c.label for c in copies] == [1] * len(unlabeled)
 
     # a view's features are the bag's row: a NaN written there is what training sees
     bag = train[3]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from milfusion.autodiff import backward
-from milfusion.data import Bag, Instance, generate_synthetic, iterate_split, with_label
+from milfusion.data import Bag, Instance, generate_synthetic, iterate_split
 from milfusion.errors import NumericError
 from milfusion.model import (
     Plan,
@@ -25,7 +25,7 @@ from milfusion.model import (
 )
 from milfusion.training import TrainConfig, train_supervised
 
-from helpers import TINY_CINE_SHAPE, make_bag, random_model, tiny_model_config
+from helpers import TINY_CINE_SHAPE, make_bag, random_model, tiny_model_config, with_label
 from test_acceptance import REFERENCE_DATA, REFERENCE_MODEL
 
 

@@ -486,9 +486,10 @@ def test_curriculum_fractions_and_fresh_init():
 def test_pseudo_label_accuracy_scores_the_labels_each_round_trains_on(monkeypatch, shift):
     # shift 1 trains each round on shifted pseudo-labels, which the report must score
     ds, hidden = tiny_dataset()
-    with_label = training.with_label
-    monkeypatch.setattr(training, "with_label",
-                        lambda bag, label: with_label(bag, (label + shift) % 3))
+    pseudo_label = training.pseudo_label
+    monkeypatch.setattr(training, "pseudo_label", lambda model, bags: [
+        replace(r, predicted_class=(r.predicted_class + shift) % 3)
+        for r in pseudo_label(model, bags)])
     trained_on = []
     train = training.train_supervised
 
@@ -557,6 +558,29 @@ def test_early_abort_fires_on_a_drop_beyond_its_threshold(monkeypatch, caplog, r
     aborts = [r for r in caplog.records if r.getMessage().startswith("early abort")]
     assert len(aborts) == (rounds_run < len(ROUND_FRACTIONS))
     assert params_digest(model.params) == params_digest(models[best_round - 1].params)
+
+
+@pytest.mark.parametrize("ablate", [False, True], ids=["all_runnable", "one_skipped"])
+def test_curriculum_prepares_each_bag_once(monkeypatch, ablate):
+    # six rounds train on the labeled bags and pseudo-label every unlabeled one,
+    # yet each is prepared once; an unlabeled bag no enabled modality can run
+    # (cine-empty with doppler off) is skipped, not refused, and never prepared
+    ds, hidden = tiny_dataset()
+    unlabeled = iterate_split(ds, "unlabeled")
+    skipped = unlabeled[3]
+    if ablate:
+        i = [b.id for b in ds.bags].index(skipped.id)
+        ds.bags[i] = Bag(skipped.id, [], skipped.doppler_instances, skipped.label)
+    config = tiny_model_config(use_doppler=not ablate)
+    calls = Counter()
+    counting(monkeypatch, calls, training, "prepare_bag", key=lambda cfg, bag: bag.id)
+    _, report = run_curriculum(ds, config, tiny_train_config(max_epochs=1), hidden,
+                               early_abort_drop=None)
+    runnable = [b.id for b in unlabeled if not (ablate and b.id == skipped.id)]
+    want = [b.id for b in iterate_split(ds, "train")] + runnable
+    assert calls == Counter({("prepare_bag", bag_id): 1 for bag_id in want})
+    assert len(report) == len(ROUND_FRACTIONS)
+    assert report[-1]["selected_count"] == len(runnable)
 
 
 def test_curriculum_without_unlabeled_equals_supervised():
