@@ -321,29 +321,19 @@ def _check_operands(ok, signature, *operands):
         raise DimensionError(f"{signature}: got {shapes}")
 
 
-def activate(z, activation):
-    """The encoder activation ("tanh" or "relu") of an array; tanh is written into ``z``."""
-    if activation == "tanh":
-        return np.tanh(z, out=z)
-    if activation == "relu":
-        return np.where(z > 0.0, z, 0.0)
-    raise ContractError(f"unknown activation {activation!r}")
-
-
-def linear(x, W, b, activation):
-    """act(x W + b) for rows x [K, n], W [n, m], b [m]; act is "tanh" or "relu"."""
+def linear(x, W, b):
+    """tanh(x W + b) for rows x [K, n], W [n, m], b [m]."""
     _check_operands(len(x.shape) == 2 and len(W.shape) == 2 and x.shape[1] == W.shape[0]
                     and b.shape == W.shape[1:], "linear needs x [K,n], W [n,m], b [m]", x, W, b)
     k, n = x.shape
     m = W.shape[1]
     X = x.data.reshape(k, n)
     Wm = W.data.reshape(n, m)
-    y = activate(X @ Wm + b.data, activation)
+    y = np.tanh(X @ Wm + b.data)
     need_x, need_w, need_b = x.tape is not None, W.tape is not None, b.tape is not None
 
     def grad_fn(g):
-        G = g.reshape(k, m)
-        G = (1.0 - y * y) * G if activation == "tanh" else np.where(y > 0.0, G, 0.0)
+        G = (1.0 - y * y) * g.reshape(k, m)
         return (
             (G @ Wm.T).reshape(-1) if need_x else None,
             (X.T @ G).reshape(-1) if need_w else None,

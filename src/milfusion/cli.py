@@ -134,7 +134,7 @@ def _infer_input_dims(dataset):
 
 
 # The flat ``model`` section sets these for both encoders.
-_ENCODER_KEYS = ("hidden_sizes", "embed_dim", "activation")
+_ENCODER_KEYS = ("hidden_sizes", "embed_dim")
 
 
 def _model_config(file_cfg, args, dataset):

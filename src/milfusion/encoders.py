@@ -2,8 +2,8 @@
 
 Cine instances (frames x H x W) are mean-pooled over the frame axis before
 flattening, which makes the embedding invariant to frame order; doppler
-instances are flattened directly. Every layer, including the last, applies the
-configured activation. Weights are Glorot-uniform, biases start at zero.
+instances are flattened directly. Every layer, including the last, applies
+tanh. Weights are Glorot-uniform, biases start at zero.
 """
 
 from __future__ import annotations
@@ -23,13 +23,10 @@ class EncoderConfig:
     input_dim: int  # flattened size after preprocessing (cine: H*W, doppler: H*W)
     hidden_sizes: tuple[int, ...] = (64,)
     embed_dim: int = 32
-    activation: str = "tanh"
 
     def __post_init__(self):
         if self.modality not in ("cine", "doppler"):
             raise ConfigError(f"unknown modality {self.modality!r}")
-        if self.activation not in ("tanh", "relu"):
-            raise ConfigError(f"unknown activation {self.activation!r}")
         dims = (self.input_dim, *self.hidden_sizes, self.embed_dim)
         if any(int(d) < 1 for d in dims):
             raise ConfigError(f"encoder layer sizes must be positive, got {dims}")
@@ -121,5 +118,5 @@ def encode_rows(config, weights, rows):
     """
     h = rows
     for i in range(len(config.layer_dims)):
-        h = ad.linear(h, weights[f"layer{i}.W"], weights[f"layer{i}.b"], config.activation)
+        h = ad.linear(h, weights[f"layer{i}.W"], weights[f"layer{i}.b"])
     return h

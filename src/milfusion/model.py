@@ -77,7 +77,7 @@ from .pooling import (
 logger = logging.getLogger(__name__)
 
 N_CLASSES = 3
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 PARAMS = "tensors/params.bin"
 
 
@@ -306,10 +306,10 @@ def _relevance_target(cfg, bag):
 class Plan:
     """The model's arrays, resolved once for many tape-free steps or batched passes.
 
-    Per encoder, one ``(W, b, gW, gb)`` per layer and the activation; per
-    attention module, ``(U, w, gU, gw)``; for the output layer, ``(W, b, gW,
-    gb)``; the KL weight; and the gradient views that each fallback branch of
-    a step zeroes. The arrays are the model's parameters and the views of
+    Per encoder, one ``(W, b, gW, gb)`` per layer, each layer applying tanh;
+    per attention module, ``(U, w, gU, gw)``; for the output layer, ``(W, b,
+    gW, gb)``; the KL weight; and the gradient views that each fallback branch
+    of a step zeroes. The arrays are the model's parameters and the views of
     ``grad_views`` themselves (the gradient entries are None without
     ``grad_views``), so a plan stays valid while the parameters are updated
     in place.
@@ -330,8 +330,6 @@ class Plan:
 
         self.cine = encoder("cine_encoder.", cfg.cine_encoder)
         self.doppler = encoder("doppler_encoder.", cfg.doppler_encoder)
-        self.cine_activation = cfg.cine_encoder.activation
-        self.doppler_activation = cfg.doppler_encoder.activation
         self.att_a, self.att_b, self.att_doppler, self.att_fusion = (
             arrays(f"{name}.U", f"{name}.w") for name in ATTENTION_NAMES)
         self.output = arrays("output.W", "output.b")
@@ -388,21 +386,21 @@ def prepare_bag(config, bag):
                        doppler_rows)
 
 
-def _encoder_forward(layers, activation, rows):
+def _encoder_forward(layers, rows):
     """Each encoder layer's input rows and, last, the encoder's output [K, M]."""
     hs = [rows]
     for W, b, _, _ in layers:
         y = hs[-1].dot(W)
-        hs.append(ad.activate(np.add(y, b, out=y), activation))
+        hs.append(np.tanh(np.add(y, b, out=y), out=y))
     return hs
 
 
-def _encoder_backward(layers, activation, hs, G):
+def _encoder_backward(layers, hs, G):
     """``linear``'s backward pass through every layer, last first; overwrites ``hs[1:]``."""
     for i in reversed(range(len(layers))):
         W, _, gW, gb = layers[i]
         y = hs[i + 1]
-        G = _tanh_backward(y, G) if activation == "tanh" else np.where(y > 0.0, G, 0.0)
+        G = _tanh_backward(y, G)
         hs[i].T.dot(G, out=gW)
         np.add.reduce(G, axis=0, out=gb)
         if i:  # the input rows are constants
@@ -441,12 +439,15 @@ def prepared_step(plan, bag):
     backward expressions are the same floating-point operations, run in the
     tape's reverse node order, and a node with several consumers sums their
     gradients in that order. A parameter the bag does not reach gets exact
-    zeros. Raises the checks that depend on the parameters: a dual-attention
-    product that sums to zero, p[label] = 0, and an attention weight of 0 in
-    the KL term.
+    zeros. Raises the checks of ``total_loss`` that ``prepare_bag`` passes:
+    an unlabeled bag's None label, then those that depend on the parameters:
+    a dual-attention product that sums to zero, p[label] = 0, and an
+    attention weight of 0 in the KL term.
     """
+    if bag.label is None:
+        raise ContractError("label must be in {0,1,2}, got None")
     if bag.run_cine:
-        hc = _encoder_forward(plan.cine, plan.cine_activation, bag.cine_rows)
+        hc = _encoder_forward(plan.cine, bag.cine_rows)
         H = hc[-1]
         Ta, scores = _scores_forward(plan.att_a, H)
         a = ad.softmax_values(scores)
@@ -460,7 +461,7 @@ def prepared_step(plan, bag):
         c *= inv
         z = c.dot(H)
     if bag.run_doppler:
-        hd = _encoder_forward(plan.doppler, plan.doppler_activation, bag.doppler_rows)
+        hd = _encoder_forward(plan.doppler, bag.doppler_rows)
         Hd = hd[-1]
         Td, scores = _scores_forward(plan.att_doppler, Hd)
         d = ad.softmax_values(scores)
@@ -518,14 +519,14 @@ def prepared_step(plan, bag):
         ga = gp * b if ga is None else np.add(ga, gp * b, out=ga)
         gH += _attention_backward(plan.att_b, H, Tb, b, gp * a)
         gH += _attention_backward(plan.att_a, H, Ta, a, ga)
-        _encoder_backward(plan.cine, plan.cine_activation, hc, gH)
+        _encoder_backward(plan.cine, hc, gH)
     else:
         for view in plan.zero_cine:
             view.fill(0.0)
     if bag.run_doppler:
         gH = d[:, None] * gzt
         gH += _attention_backward(plan.att_doppler, Hd, Td, d, Hd.dot(gzt))
-        _encoder_backward(plan.doppler, plan.doppler_activation, hd, gH)
+        _encoder_backward(plan.doppler, hd, gH)
     else:
         for view in plan.zero_doppler:
             view.fill(0.0)
@@ -558,7 +559,7 @@ def _pool_batch(layers, enc_cfg, bags, modality, atts):
     counts = np.array([bag.counts[modality] for bag in bags])
     starts = np.concatenate(([0], np.cumsum(counts[:-1])))
     blocks = [block for bag in bags for block in bag.blocks[modality]]
-    H = _encoder_forward(layers, enc_cfg.activation, preprocess_rows(enc_cfg, blocks))[-1]
+    H = _encoder_forward(layers, preprocess_rows(enc_cfg, blocks))[-1]
     weights = _segment_softmax(_scores_forward(atts[0], H)[1], starts, counts)
     if len(atts) == 2:
         prod = weights * _segment_softmax(_scores_forward(atts[1], H)[1], starts, counts)

@@ -63,7 +63,7 @@ def bag_arrays(bag):
 
 def oracle_config(config):
     return {
-        "activation": config.cine_encoder.activation,
+        "activation": "tanh",
         "n_cine_layers": len(config.cine_encoder.layer_dims),
         "n_doppler_layers": len(config.doppler_encoder.layer_dims),
         "use_cine": config.use_cine,

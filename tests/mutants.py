@@ -46,6 +46,10 @@ MUTANTS = (
     Mutant("kl_term_dropped", "model.py",
            "    r = bag.r", "    r = None",
            ("tests/test_step.py::test_step_is_bitwise_the_taped_step",)),
+    Mutant("encoder_tanh_derivative_dropped", "model.py",
+           "G = _tanh_backward(y, G)", "G = G",
+           ("tests/test_step.py::test_step_is_bitwise_the_taped_step",
+            "tests/test_step.py::test_step_on_hand_built_bags")),
     Mutant("selection_reversed", "training.py",
            "key=lambda r: (-r.confidence, r.bag_id)", "key=lambda r: (r.confidence, r.bag_id)",
            ("tests/test_training.py::test_select_confident_matches_brute_force",

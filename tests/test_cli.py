@@ -227,7 +227,7 @@ def test_config_used_json_model_section_is_flat(workdir):
                  "--seed", "3", "--out", str(out)]) == 0
     model = json.loads((out / "config_used.json").read_text())["model"]
     assert model == {"cine_input_dim": 9, "doppler_input_dim": 12, "hidden_sizes": [8],
-                     "embed_dim": 4, "activation": "tanh", "attention_dim": 4,
+                     "embed_dim": 4, "attention_dim": 4,
                      "lambda_sa": 10.0, "tau": 0.5, "use_cine": True, "use_doppler": True}
 
 
@@ -240,6 +240,7 @@ def test_config_used_json_model_section_is_flat(workdir):
     ("model", "use_cine", "false"),
     ("model", "cine_encoder", {"modality": "cine", "input_dim": 9}),
     ("train", "max_epochs", True),
+    ("model", "activation", "tanh"),  # the encoders apply tanh; no key chooses it
 ])
 def test_wrong_typed_config_value_is_a_usage_error(workdir, capsys, section, key, value):
     cfg = {"dataset": dict(TINY_DATASET), **copy.deepcopy(TINY_RUN)}
@@ -250,7 +251,8 @@ def test_wrong_typed_config_value_is_a_usage_error(workdir, capsys, section, key
     capsys.readouterr()
     code = main([*command, "--config", str(path), "--seed", "3", "--out", str(workdir / "o")])
     assert code == 1
-    assert len(error_lines(capsys.readouterr().err)) == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert key in line
 
 
 def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
@@ -741,14 +743,19 @@ def test_eval_refuses_a_prediction_file_that_is_not_utf8(tmp_path, capsys):
     (("config", "cine_encoder", "input_dim"), "abc"),
     (("config", "cine_encoder"), [1]),
     (("config", "use_doppler"), "false"),
+    (("format_version",), 2),  # the format that recorded the encoders' activation
 ])
 def test_bad_checkpoint_manifest_exits_2(workdir, trained, capsys, key_path, value):
     edit_json(trained / "manifest.json", key_path, value)
-    capsys.readouterr()
-    code = main(["predict", "--checkpoint", str(trained), "--data", str(workdir / "data"),
-                 "--seed", "1", "--out", str(workdir / "p")])
-    assert code == 2
-    assert len(error_lines(capsys.readouterr().err)) == 1
+    for command in ("predict", "eval"):
+        capsys.readouterr()
+        code = main([command, "--checkpoint", str(trained), "--data", str(workdir / "data"),
+                     "--seed", "1", "--out", str(workdir / "p")])
+        assert code == 2
+        (line,) = error_lines(capsys.readouterr().err)
+        assert key_path[-1] in line
+        if key_path == ("format_version",):
+            assert f"format_version {value};" in line
 
 
 @pytest.mark.parametrize("slot, modality", [("cine_encoder", "doppler"),

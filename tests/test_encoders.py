@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from milfusion.encoders import (
     preprocess_rows,
 )
 from milfusion.errors import ConfigError, ContractError
+from milfusion.model import config_from_dict
 
 from oracles import max_rel_err, numeric_gradient
 from test_acceptance import REFERENCE_DATA, REFERENCE_MODEL
@@ -94,14 +97,6 @@ def test_single_layer_identity_weights_equal_activation():
     assert np.allclose(out.value(), np.tanh(x), atol=1e-15)
 
 
-def test_relu_activation_config():
-    cfg = EncoderConfig("doppler", input_dim=2, hidden_sizes=(), embed_dim=2,
-                        activation="relu")
-    weights = const_weights({"layer0.W": np.eye(2), "layer0.b": np.zeros(2)})
-    out = embedding(cfg, weights, Instance("doppler", np.array([0.3, -1.2]), (2, 1)))
-    assert out.value().tolist() == [[0.3, 0.0]]
-
-
 def test_encode_deterministic():
     weights = seeded_weights(DOP_CFG, seed=5)
     inst = Instance("doppler", np.arange(6.0), (2, 3))
@@ -169,8 +164,9 @@ def test_invalid_configs():
         EncoderConfig("mri", input_dim=4)
     with pytest.raises(ConfigError):
         EncoderConfig("cine", input_dim=0)
-    with pytest.raises(ConfigError):
-        EncoderConfig("cine", input_dim=4, activation="gelu")
+    with pytest.raises(ConfigError, match=re.escape("encoder: unknown keys ['activation']")):
+        config_from_dict(EncoderConfig, {"modality": "cine", "input_dim": 4,
+                                         "activation": "gelu"}, ConfigError, "encoder")
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -447,7 +447,7 @@ def test_config_from_dict_reads_ints_as_floats_and_lists_as_tuples():
     (lambda raw: raw["cine_encoder"].update(hidden_sizes=[8.5]),
      "config.cine_encoder.hidden_sizes[0] must be an integer"),
     (lambda raw: raw["cine_encoder"].update(activation="gelu"),
-     "config.cine_encoder: unknown activation 'gelu'"),
+     "config.cine_encoder: unknown keys ['activation']"),
     (lambda raw: raw.update(tau=-1.0), "config: tau must be > 0"),
 ])
 def test_config_from_dict_refusals_raise_the_given_error(edit, message):

@@ -73,12 +73,11 @@ def test_dataset_round_trip_is_bitwise(dataset):
 
 @st.composite
 def model_configs(draw):
-    activation = draw(st.sampled_from(["tanh", "relu"]))
     embed_dim = draw(st.integers(1, 4))
 
     def encoder(modality, input_dim):
         hidden = draw(st.lists(st.integers(1, 5), max_size=2))
-        return EncoderConfig(modality, input_dim, tuple(hidden), embed_dim, activation)
+        return EncoderConfig(modality, input_dim, tuple(hidden), embed_dim)
 
     use_cine, use_doppler = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
     return ModelConfig(encoder("cine", 6), encoder("doppler", 6),
