@@ -244,7 +244,9 @@ def _cmd_ssl(args, out):
 
 
 def _split_predictions(args):
-    dataset = load(Path(_require(args, "data")))
+    """The predictions of ``predict`` and ``eval --checkpoint``, which read only the
+    bags of ``--split`` (the whole dataset is still checked)."""
+    dataset = load(Path(_require(args, "data")), (args.split,))
     bags = iterate_split(dataset, args.split)
     if not bags:
         raise UsageError(f"split {args.split!r} is empty")

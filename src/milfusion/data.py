@@ -29,13 +29,15 @@ statistics.
 A bag id is a plain file name (no ``/``, ``\\`` or NUL; not empty, ``.`` or
 ``..``). Every file a loader opens has a fixed name, and ``contained_file``
 resolves it once, so a symlink that leads out of the directory is refused.
-``load`` checks each run once and each distinct shape once per load, reads
-``features.bin`` into one array with one size check, compares its digest
-trailer with the manifest's without hashing, checks the relevance section and
-the finiteness of the values as whole arrays, and builds no ``Instance``:
-each loaded bag's row blocks are reshapes of ``features.bin``. ``save``
-computes the digest while it writes, so a ``features.bin`` left beside another
-save's manifest is refused.
+``load`` checks each run once and each distinct shape once per load, checks
+the size of ``features.bin`` once, compares its digest trailer with the
+manifest's without hashing and checks the relevance section as a whole array.
+It reads the values of the bags of the splits asked for (every split by
+default) into one array, one ``readinto`` per run of consecutive such bags,
+checks their finiteness as a whole array, and builds no ``Instance``: each
+loaded bag's row blocks are reshapes of that array. ``save`` computes the
+digest while it writes, so a ``features.bin`` left beside another save's
+manifest is refused.
 
 A bag holds, per modality, its instances as row blocks ``(modality, shape,
 rows)``: ``rows`` is a [count, prod(shape)] float64 array whose rows are the
@@ -157,19 +159,11 @@ class Bag:
         return bag
 
     def _fill(self, id, label, cine, doppler, relevance):
-        if (not isinstance(id, str) or id in ("", ".", "..")
-                or "/" in id or "\\" in id or "\0" in id):
-            raise FormatError(f"bag id {id!r} is not a plain file name")
         self.id, self.label, self.relevance = id, label, relevance
         self.blocks = {"cine": cine, "doppler": doppler}
         self.counts = {modality: sum(len(rows) for _, _, rows in blocks)
                        for modality, blocks in self.blocks.items()}
-        if self.counts["cine"] + self.counts["doppler"] < 1:
-            raise FormatError(f"bag {id!r} has no instances")
-        if label is not None and (
-                isinstance(label, bool) or not isinstance(label, (int, np.integer))
-                or label not in (0, 1, 2)):
-            raise FormatError(f"bag {id!r} has invalid label {label!r}")
+        _check_bag(id, label, self.counts["cine"] + self.counts["doppler"])
 
     @property
     def cine_instances(self):
@@ -212,19 +206,38 @@ class Dataset:
     split_assignment: dict
 
     def __post_init__(self):
-        ids = [b.id for b in self.bags]
-        if len(set(ids)) != len(ids):
-            raise FormatError("duplicate bag ids")
-        if set(ids) != set(self.split_assignment):
-            raise FormatError("split assignment does not cover the bags exactly")
-        for bag in self.bags:
-            split = self.split_assignment[bag.id]
-            if split not in SPLITS:
-                raise FormatError(f"bag {bag.id!r}: unknown split {split!r}")
-            if split == "unlabeled" and bag.label is not None:
-                raise FormatError(f"unlabeled bag {bag.id!r} carries a label")
-            if split != "unlabeled" and bag.label is None:
-                raise FormatError(f"bag {bag.id!r} in split {split!r} has no label")
+        _check_splits([(b.id, b.label) for b in self.bags], self.split_assignment)
+
+
+def _check_bag(bag_id, label, n_instances):
+    """A bag's own invariants: a plain file name as id, an instance, a label 0, 1, 2 or None."""
+    if (not isinstance(bag_id, str) or bag_id in ("", ".", "..")
+            or "/" in bag_id or "\\" in bag_id or "\0" in bag_id):
+        raise FormatError(f"bag id {bag_id!r} is not a plain file name")
+    if n_instances < 1:
+        raise FormatError(f"bag {bag_id!r} has no instances")
+    if label is not None and (
+            isinstance(label, bool) or not isinstance(label, (int, np.integer))
+            or label not in (0, 1, 2)):
+        raise FormatError(f"bag {bag_id!r} has invalid label {label!r}")
+
+
+def _check_splits(labels, assignment):
+    """A dataset's invariants over its bags' ``(id, label)`` pairs and its ``assignment``
+    of ids to splits: unique ids, each in one known split, labeled unless unlabeled."""
+    ids = [bag_id for bag_id, _ in labels]
+    if len(set(ids)) != len(ids):
+        raise FormatError("duplicate bag ids")
+    if set(ids) != set(assignment):
+        raise FormatError("split assignment does not cover the bags exactly")
+    for bag_id, label in labels:
+        split = assignment[bag_id]
+        if split not in SPLITS:
+            raise FormatError(f"bag {bag_id!r}: unknown split {split!r}")
+        if split == "unlabeled" and label is not None:
+            raise FormatError(f"unlabeled bag {bag_id!r} carries a label")
+        if split != "unlabeled" and label is None:
+            raise FormatError(f"bag {bag_id!r} in split {split!r} has no label")
 
 
 def iterate_split(dataset, split):
@@ -498,8 +511,15 @@ def _blocks(modality, values, start, runs):
     return blocks, start
 
 
-def load(dir_path):
-    """Read a dataset directory written by :func:`save`.
+def load(dir_path, splits=SPLITS):
+    """Read the bags of ``splits`` from a dataset directory written by :func:`save`.
+
+    Every load checks the whole dataset: each manifest record, the size of
+    ``features.bin``, its digest trailer and relevance section, then each
+    bag's id, label, instance count and split. Only the bags whose split is
+    in ``splits`` have their feature values read, one ``readinto`` per run of
+    consecutive such bags, and checked finite, before the bags' own checks.
+    The result holds those bags, in manifest order.
 
     Cyclic garbage collection is paused meanwhile (and left as it was after):
     parsing the manifest allocates tens of thousands of containers but no
@@ -512,13 +532,13 @@ def load(dir_path):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _load(Path(dir_path).resolve())
+        return _load(Path(dir_path).resolve(), splits)
     finally:
         if enabled:
             gc.enable()
 
 
-def _load(root):
+def _load(root, splits):
     manifest_path = contained_file(root, "manifest.json", "dataset")
     if manifest_path is None:
         raise FormatError(f"no manifest.json under {root}")
@@ -554,13 +574,31 @@ def _load(root):
         ends.append(end)
         cine_ends.append(n_cine)
 
-    # then the feature file, read straight into one array, which every row block views
-    def at_fault(index, bounds):  # the owner of the bag whose section holds this index
-        return f"bag {layout[bisect_right(bounds, index)][0]!r}"
+    # then the feature file: the wanted bags' values, the relevance section and the
+    # digest, read straight into one array, which every row block views
+    wanted = [type(split) is str and split in splits for _, _, split, _, _ in layout]
+    kept = [rec for rec, want in zip(layout, wanted) if want]
+    spans, kept_ends, n_values = [], [], 0  # spans [start, stop) of the file's float64s to read
+
+    def take(start, stop):  # a span, merged with the one before it if the two touch
+        if spans and spans[-1][1] == start:
+            spans[-1][1] = stop
+        else:
+            spans.append([start, stop])
+
+    for want, start, stop in zip(wanted, [0, *ends], ends):
+        if want:
+            take(start, stop)
+            n_values += stop - start
+            kept_ends.append(n_values)
+
+    def at_fault(index, bounds, owners=layout):  # the owner of the section holding this index
+        return f"bag {owners[bisect_right(bounds, index)][0]!r}"
 
     first = f"bag {layout[0][0]!r}" if layout else "dataset"
     fpath = contained_file(root, FEATURES, first, "missing feature file")
     need = 8 * (end + n_cine) + DIGEST_BYTES
+    take(end, need // 8)
     with open(fpath, "rb") as f:
         # sized before the array is allocated, so a manifest cannot ask for more memory
         size = os.fstat(f.fileno()).st_size
@@ -573,14 +611,18 @@ def _load(root):
                               f"{len(layout)} bags in the manifest need {need} ({end} "
                               f"float64 values, {n_cine} relevance values and a "
                               f"{DIGEST_BYTES}-byte sha256)")
-        data = np.empty(need // 8, dtype="<f8")
-        if f.readinto(data) != need:
-            raise FormatError(f"{first}: file {FEATURES!r} shrank while it was read")
-    if data[end + n_cine:].tobytes().hex() != digest:
+        data = np.empty(n_values + need // 8 - end, dtype="<f8")
+        at = 0
+        for start, stop in spans:
+            f.seek(8 * start)
+            if f.readinto(data[at:at + stop - start]) != 8 * (stop - start):
+                raise FormatError(f"{first}: file {FEATURES!r} shrank while it was read")
+            at += stop - start
+    values, relevance, trailer = np.split(data, [n_values, n_values + n_cine])
+    if trailer.tobytes().hex() != digest:
         raise FormatError(f"dataset: the sha256 at the end of file {FEATURES!r} is not the "
                           "manifest's features_sha256, so the two come from different saves "
                           "(an interrupted one, say); gen-data writes the dataset again")
-    values, relevance = data[:end], data[end:end + n_cine]
     # NaN: an instance without a relevance score
     bad = ~(np.isnan(relevance) | ((relevance >= 0) & (relevance <= 1)))
     if bad.any():
@@ -591,18 +633,23 @@ def _load(root):
     with np.errstate(over="ignore"):  # a finite sum proves every value finite, cheaply
         total = np.add.reduce(values)
     if not math.isfinite(total) and not (finite := np.isfinite(values)).all():
-        raise FormatError(f"{at_fault(int(np.argmin(finite)), ends)}: file {FEATURES!r} holds "
-                          "non-finite feature values")
+        raise FormatError(f"{at_fault(int(np.argmin(finite)), kept_ends, kept)}: file "
+                          f"{FEATURES!r} holds non-finite feature values")
 
+    # the bags: the wanted ones built over the array, every one checked
     bags, assignment, start, cine_start = [], {}, 0, 0
-    for (bag_id, label, split, cine, doppler), cine_stop in zip(layout, cine_ends):
-        cine, start = _blocks("cine", values, start, cine)
-        doppler, start = _blocks("doppler", values, start, doppler)
-        bags.append(Bag.from_blocks(bag_id, label, cine, doppler,
-                                    relevance[cine_start:cine_stop]))
+    for (bag_id, label, split, cine, doppler), want, cine_stop in zip(layout, wanted, cine_ends):
+        if want:
+            cine, start = _blocks("cine", values, start, cine)
+            doppler, start = _blocks("doppler", values, start, doppler)
+            bags.append(Bag.from_blocks(bag_id, label, cine, doppler,
+                                        relevance[cine_start:cine_stop]))
+        else:
+            _check_bag(bag_id, label, sum(count for _, _, count in cine + doppler))
         assignment[bag_id] = split
         cine_start = cine_stop
-    return Dataset(bags, assignment)
+    _check_splits([(bag_id, label) for bag_id, label, *_ in layout], assignment)
+    return Dataset(bags, {bag.id: assignment[bag.id] for bag in bags})
 
 
 def load_hidden_truth(dir_path):

@@ -78,7 +78,7 @@ MUTANTS = (
            "elif False:",
            ("tests/test_training.py::test_early_abort_fires_on_a_drop_beyond_its_threshold",)),
     Mutant("dataset_digest_unchecked", "data.py",
-           "if data[end + n_cine:].tobytes().hex() != digest:", "if False:",
+           "if trailer.tobytes().hex() != digest:", "if False:",
            ("tests/test_data.py::"
             "test_save_killed_before_its_manifest_leaves_a_pair_that_load_refuses",)),
     Mutant("checkpoint_digest_unchecked", "model.py",
@@ -105,6 +105,12 @@ MUTANTS = (
            "        ok[0] = False  # then True at each id's first row\n", "",
            ("tests/test_metrics.py::test_prediction_set_validation",
             "tests/test_metrics.py::test_prediction_set_names_the_first_offending_row")),
+    Mutant("split_read_one_bag_late", "data.py",
+           "zip(wanted, [0, *ends], ends)", "zip(wanted, ends, [*ends[1:], end])",
+           ("tests/test_data.py::test_load_reads_the_bags_of_the_wanted_splits",)),
+    Mutant("split_read_not_seeked", "data.py",
+           "            f.seek(8 * start)\n", "",
+           ("tests/test_data.py::test_load_reads_the_bags_of_the_wanted_splits",)),
     Mutant("loaded_relevance_one_late", "data.py",
            "relevance[cine_start:cine_stop]))",
            "relevance[cine_start + 1:cine_stop + 1]))",

@@ -543,16 +543,23 @@ def test_unlabeled_bag_without_relevance_is_refused_before_any_model(workdir, ca
     assert models == []
 
 
-def test_nan_features_exit_numeric(workdir):
+def write_nan_into_train_000(data_dir):
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    start, end = bag_value_ranges(manifest)["train_000"]
+    write_feature_values(data_dir, slice(start, end), np.nan)
+
+
+def test_nan_features_exit_numeric(workdir, capsys):
     # corrupt one bag's features; the loader refuses them before training (a
     # non-finite loss inside training still exits 3, see tests/test_step.py)
-    manifest = json.loads((workdir / "data" / "manifest.json").read_text())
-    start, end = bag_value_ranges(manifest)["train_000"]
-    write_feature_values(workdir / "data", slice(start, end), np.nan)
+    write_nan_into_train_000(workdir / "data")
+    capsys.readouterr()
     code = main(["train", "--config", str(workdir / "run.json"),
                  "--data", str(workdir / "data"), "--seed", "3",
                  "--out", str(workdir / "nan")])
     assert code == 2
+    (line,) = error_lines(capsys.readouterr().err)
+    assert "'train_000'" in line and "non-finite" in line
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +578,21 @@ def test_non_finite_features_are_refused_by_the_loader(workdir, trained, capsys,
     (line,) = error_lines(capsys.readouterr().err)
     assert "'features.bin'" in line and "'test_000'" in line  # the file and the bag
     assert "non-finite" in line
+
+
+def test_predict_and_eval_read_only_the_split_they_score(workdir, trained):
+    # NaN in a train bag: predict and eval of the test split never read its values
+    outputs = {}
+    for dataset in ("clean", "nan"):
+        if dataset == "nan":
+            write_nan_into_train_000(workdir / "data")
+        out = workdir / dataset
+        for command, extra in (("predict", []), ("eval", ["--n-boot", "30"])):
+            assert main([command, "--checkpoint", str(trained), "--data", str(workdir / "data"),
+                         "--seed", "1", *extra, "--out", str(out / command)]) == 0
+        outputs[dataset] = ((out / "predict" / "predictions.csv").read_bytes(),
+                            (out / "eval" / "report.json").read_bytes())
+    assert outputs["nan"] == outputs["clean"]
 
 
 def test_dataset_passed_as_checkpoint_is_named_a_dataset(workdir, capsys):
@@ -786,13 +808,19 @@ def test_checkpoint_encoder_in_the_wrong_slot_exits_2(workdir, trained, capsys, 
 ])
 def test_bad_dataset_manifest_exits_2(workdir, capsys, key_path, value):
     edit_json(workdir / "data" / "manifest.json", key_path, value)
-    capsys.readouterr()
-    code = main(["train", "--config", str(workdir / "run.json"), "--data",
-                 str(workdir / "data"), "--seed", "3", "--out", str(workdir / "t")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert len(error_lines(err)) == 1
-    assert "'train_" in err or "bags" in err  # names the bag, or the bag list
+    lines = []
+    # predict and eval check the whole dataset before they look at --split
+    for command in (["train", "--config", str(workdir / "run.json")],
+                    ["predict", "--checkpoint", str(workdir / "none"), "--split", "nosuch"],
+                    ["eval", "--checkpoint", str(workdir / "none"), "--split", "nosuch"]):
+        capsys.readouterr()
+        code = main([*command, "--data", str(workdir / "data"), "--seed", "3",
+                     "--out", str(workdir / "t")])
+        assert code == 2
+        err = capsys.readouterr().err
+        lines += error_lines(err)
+        assert "'train_" in err or "bags" in err  # names the bag, or the bag list
+    assert len(lines) == 3 and len(set(lines)) == 1
 
 
 def test_eval_unknown_split(workdir, trained):

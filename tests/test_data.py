@@ -1,18 +1,21 @@
 import copy
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from milfusion.data import (
+    SPLITS,
     Bag,
     Dataset,
     Instance,
@@ -37,6 +40,18 @@ def small_config(seed=7, **overrides):
     kwargs = dict(SMALL, seed=seed)
     kwargs.update(overrides)
     return SyntheticConfig(**kwargs)
+
+
+def assert_every_load_refuses(root, match):
+    """A load of the whole dataset and a load of its test split, which holds no faulty
+    bag of these tests, raise the same FormatError, matching ``match``; returns it."""
+    errors = []
+    for splits in (SPLITS, ("test",)):
+        with pytest.raises(FormatError, match=match) as info:
+            load(root, splits)
+        errors.append(info.value)
+    assert str(errors[0]) == str(errors[1])
+    return errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +199,7 @@ def test_missing_feature_file_is_format_error(tmp_path):
     save(ds, tmp_path)
     victim = tmp_path / "features.bin"
     victim.unlink()
-    with pytest.raises(FormatError, match=victim.name):
-        load(tmp_path)
+    assert_every_load_refuses(tmp_path, victim.name)
 
 
 def test_unknown_modality_is_format_error(tmp_path):
@@ -194,8 +208,7 @@ def test_unknown_modality_is_format_error(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["bags"][0]["xray_shapes"] = [[2, 2]]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match="xray"):
-        load(tmp_path)
+    assert_every_load_refuses(tmp_path, "xray")
 
 
 def test_shape_mismatch_is_format_error(tmp_path):
@@ -204,8 +217,7 @@ def test_shape_mismatch_is_format_error(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["bags"][0]["cine_shapes"][0][0] = [1, 2, 3]  # the shape of bag 0's first run
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match=manifest["bags"][0]["id"]):
-        load(tmp_path)
+    assert_every_load_refuses(tmp_path, manifest["bags"][0]["id"])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -218,6 +230,9 @@ def test_non_finite_feature_is_format_error(tmp_path, value):
     with pytest.raises(FormatError, match=f"'{rec['id']}'.*'features.bin'.*non-finite") as info:
         load(tmp_path)
     assert exit_code_for(info.value) == 2
+    # a load of other splits reads no value of the bag, so it does not refuse them
+    assert manifest["bags"][3]["split"] == "train"
+    assert load(tmp_path, ("test",)).bags == iterate_split(ds, "test")
 
 
 @pytest.mark.parametrize("nan_too", [False, True])
@@ -249,8 +264,7 @@ def test_truncated_feature_file_is_format_error(tmp_path, cut):
     path = tmp_path / "features.bin"
     _, end = bag_value_ranges(manifest)[rec["id"]]  # after it: relevance and the digest
     path.write_bytes(path.read_bytes()[:8 * end - cut])
-    with pytest.raises(FormatError, match=f"'{rec['id']}'.*bytes"):
-        load(tmp_path)
+    assert_every_load_refuses(tmp_path, f"'{rec['id']}'.*bytes")
 
 
 def test_run_count_beyond_any_memory_is_format_error(tmp_path):
@@ -260,9 +274,8 @@ def test_run_count_beyond_any_memory_is_format_error(tmp_path):
     rec = manifest["bags"][0]
     rec["cine_shapes"][0][1] = 10 ** 15  # petabytes of values: the file is checked first
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match=f"'{rec['id']}'.*'features.bin' holds") as info:
-        load(tmp_path)
-    assert exit_code_for(info.value) == 2
+    error = assert_every_load_refuses(tmp_path, f"'{rec['id']}'.*'features.bin' holds")
+    assert exit_code_for(error) == 2
 
 
 def test_short_feature_file_names_the_first_bag_it_cuts(tmp_path):
@@ -273,9 +286,8 @@ def test_short_feature_file_names_the_first_bag_it_cuts(tmp_path):
     start, end = bag_value_ranges(manifest)[rec["id"]]
     path = tmp_path / "features.bin"
     path.write_bytes(path.read_bytes()[:4 * (start + end)])  # mid-way through the bag
-    with pytest.raises(FormatError, match=f"'{rec['id']}'.*'features.bin'.*bytes") as info:
-        load(tmp_path)
-    assert exit_code_for(info.value) == 2
+    error = assert_every_load_refuses(tmp_path, f"'{rec['id']}'.*'features.bin'.*bytes")
+    assert exit_code_for(error) == 2
 
 
 @pytest.mark.parametrize("extra", [3, 8])
@@ -284,10 +296,9 @@ def test_overlong_feature_file_is_format_error(tmp_path, extra):
     save(ds, tmp_path)
     path = tmp_path / "features.bin"
     path.write_bytes(path.read_bytes() + bytes(extra))
-    with pytest.raises(FormatError, match=f"'features.bin' holds {path.stat().st_size} bytes"
-                       ) as info:
-        load(tmp_path)
-    assert exit_code_for(info.value) == 2
+    error = assert_every_load_refuses(tmp_path,
+                                      f"'features.bin' holds {path.stat().st_size} bytes")
+    assert exit_code_for(error) == 2
 
 
 def test_feature_values_without_bags_are_refused(tmp_path):
@@ -307,9 +318,8 @@ def test_bag_without_instances_in_the_manifest_is_format_error(tmp_path):
         "bags": [{"id": "a", "label": 0, "split": "train", "cine_shapes": [],
                   "doppler_shapes": []}]}))
     (tmp_path / "features.bin").write_bytes(empty.digest())
-    with pytest.raises(FormatError, match="'a' has no instances") as info:
-        load(tmp_path)
-    assert exit_code_for(info.value) == 2
+    error = assert_every_load_refuses(tmp_path, "'a' has no instances")
+    assert exit_code_for(error) == 2
 
 
 @pytest.mark.parametrize("label", [1.0, True, "1"])
@@ -317,11 +327,68 @@ def test_non_integer_label_is_format_error(tmp_path, label):
     ds, _ = generate_synthetic(small_config())
     save(ds, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    rec = next(b for b in manifest["bags"] if b["label"] == 1)
+    rec = next(b for b in manifest["bags"] if b["label"] == 1 and b["split"] != "test")
     rec["label"] = label
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match=rec["id"]):
-        load(tmp_path)
+    assert_every_load_refuses(tmp_path, rec["id"])
+
+
+@pytest.mark.parametrize("index, field, value, match", [
+    (24, "id", "train_000", "duplicate bag ids"),  # a val bag takes a train bag's id
+    (5, "split", "dev", "'train_005': unknown split 'dev'"),
+    (5, "split", ["test"], "'train_005': unknown split \\['test'\\]"),
+    (60, "label", 1, "unlabeled bag 'unlabeled_000' carries a label"),
+    (30, "label", None, "'val_006' in split 'val' has no label"),
+], ids=["duplicate_id", "unknown_split", "list_split", "labeled_unlabeled", "unlabeled_val"])
+def test_bad_split_assignment_is_refused(tmp_path, index, field, value, match):
+    ds, _ = generate_synthetic(small_config())
+    save(ds, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["bags"][index][field] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    error = assert_every_load_refuses(tmp_path, match)
+    assert exit_code_for(error) == 2
+
+
+def interleaved_dataset():
+    """Bags whose splits interleave in manifest order: bag 3 holds two cine shapes,
+    bag 5 no cine instance, and some cine instances have no relevance score."""
+    rng = np.random.default_rng(11)
+    order = ("train", "test", "val", "test", "unlabeled", "test", "train", "val", "unlabeled",
+             "test", "val", "train")
+    bags = []
+    for i, split in enumerate(order):
+        shapes = {3: [(2, 2, 3), (2, 2, 3), (3, 1, 2)], 5: []}.get(i, [(2, 2, 3)] * (1 + i % 3))
+        cine = [Instance("cine", rng.standard_normal(math.prod(shape)), shape,
+                         relevance=None if k == 1 else float(rng.uniform()))
+                for k, shape in enumerate(shapes)]
+        doppler = [Instance("doppler", rng.standard_normal(6), (2, 3)) for _ in range(1 + i % 2)]
+        bags.append(Bag(f"b{i:02d}", cine, doppler, None if split == "unlabeled" else i % 3))
+    return Dataset(bags, {bag.id: split for bag, split in zip(bags, order)})
+
+
+def bag_bytes(bag):
+    """A bag's label, counts, relevance and row blocks, bitwise."""
+    return (bag.id, bag.label, bag.counts, bag.relevance.tobytes(),
+            {modality: [(kind, shape, rows.shape, rows.tobytes()) for kind, shape, rows in blocks]
+             for modality, blocks in bag.blocks.items()})
+
+
+def test_load_reads_the_bags_of_the_wanted_splits(tmp_path):
+    ds = interleaved_dataset()
+    save(ds, tmp_path)
+    full = load(tmp_path)
+    assert full == ds
+    assert [len(blocks) for blocks in (full.bags[3].blocks["cine"], full.bags[5].blocks["cine"])
+            ] == [2, 0]
+    for splits in itertools.chain.from_iterable(
+            itertools.combinations(SPLITS, n) for n in range(1, len(SPLITS) + 1)):
+        loaded = load(tmp_path, splits)
+        wanted = [bag for bag in full.bags if full.split_assignment[bag.id] in splits]
+        assert [bag_bytes(bag) for bag in loaded.bags] == [bag_bytes(bag) for bag in wanted]
+        assert loaded.split_assignment == {bag.id: full.split_assignment[bag.id]
+                                           for bag in wanted}
+    assert load(tmp_path, ()).bags == []
 
 
 def rewrite_features(root, values, relevance):
@@ -351,10 +418,9 @@ def test_relevance_must_have_one_entry_per_cine_shape(tmp_path, shorter):
     # the digest matches, so only the size of the relevance section is wrong
     rewrite_features(tmp_path, values,
                      relevance[:-1] if shorter else np.append(relevance, 0.5))
-    with pytest.raises(FormatError, match=f"'features.bin' holds .* {n_cine} relevance values"
-                       ) as info:
-        load(tmp_path)
-    assert exit_code_for(info.value) == 2
+    error = assert_every_load_refuses(tmp_path,
+                                      f"'features.bin' holds .* {n_cine} relevance values")
+    assert exit_code_for(error) == 2
 
 
 @pytest.mark.parametrize("value", [1.5, -0.5, np.inf])
@@ -367,9 +433,8 @@ def test_relevance_outside_the_unit_interval_is_refused(tmp_path, value):
     relevance = relevance.copy()
     relevance[index] = value
     rewrite_features(tmp_path, values, relevance)
-    with pytest.raises(FormatError, match=f"'{bag.id}'.*'features.bin'.*relevance") as info:
-        load(tmp_path)
-    assert exit_code_for(info.value) == 2
+    error = assert_every_load_refuses(tmp_path, f"'{bag.id}'.*'features.bin'.*relevance")
+    assert exit_code_for(error) == 2
 
 
 def test_relevance_nan_loads_as_none(tmp_path):
@@ -390,9 +455,8 @@ def test_dimension_that_is_not_a_positive_integer_is_refused(tmp_path, shape):
     rec = manifest["bags"][2]
     rec["cine_shapes"][0][0] = shape
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match=f"'{rec['id']}'.*positive integers") as info:
-        load(tmp_path)
-    assert exit_code_for(info.value) == 2
+    error = assert_every_load_refuses(tmp_path, f"'{rec['id']}'.*positive integers")
+    assert exit_code_for(error) == 2
 
 
 @pytest.mark.parametrize("entry", ["../outside.bin", "features/../../outside.bin",
@@ -659,9 +723,8 @@ def test_save_killed_before_its_manifest_leaves_a_pair_that_load_refuses(tmp_pat
         save(flat, tmp_path, flat_hidden)
     monkeypatch.undo()
     assert (tmp_path / "features.bin").stat().st_size == size  # the new values are in place
-    with pytest.raises(FormatError, match="'features.bin'.*features_sha256") as info:
-        load(tmp_path)
-    assert exit_code_for(info.value) == 2
+    error = assert_every_load_refuses(tmp_path, "'features.bin'.*features_sha256")
+    assert exit_code_for(error) == 2
     save(flat, tmp_path, flat_hidden)  # a save that completes writes a pair that loads
     assert load(tmp_path) == flat
 
@@ -813,9 +876,8 @@ def test_bad_run_is_refused_naming_the_bag(tmp_path, run):
     rec = manifest["bags"][2]
     rec["cine_shapes"][0] = run
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match=f"'{rec['id']}'.*cine_shapes run") as info:
-        load(tmp_path)
-    assert exit_code_for(info.value) == 2
+    error = assert_every_load_refuses(tmp_path, f"'{rec['id']}'.*cine_shapes run")
+    assert exit_code_for(error) == 2
 
 
 def test_instance_invariants():
@@ -844,9 +906,8 @@ def test_manifest_bag_id_that_is_not_a_plain_file_name_is_refused(tmp_path, bag_
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["bags"][0]["id"] = bag_id  # its shapes still match the feature file
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(FormatError, match="plain file name") as info:
-        load(tmp_path)
-    assert exit_code_for(info.value) == 2
+    error = assert_every_load_refuses(tmp_path, "plain file name")
+    assert exit_code_for(error) == 2
 
 
 @pytest.mark.parametrize("label", [5, 3, -1])
@@ -904,33 +965,49 @@ def saved_artifacts(tmp_path_factory):
         doppler_shape=(2, 3), cine_bag_size=(1, 2), doppler_bag_size=(1, 2)))
     save(ds, root / "data", hidden)
     save_model(random_model(tiny_model_config(), seed=2), root / "ckpt")
-    return {"dataset": (root / "data", load), "checkpoint": (root / "ckpt", load_model)}
+    return {"dataset": (root / "data", load), "checkpoint": (root / "ckpt", load_model),
+            "test_split": (root / "data", partial(load, splits=("test",)))}
 
 
-@pytest.mark.parametrize("artifact", ["dataset", "checkpoint"])
+@pytest.mark.parametrize("artifact", ["dataset", "checkpoint", "test_split"])
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_loaders_raise_only_mil_error(saved_artifacts, artifact, data):
     root, loader = saved_artifacts[artifact]
-    manifest_path = root / "manifest.json"
-    original = json.loads(manifest_path.read_text())
-    path = data.draw(st.sampled_from(list(json_paths(original))), label="path")
-    node = original
-    for key in path:
-        node = node[key]
-    value = data.draw(JSON_VALUES.filter(lambda v: json_kind(v) is not json_kind(node)),
-                      label="value")
-    edited = value
-    if path:
-        edited = copy.deepcopy(original)
-        parent = edited
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-    manifest_path.write_text(json.dumps(edited))
+    # a load of one split seeks past the other bags' values: it also meets
+    # feature files cut short or with a byte flipped
+    name = "manifest.json"
+    if artifact == "test_split":
+        name = data.draw(st.sampled_from([name, "features.bin"]), label="file")
+    target = root / name
+    before = target.read_bytes()
+    if name == "features.bin":
+        edited = bytearray(before)
+        at = data.draw(st.integers(0, len(edited) - 1), label="at")
+        if data.draw(st.booleans(), label="truncate"):
+            del edited[at:]
+        else:
+            edited[at] ^= data.draw(st.integers(1, 255), label="flip")
+        target.write_bytes(edited)
+    else:
+        original = json.loads(before)
+        path = data.draw(st.sampled_from(list(json_paths(original))), label="path")
+        node = original
+        for key in path:
+            node = node[key]
+        value = data.draw(JSON_VALUES.filter(lambda v: json_kind(v) is not json_kind(node)),
+                          label="value")
+        edited = value
+        if path:
+            edited = copy.deepcopy(original)
+            parent = edited
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        target.write_text(json.dumps(edited))
     try:
         loader(root)
     except MilError:
         pass
     finally:
-        manifest_path.write_text(json.dumps(original))
+        target.write_bytes(before)
