@@ -10,10 +10,12 @@ Commands:
                prediction CSV
     predict    write the prediction CSV for a dataset split
 
-Every command requires --seed and --out. main checks --out before the command
-runs; after it, main echoes the resolved configuration into config_used.json
-and logs each degenerate bag of the splits the command read, once. gen-data,
-train and ssl take --config (JSON file) with flags overriding file values.
+predict and eval --checkpoint stream the split they score, a chunk of bags at
+a time. Every command requires --seed and --out. main refuses the eval flags
+that --predictions would ignore and checks --out before the command runs;
+after it, main echoes the resolved configuration into config_used.json and
+logs each degenerate bag of the splits the command read, once. gen-data, train
+and ssl take --config (JSON file) with flags overriding file values.
 Exit codes: 0 success, 1 usage/config error, out of memory or an OS error on
 a path, 2 data/format error, 3 numeric failure.
 """
@@ -39,6 +41,7 @@ from .data import (
     iterate_split,
     load,
     load_hidden_truth,
+    read_split,
     save,
 )
 from .errors import MilError, UsageError, exit_code_for
@@ -244,16 +247,35 @@ def _cmd_ssl(args, out):
 
 
 def _split_predictions(args):
-    """The predictions of ``predict`` and ``eval --checkpoint``, which read only the
-    bags of ``--split`` (the whole dataset is still checked)."""
-    dataset = load(Path(_require(args, "data")), (args.split,))
-    bags = iterate_split(dataset, args.split)
+    """The predictions of ``predict`` and ``eval --checkpoint``, and what ``main``
+    reports on: the model config and the ``--split`` bags' records.
+
+    The whole dataset and the split (known, not empty, labeled) are checked
+    before the checkpoint loads. Then the split's bags are read and scored a
+    chunk at a time, so a NaN or an infinity in one is refused when its chunk
+    is read. The records hold each bag's id and counts, so the report reads no
+    value again.
+    """
+    bags = read_split(Path(_require(args, "data")), args.split)
     if not bags:
         raise UsageError(f"split {args.split!r} is empty")
-    if any(b.label is None for b in bags):
+    if any(rec.label is None for rec in bags.records):
         raise UsageError(f"split {args.split!r} has unlabeled bags; cannot evaluate")
     model = load_model(Path(_require(args, "checkpoint")))
-    return predictions_for(model, bags), [(model.config, bags)]
+    return predictions_for(model, bags), [(model.config, bags.records)]
+
+
+def _eval_source(args):
+    """Refuse the ``eval`` flags that ``--predictions`` would ignore; without
+    ``--predictions``, ``--split`` defaults to test."""
+    if args.predictions is None:
+        if args.split is None:
+            args.split = "test"
+        return
+    for flag in ("checkpoint", "data", "split"):
+        if getattr(args, flag) is not None:
+            raise UsageError(f"--{flag} cannot be used with --predictions, which scores "
+                             "the rows of its file")
 
 
 def _cmd_eval(args, out):
@@ -321,7 +343,7 @@ def build_parser():
     common(p, with_config=False)
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--checkpoint", help="checkpoint directory")
-    p.add_argument("--split", default="test", help="dataset split (default: test)")
+    p.add_argument("--split", help="dataset split (default: test)")
     p.add_argument("--predictions", help="evaluate this prediction CSV instead")
     p.add_argument("--n-boot", type=int, default=5000,
                    help="bootstrap resamples (default: 5000)")
@@ -351,6 +373,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.seed is None:
             raise UsageError("--seed is required")
+        if args.command == "eval":
+            _eval_source(args)
         out = _out_dir(args)
         echo, read = _COMMANDS[args.command](args, out)
         save_json(echo, out / "config_used.json")

@@ -29,15 +29,17 @@ statistics.
 A bag id is a plain file name (no ``/``, ``\\`` or NUL; not empty, ``.`` or
 ``..``). Every file a loader opens has a fixed name, and ``contained_file``
 resolves it once, so a symlink that leads out of the directory is refused.
-``load`` checks each run once and each distinct shape once per load, checks
-the size of ``features.bin`` once, compares its digest trailer with the
-manifest's without hashing and checks the relevance section as a whole array.
-It reads the values of the bags of the splits asked for (every split by
-default) into one array, one ``readinto`` per run of consecutive such bags,
-checks their finiteness as a whole array, and builds no ``Instance``: each
-loaded bag's row blocks are reshapes of that array. ``save`` computes the
-digest while it writes, so a ``features.bin`` left beside another save's
-manifest is refused.
+A load has two steps. The index step checks the whole dataset: each run once
+and each distinct shape once, the size of ``features.bin`` once, its digest
+trailer against the manifest's without hashing, the relevance section as a
+whole array, then each bag's id, label, instance count and split. The read
+step takes a list of bags, reads their values into one array, one
+``readinto`` per run of bags that lie back to back in the file, checks their
+finiteness as a whole array and builds no ``Instance``: each bag's row
+blocks are reshapes of that array. ``load`` reads every bag in the index
+step's one ``readinto``; ``read_split`` streams one split, READ_CHUNK bags
+per read. ``save`` computes the digest while it writes, so a
+``features.bin`` left beside another save's manifest is refused.
 
 A bag holds, per modality, its instances as row blocks ``(modality, shape,
 rows)``: ``rows`` is a [count, prod(shape)] float64 array whose rows are the
@@ -57,8 +59,9 @@ import os
 import stat
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import accumulate, groupby, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +74,7 @@ FORMAT_VERSION = 4
 FEATURES = "features.bin"
 BAG_FIELDS = frozenset({"id", "label", "split", "cine_shapes", "doppler_shapes"})
 DIGEST_BYTES = 32  # the sha256 trailer of features.bin
+READ_CHUNK = 32  # bags per read of a streamed split: one inference chunk's worth
 _INT = frozenset({int})
 _REAL = (int, float, np.integer, np.floating)
 _HEX = frozenset("0123456789abcdef")
@@ -240,10 +244,14 @@ def _check_splits(labels, assignment):
             raise FormatError(f"bag {bag_id!r} in split {split!r} has no label")
 
 
-def iterate_split(dataset, split):
-    """Bags of one split in deterministic order (sorted by bag id)."""
+def _check_split_name(split):
     if split not in SPLITS:
         raise UsageError(f"unknown split {split!r}; expected one of {list(SPLITS)}")
+
+
+def iterate_split(dataset, split):
+    """Bags of one split in deterministic order (sorted by bag id)."""
+    _check_split_name(split)
     chosen = [b for b in dataset.bags if dataset.split_assignment[b.id] == split]
     return sorted(chosen, key=lambda b: b.id)
 
@@ -511,15 +519,64 @@ def _blocks(modality, values, start, runs):
     return blocks, start
 
 
-def load(dir_path, splits=SPLITS):
-    """Read the bags of ``splits`` from a dataset directory written by :func:`save`.
+class BagRecord(NamedTuple):
+    """One bag's manifest record, checked, and where its data lie in ``features.bin``:
+    its values at float64 indices ``[start, stop)``, its cine instances' relevance at
+    ``[cine_start, cine_stop)`` of the relevance section. ``cine`` and ``doppler``
+    hold its runs as ``(shape, value count, instance count)``."""
 
-    Every load checks the whole dataset: each manifest record, the size of
-    ``features.bin``, its digest trailer and relevance section, then each
-    bag's id, label, instance count and split. Only the bags whose split is
-    in ``splits`` have their feature values read, one ``readinto`` per run of
-    consecutive such bags, and checked finite, before the bags' own checks.
-    The result holds those bags, in manifest order.
+    id: str
+    label: int | None
+    split: str
+    cine: list
+    doppler: list
+    start: int
+    stop: int
+    cine_start: int
+    cine_stop: int
+    n_doppler: int
+
+    @property
+    def counts(self):
+        """Each modality's instance count, as ``Bag.counts``."""
+        return {"cine": self.cine_stop - self.cine_start, "doppler": self.n_doppler}
+
+
+class _Index(NamedTuple):
+    """What the index step of a load found: the checked records, in manifest order,
+    and the relevance section, plus every bag's values if it read them too."""
+
+    path: str  # the resolved features.bin
+    identity: tuple  # its (device, inode, size, mtime) when it was checked
+    records: list
+    relevance: np.ndarray
+    values: np.ndarray
+
+
+def _identity(st):
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _gc_paused(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with cyclic garbage collection paused, and left as it was after
+    (see :func:`load`). Nothing is allocated between the restart and the return,
+    which would set off a collection inside the load."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def load(dir_path):
+    """Read every bag of a dataset directory written by :func:`save`, in manifest order.
+
+    The index step checks the whole dataset (see :func:`_index`) and reads
+    ``features.bin`` whole, in one ``readinto`` into one array; the read step
+    checks the values finite, naming the first bag at fault, and builds each
+    bag over that array.
 
     Cyclic garbage collection is paused meanwhile (and left as it was after):
     parsing the manifest allocates tens of thousands of containers but no
@@ -529,16 +586,71 @@ def load(dir_path, splits=SPLITS):
     That is why a loaded bag holds a few row blocks and no ``Instance``: a
     920-bag dataset keeps about 6,400 tracked objects, not 15,700.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _load(Path(dir_path).resolve(), splits)
-    finally:
-        if enabled:
-            gc.enable()
+    return _gc_paused(_load, Path(dir_path).resolve())
 
 
-def _load(root, splits):
+def _load(root):
+    index = _index(root, with_values=True)
+    records = index.records
+    bags = _bags(index.relevance, records, _finite(index.values, records))
+    return Dataset(bags, {rec.id: rec.split for rec in records})
+
+
+def read_split(dir_path, split):
+    """The bags of one split of a dataset directory, read a chunk at a time.
+
+    The index step checks the whole dataset first, as :func:`load` does, but
+    reads only the relevance section and the digest of ``features.bin``; an
+    unknown ``split`` is refused after it. The result is a
+    :class:`StreamedSplit`: its length and records are known at once, and each
+    iteration reads the bags' values, READ_CHUNK bags at a time.
+    """
+    index = _gc_paused(_index, Path(dir_path).resolve(), with_values=False)
+    _check_split_name(split)
+    records = sorted((rec for rec in index.records if rec.split == split),
+                     key=lambda rec: rec.id)
+    return StreamedSplit(index, records)
+
+
+class StreamedSplit:
+    """The bags of one split, in :func:`iterate_split` order, read on each iteration.
+
+    ``records`` holds each bag's :class:`BagRecord` (its ``id``, ``label`` and
+    ``counts`` among them), so the split can be sized and inspected without a
+    read. Iterating opens ``features.bin``, refuses it if it is not the file the
+    index step checked, and reads READ_CHUNK bags at a time: one ``readinto``
+    per run of bags that lie back to back in the file, then the finite check,
+    which names the first bag at fault, then the bags, built over that chunk's
+    array. A bag keeps only its own chunk's array alive. The file is closed
+    when the iteration ends, fails or is dropped.
+    """
+
+    def __init__(self, index, records):
+        self._index, self.records = index, records
+
+    def __len__(self):
+        return len(self.records)
+
+    def __iter__(self):
+        index, records = self._index, self.records
+        with open(index.path, "rb") as f:
+            if _identity(os.fstat(f.fileno())) != index.identity:
+                raise FormatError(f"dataset: file {FEATURES!r} changed after it was checked; "
+                                  "run the command again")
+            for start in range(0, len(records), READ_CHUNK):
+                chunk = records[start:start + READ_CHUNK]
+                yield from _bags(index.relevance, chunk, _finite(_read_values(f, chunk), chunk))
+
+
+def _index(root, with_values):
+    """The index step of a load: every whole-dataset check, in this order.
+
+    The manifest (its version and digest field, then each bag record and its
+    runs), the size of ``features.bin``, its digest trailer and relevance
+    section, then each bag's id, label and instance count, and the split
+    assignment. It reads the relevance section and the digest in one
+    ``readinto``; ``with_values``, every bag's values too, in the same one.
+    """
     manifest_path = contained_file(root, "manifest.json", "dataset")
     if manifest_path is None:
         raise FormatError(f"no manifest.json under {root}")
@@ -554,7 +666,7 @@ def _load(root, splits):
 
     # the manifest first: every bag's runs, hence its place in the feature file
     known = {}  # shape tuple -> (shape, value count)
-    layout = []  # per bag: id, label, split, cine runs, doppler runs
+    records = []
     ends, cine_ends, end, n_cine = [], [], 0, 0  # where each bag's values and relevance end
     for index, rec in enumerate(checked_json(manifest.get("bags", []), list, "manifest bags")):
         bag_id = checked_json(rec, dict, f"manifest bags[{index}]").get("id")
@@ -565,60 +677,45 @@ def _load(root, splits):
                               f"{sorted(rec.keys() - BAG_FIELDS)}")
         cine = _shape_runs(rec.get("cine_shapes", []), bag_id, "cine_shapes", known)
         doppler = _shape_runs(rec.get("doppler_shapes", []), bag_id, "doppler_shapes", known)
+        start, cine_start, n_doppler = end, n_cine, 0
         for _, size, count in cine:
             end += size * count
             n_cine += count
         for _, size, count in doppler:
             end += size * count
-        layout.append((bag_id, rec.get("label"), rec.get("split"), cine, doppler))
+            n_doppler += count
+        records.append(BagRecord(bag_id, rec.get("label"), rec.get("split"), cine, doppler,
+                                 start, end, cine_start, n_cine, n_doppler))
         ends.append(end)
         cine_ends.append(n_cine)
 
-    # then the feature file: the wanted bags' values, the relevance section and the
-    # digest, read straight into one array, which every row block views
-    wanted = [type(split) is str and split in splits for _, _, split, _, _ in layout]
-    kept = [rec for rec, want in zip(layout, wanted) if want]
-    spans, kept_ends, n_values = [], [], 0  # spans [start, stop) of the file's float64s to read
+    def at_fault(index, bounds):  # the bag whose section holds this index
+        return f"bag {records[bisect_right(bounds, index)].id!r}"
 
-    def take(start, stop):  # a span, merged with the one before it if the two touch
-        if spans and spans[-1][1] == start:
-            spans[-1][1] = stop
-        else:
-            spans.append([start, stop])
-
-    for want, start, stop in zip(wanted, [0, *ends], ends):
-        if want:
-            take(start, stop)
-            n_values += stop - start
-            kept_ends.append(n_values)
-
-    def at_fault(index, bounds, owners=layout):  # the owner of the section holding this index
-        return f"bag {owners[bisect_right(bounds, index)][0]!r}"
-
-    first = f"bag {layout[0][0]!r}" if layout else "dataset"
+    # then the feature file: its size, then the relevance section and the digest
+    # (and every value, with_values) read straight into one array
+    first = f"bag {records[0].id!r}" if records else "dataset"
     fpath = contained_file(root, FEATURES, first, "missing feature file")
     need = 8 * (end + n_cine) + DIGEST_BYTES
-    take(end, need // 8)
+    skip = 0 if with_values else end  # the float64s not read
     with open(fpath, "rb") as f:
         # sized before the array is allocated, so a manifest cannot ask for more memory
-        size = os.fstat(f.fileno()).st_size
+        st = os.fstat(f.fileno())
+        size = st.st_size
         if size < 8 * end:
             raise FormatError(f"{at_fault(size // 8, ends)}: file {FEATURES!r} holds {size} "
                               f"bytes, but the instance shapes up to this bag need "
                               f"{8 * ends[bisect_right(ends, size // 8)]} (float64 values)")
         if size != need:
             raise FormatError(f"{first}: file {FEATURES!r} holds {size} bytes, but the "
-                              f"{len(layout)} bags in the manifest need {need} ({end} "
+                              f"{len(records)} bags in the manifest need {need} ({end} "
                               f"float64 values, {n_cine} relevance values and a "
                               f"{DIGEST_BYTES}-byte sha256)")
-        data = np.empty(n_values + need // 8 - end, dtype="<f8")
-        at = 0
-        for start, stop in spans:
-            f.seek(8 * start)
-            if f.readinto(data[at:at + stop - start]) != 8 * (stop - start):
-                raise FormatError(f"{first}: file {FEATURES!r} shrank while it was read")
-            at += stop - start
-    values, relevance, trailer = np.split(data, [n_values, n_values + n_cine])
+        data = np.empty(need // 8 - skip, dtype="<f8")
+        f.seek(8 * skip)
+        if f.readinto(data) != 8 * data.size:
+            raise FormatError(f"{first}: file {FEATURES!r} shrank while it was read")
+    values, relevance, trailer = np.split(data, [end - skip, end - skip + n_cine])
     if trailer.tobytes().hex() != digest:
         raise FormatError(f"dataset: the sha256 at the end of file {FEATURES!r} is not the "
                           "manifest's features_sha256, so the two come from different saves "
@@ -630,26 +727,56 @@ def _load(root, splits):
         raise FormatError(f"{at_fault(index, cine_ends)}: file {FEATURES!r} holds relevance "
                           f"{float(relevance[index])!r}, expected a number in [0, 1] or NaN "
                           "for none")
+
+    # then every bag, and the split assignment
+    for rec in records:
+        _check_bag(rec.id, rec.label, rec.cine_stop - rec.cine_start + rec.n_doppler)
+    _check_splits([(rec.id, rec.label) for rec in records],
+                  {rec.id: rec.split for rec in records})
+    return _Index(fpath, _identity(st), records, relevance, values)
+
+
+def _read_values(f, records):
+    """The values of ``records`` back to back in one array, read from the open
+    ``features.bin``: one ``readinto`` per run of bags that lie back to back in it."""
+    spans = []  # [start, stop) of the file's float64s to read
+    for rec in records:
+        if spans and spans[-1][1] == rec.start:
+            spans[-1][1] = rec.stop
+        else:
+            spans.append([rec.start, rec.stop])
+    values = np.empty(sum(stop - start for start, stop in spans), dtype="<f8")
+    at = 0
+    for start, stop in spans:
+        f.seek(8 * start)
+        if f.readinto(values[at:at + stop - start]) != 8 * (stop - start):
+            raise FormatError(f"dataset: file {FEATURES!r} shrank while it was read")
+        at += stop - start
+    return values
+
+
+def _finite(values, records):
+    """``values``, the values of ``records`` back to back, once checked finite; the
+    FormatError names the first bag that holds a NaN or an infinity."""
     with np.errstate(over="ignore"):  # a finite sum proves every value finite, cheaply
         total = np.add.reduce(values)
     if not math.isfinite(total) and not (finite := np.isfinite(values)).all():
-        raise FormatError(f"{at_fault(int(np.argmin(finite)), kept_ends, kept)}: file "
-                          f"{FEATURES!r} holds non-finite feature values")
+        ends = list(accumulate(rec.stop - rec.start for rec in records))
+        raise FormatError(f"bag {records[bisect_right(ends, int(np.argmin(finite)))].id!r}: "
+                          f"file {FEATURES!r} holds non-finite feature values")
+    return values
 
-    # the bags: the wanted ones built over the array, every one checked
-    bags, assignment, start, cine_start = [], {}, 0, 0
-    for (bag_id, label, split, cine, doppler), want, cine_stop in zip(layout, wanted, cine_ends):
-        if want:
-            cine, start = _blocks("cine", values, start, cine)
-            doppler, start = _blocks("doppler", values, start, doppler)
-            bags.append(Bag.from_blocks(bag_id, label, cine, doppler,
-                                        relevance[cine_start:cine_stop]))
-        else:
-            _check_bag(bag_id, label, sum(count for _, _, count in cine + doppler))
-        assignment[bag_id] = split
-        cine_start = cine_stop
-    _check_splits([(bag_id, label) for bag_id, label, *_ in layout], assignment)
-    return Dataset(bags, {bag.id: assignment[bag.id] for bag in bags})
+
+def _bags(relevance, records, values):
+    """The bags of ``records`` over ``values``, their values back to back: each run's
+    rows are a reshape of ``values``, each bag's relevance a slice of ``relevance``."""
+    bags, start = [], 0
+    for rec in records:
+        cine, start = _blocks("cine", values, start, rec.cine)
+        doppler, start = _blocks("doppler", values, start, rec.doppler)
+        bags.append(Bag.from_blocks(rec.id, rec.label, cine, doppler,
+                                    relevance[rec.cine_start:rec.cine_stop]))
+    return bags
 
 
 def load_hidden_truth(dir_path):

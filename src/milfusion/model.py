@@ -43,6 +43,7 @@ forward pass falls back to the other enabled modality (alpha forced to 1 or
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -612,20 +613,32 @@ def resolve_branches(cfg, bags):
             logger.info("bag %s: doppler empty, falling back to cine only", bag.id)
 
 
+class ScoredBag(typing.NamedTuple):
+    """What inference keeps of a bag it scored: its id and label, not its values."""
+
+    id: str
+    label: int | None
+
+
 def predict_probs(model, bags):
     """Class probabilities of many bags without a tape, INFERENCE_CHUNK bags per pass.
 
-    Returns ``(kept, probs)``: the scored bags in input order and their
-    [len(kept), 3] probabilities, equal to ``forward``'s to rounding. A bag
-    ``forward`` would skip is left out, silently (see :func:`resolve_branches`).
+    ``bags`` is any iterable of bags, a list or a streamed split
+    (:func:`data.read_split`). The bags ``forward`` can run are scored in input
+    order, INFERENCE_CHUNK at a time, so the probabilities do not depend on
+    how the input was read; a bag ``forward`` would skip is left out, silently
+    (see :func:`resolve_branches`). No bag is held past its chunk. Returns
+    ``(scored, probs)``: a :class:`ScoredBag` per scored bag, in input order,
+    and their [len(scored), 3] probabilities, equal to ``forward``'s to rounding.
     """
-    resolved = ((bag, bag_branches(model.config, bag)) for bag in bags)
-    kept = [(bag, *branches) for bag, branches in resolved if branches is not None]
-    plan = Plan(model)
-    chunks = [_chunk_probs(plan, model.config, kept[start:start + INFERENCE_CHUNK])
-              for start in range(0, len(kept), INFERENCE_CHUNK)]
-    return ([bag for bag, _, _ in kept],
-            np.concatenate(chunks) if chunks else np.empty((0, N_CLASSES)))
+    cfg, plan = model.config, Plan(model)
+    resolved = ((bag, bag_branches(cfg, bag)) for bag in bags)
+    kept = ((bag, *branches) for bag, branches in resolved if branches is not None)
+    scored, chunks = [], []
+    while chunk := list(itertools.islice(kept, INFERENCE_CHUNK)):
+        chunks.append(_chunk_probs(plan, cfg, chunk))
+        scored += [ScoredBag(bag.id, bag.label) for bag, _, _ in chunk]
+    return scored, np.concatenate(chunks) if chunks else np.empty((0, N_CLASSES))
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,9 @@ class PseudoLabelRecord:
 
 
 def predictions_for(model, bags):
-    """Inference over bags as a PredictionSet; degenerate bags are skipped."""
+    """Inference over bags, any iterable of them (a streamed split too), as a
+    PredictionSet of each scored bag's id, label and probabilities; degenerate
+    bags are skipped (see :func:`model.predict_probs`)."""
     kept, probs = predict_probs(model, bags)
     return PredictionSet([PredRow(bag.id, bag.label, p) for bag, p in zip(kept, probs)])
 

@@ -106,14 +106,24 @@ MUTANTS = (
            ("tests/test_metrics.py::test_prediction_set_validation",
             "tests/test_metrics.py::test_prediction_set_names_the_first_offending_row")),
     Mutant("split_read_one_bag_late", "data.py",
-           "zip(wanted, [0, *ends], ends)", "zip(wanted, ends, [*ends[1:], end])",
+           "spans.append([rec.start, rec.stop])",
+           "spans.append([rec.stop, 2 * rec.stop - rec.start])",
            ("tests/test_data.py::test_load_reads_the_bags_of_the_wanted_splits",)),
     Mutant("split_read_not_seeked", "data.py",
-           "            f.seek(8 * start)\n", "",
+           "        f.seek(8 * start)\n", "",
            ("tests/test_data.py::test_load_reads_the_bags_of_the_wanted_splits",)),
+    Mutant("split_chunk_finite_check_skipped", "data.py",
+           "_finite(_read_values(f, chunk), chunk)",
+           "(_read_values(f, chunk) if start else _finite(_read_values(f, chunk), chunk))",
+           ("tests/test_streaming.py::test_nan_in_the_last_chunk_is_refused_naming_its_bag",
+            "tests/test_streaming.py::test_a_stream_that_stops_early_closes_its_file")),
+    Mutant("streamed_bags_retained", "model.py",
+           "scored += [ScoredBag(bag.id, bag.label) for bag, _, _ in chunk]",
+           "scored += [bag for bag, _, _ in chunk]",
+           ("tests/test_streaming.py::test_predict_holds_a_chunk_of_bags_not_the_split",)),
     Mutant("loaded_relevance_one_late", "data.py",
-           "relevance[cine_start:cine_stop]))",
-           "relevance[cine_start + 1:cine_stop + 1]))",
+           "relevance[rec.cine_start:rec.cine_stop]))",
+           "relevance[rec.cine_start + 1:rec.cine_stop + 1]))",
            ("tests/test_loaded_bags.py::test_loaded_bags_prepare_bitwise_as_rebuilt",
             "tests/test_loaded_bags.py::test_loaded_bag_steps_bitwise_as_rebuilt")),
     Mutant("block_rows_wrong_frame_count", "encoders.py",

@@ -131,7 +131,7 @@ def test_out_that_is_not_a_directory_is_refused_before_any_work(tmp_path, capsys
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    for name in ("generate_synthetic", "load", "load_predictions"):
+    for name in ("generate_synthetic", "load", "read_split", "load_predictions"):
         monkeypatch.setattr(cli, name, no_work)
     blocker = tmp_path / "blocker"
     blocker.write_text("keep")
@@ -156,7 +156,7 @@ def test_out_path_the_os_refuses_is_refused_before_any_work(tmp_path, capsys, mo
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    for name in ("generate_synthetic", "load", "load_model", "load_predictions"):
+    for name in ("generate_synthetic", "load", "read_split", "load_model", "load_predictions"):
         monkeypatch.setattr(cli, name, no_work)
     args = {"gen-data": [], "train": ["--data", str(tmp_path)], "ssl": ["--data", str(tmp_path)],
             "predict": ["--data", str(tmp_path), "--checkpoint", str(tmp_path)],
@@ -759,6 +759,25 @@ def test_eval_refuses_a_prediction_file_that_is_not_utf8(tmp_path, capsys):
     assert code == 2
     assert error_lines(capsys.readouterr().err)[0].startswith(f"error: {path}: not UTF-8 text")
     assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--checkpoint", "ck"), ("--data", "d"),
+                                         ("--split", "val")])
+def test_eval_predictions_refuses_a_flag_it_would_ignore(tmp_path, capsys, monkeypatch, flag,
+                                                         value):
+    path = tmp_path / "predictions.csv"
+    path.write_text("bag_id,true_label,p0,p1,p2\nb0,0,0.8,0.1,0.1\n"
+                    "b1,1,0.1,0.8,0.1\nb2,2,0.1,0.1,0.8\n")
+    read = []
+    monkeypatch.setattr(cli, "load_predictions",
+                        lambda *args: read.append(args) or load_predictions(*args))
+    capsys.readouterr()
+    code = main(["eval", "--predictions", str(path), flag, value, "--seed", "1",
+                 "--n-boot", "5", "--out", str(tmp_path / "e")])
+    assert code == 1
+    assert error_lines(capsys.readouterr().err) == [
+        f"error: {flag} cannot be used with --predictions, which scores the rows of its file"]
+    assert read == [] and not (tmp_path / "e").exists()
 
 
 @pytest.mark.parametrize("key_path, value", [

@@ -1,20 +1,19 @@
 import copy
 import gc
 import hashlib
-import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from milfusion.data import (
+    READ_CHUNK,
     SPLITS,
     Bag,
     Dataset,
@@ -24,6 +23,7 @@ from milfusion.data import (
     iterate_split,
     load,
     load_hidden_truth,
+    read_split,
     save,
 )
 from milfusion.encoders import EncoderConfig
@@ -42,13 +42,19 @@ def small_config(seed=7, **overrides):
     return SyntheticConfig(**kwargs)
 
 
+def read_test_split(root):
+    """Every bag of the test split of ``root``, streamed to the end."""
+    return list(read_split(root, "test"))
+
+
 def assert_every_load_refuses(root, match):
-    """A load of the whole dataset and a load of its test split, which holds no faulty
-    bag of these tests, raise the same FormatError, matching ``match``; returns it."""
+    """A load of the whole dataset and a streamed read of its test split, which holds
+    no faulty bag of these tests, raise the same FormatError, matching ``match``;
+    returns it."""
     errors = []
-    for splits in (SPLITS, ("test",)):
+    for read in (load, read_test_split):
         with pytest.raises(FormatError, match=match) as info:
-            load(root, splits)
+            read(root)
         errors.append(info.value)
     assert str(errors[0]) == str(errors[1])
     return errors[0]
@@ -230,9 +236,9 @@ def test_non_finite_feature_is_format_error(tmp_path, value):
     with pytest.raises(FormatError, match=f"'{rec['id']}'.*'features.bin'.*non-finite") as info:
         load(tmp_path)
     assert exit_code_for(info.value) == 2
-    # a load of other splits reads no value of the bag, so it does not refuse them
+    # a read of another split reads no value of the bag, so it does not refuse it
     assert manifest["bags"][3]["split"] == "train"
-    assert load(tmp_path, ("test",)).bags == iterate_split(ds, "test")
+    assert read_test_split(tmp_path) == iterate_split(ds, "test")
 
 
 @pytest.mark.parametrize("nan_too", [False, True])
@@ -374,21 +380,24 @@ def bag_bytes(bag):
              for modality, blocks in bag.blocks.items()})
 
 
-def test_load_reads_the_bags_of_the_wanted_splits(tmp_path):
+def test_load_reads_the_bags_of_the_wanted_splits(tmp_path, monkeypatch):
     ds = interleaved_dataset()
     save(ds, tmp_path)
     full = load(tmp_path)
     assert full == ds
     assert [len(blocks) for blocks in (full.bags[3].blocks["cine"], full.bags[5].blocks["cine"])
             ] == [2, 0]
-    for splits in itertools.chain.from_iterable(
-            itertools.combinations(SPLITS, n) for n in range(1, len(SPLITS) + 1)):
-        loaded = load(tmp_path, splits)
-        wanted = [bag for bag in full.bags if full.split_assignment[bag.id] in splits]
-        assert [bag_bytes(bag) for bag in loaded.bags] == [bag_bytes(bag) for bag in wanted]
-        assert loaded.split_assignment == {bag.id: full.split_assignment[bag.id]
-                                           for bag in wanted}
-    assert load(tmp_path, ()).bags == []
+    # one bag per read, chunks that cut a split, a whole split in one chunk
+    for chunk in (1, 2, READ_CHUNK):
+        monkeypatch.setattr("milfusion.data.READ_CHUNK", chunk)
+        for split in SPLITS:
+            streamed = read_split(tmp_path, split)
+            wanted = iterate_split(full, split)
+            assert len(streamed) == len(wanted)
+            assert [rec.id for rec in streamed.records] == [bag.id for bag in wanted]
+            assert [rec.counts for rec in streamed.records] == [bag.counts for bag in wanted]
+            for _ in range(2):  # each iteration reads the split again
+                assert [bag_bytes(bag) for bag in streamed] == [bag_bytes(bag) for bag in wanted]
 
 
 def rewrite_features(root, values, relevance):
@@ -966,7 +975,7 @@ def saved_artifacts(tmp_path_factory):
     save(ds, root / "data", hidden)
     save_model(random_model(tiny_model_config(), seed=2), root / "ckpt")
     return {"dataset": (root / "data", load), "checkpoint": (root / "ckpt", load_model),
-            "test_split": (root / "data", partial(load, splits=("test",)))}
+            "test_split": (root / "data", read_test_split)}
 
 
 @pytest.mark.parametrize("artifact", ["dataset", "checkpoint", "test_split"])

@@ -63,8 +63,8 @@ def test_tracer_sees_the_training_step(tmp_path):
 
 
 def test_traced_predict_writes_the_untraced_predictions(tmp_path):
-    # the tracer's on_load reads every loaded bag's instance tuples: it builds
-    # views, but the bags' rows stay where they are, so scoring runs the same path
+    # predict streams its split (data.read_split): it calls no data.load, and the
+    # traced predictions_for scores the same bags into the same bytes
     run_cfg = tiny_data(tmp_path)
     data = str(tmp_path / "data")
     assert cli.main(["train", "--config", str(run_cfg), "--data", data, "--seed", "3",
@@ -86,5 +86,6 @@ def test_traced_predict_writes_the_untraced_predictions(tmp_path):
     finally:
         tracer.restore()
     assert traced == untraced
-    assert tracer.calls["data.load"] == 1
-    assert tracer.counts["data.files_read"] > 1  # on_load counted the instances
+    assert tracer.calls["data.load"] == 0
+    assert tracer.calls["training.predictions_for"] == 1
+    assert tracer.counts["training.skipped_bags"] == 0
