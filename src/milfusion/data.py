@@ -667,7 +667,7 @@ def _index(root, with_values):
     # the manifest first: every bag's runs, hence its place in the feature file
     known = {}  # shape tuple -> (shape, value count)
     records = []
-    ends, cine_ends, end, n_cine = [], [], 0, 0  # where each bag's values and relevance end
+    end, n_cine = 0, 0  # where the values and the relevance of the bags so far end
     for index, rec in enumerate(checked_json(manifest.get("bags", []), list, "manifest bags")):
         bag_id = checked_json(rec, dict, f"manifest bags[{index}]").get("id")
         if not isinstance(bag_id, str):
@@ -686,11 +686,9 @@ def _index(root, with_values):
             n_doppler += count
         records.append(BagRecord(bag_id, rec.get("label"), rec.get("split"), cine, doppler,
                                  start, end, cine_start, n_cine, n_doppler))
-        ends.append(end)
-        cine_ends.append(n_cine)
 
-    def at_fault(index, bounds):  # the bag whose section holds this index
-        return f"bag {records[bisect_right(bounds, index)].id!r}"
+    def at_fault(index, stop):  # the bag whose section ends past this index
+        return records[bisect_right([getattr(rec, stop) for rec in records], index)]
 
     # then the feature file: its size, then the relevance section and the digest
     # (and every value, with_values) read straight into one array
@@ -703,9 +701,10 @@ def _index(root, with_values):
         st = os.fstat(f.fileno())
         size = st.st_size
         if size < 8 * end:
-            raise FormatError(f"{at_fault(size // 8, ends)}: file {FEATURES!r} holds {size} "
-                              f"bytes, but the instance shapes up to this bag need "
-                              f"{8 * ends[bisect_right(ends, size // 8)]} (float64 values)")
+            cut = at_fault(size // 8, "stop")
+            raise FormatError(f"bag {cut.id!r}: file {FEATURES!r} holds {size} bytes, but the "
+                              f"instance shapes up to this bag need {8 * cut.stop} (float64 "
+                              "values)")
         if size != need:
             raise FormatError(f"{first}: file {FEATURES!r} holds {size} bytes, but the "
                               f"{len(records)} bags in the manifest need {need} ({end} "
@@ -724,9 +723,9 @@ def _index(root, with_values):
     bad = ~(np.isnan(relevance) | ((relevance >= 0) & (relevance <= 1)))
     if bad.any():
         index = int(np.argmax(bad))
-        raise FormatError(f"{at_fault(index, cine_ends)}: file {FEATURES!r} holds relevance "
-                          f"{float(relevance[index])!r}, expected a number in [0, 1] or NaN "
-                          "for none")
+        raise FormatError(f"bag {at_fault(index, 'cine_stop').id!r}: file {FEATURES!r} holds "
+                          f"relevance {float(relevance[index])!r}, expected a number in [0, 1] "
+                          "or NaN for none")
 
     # then every bag, and the split assignment
     for rec in records:
