@@ -97,6 +97,8 @@ def _require(args, name):
     value = getattr(args, name.replace("-", "_"), None)
     if value is None:
         raise UsageError(f"--{name} is required")
+    if not value:  # Path("") is the current directory
+        raise UsageError(f"--{name} must not be empty")
     return value
 
 
@@ -173,8 +175,9 @@ def _train_config(file_cfg, args):
 
 def _run_inputs(args):
     """The dataset and the model and train configs of a ``train`` or ``ssl`` run."""
+    data = Path(_require(args, "data"))
     file_cfg = _read_config_file(args.config)
-    dataset = load(Path(_require(args, "data")))
+    dataset = load(data)
     return dataset, _model_config(file_cfg, args, dataset), _train_config(file_cfg, args)
 
 
@@ -256,12 +259,13 @@ def _split_predictions(args):
     is read. The records hold each bag's id and counts, so the report reads no
     value again.
     """
-    bags = read_split(Path(_require(args, "data")), args.split)
+    data, checkpoint = Path(_require(args, "data")), Path(_require(args, "checkpoint"))
+    bags = read_split(data, args.split)
     if not bags:
         raise UsageError(f"split {args.split!r} is empty")
     if any(rec.label is None for rec in bags.records):
         raise UsageError(f"split {args.split!r} has unlabeled bags; cannot evaluate")
-    model = load_model(Path(_require(args, "checkpoint")))
+    model = load_model(checkpoint)
     return predictions_for(model, bags), [(model.config, bags.records)]
 
 

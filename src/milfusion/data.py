@@ -57,6 +57,7 @@ import json
 import math
 import os
 import stat
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, groupby, repeat
@@ -264,7 +265,7 @@ def iterate_split(dataset, split):
 class SyntheticConfig:
     """Knobs of the synthetic bag generator. ``seed`` is mandatory.
 
-    ``signal_strength`` may be a single float (both modalities) or a
+    ``signal_strength`` may be a single finite float (both modalities) or a
     {"cine": x, "doppler": y} mapping, e.g. to build datasets where only one
     modality carries the class signal.
     """
@@ -286,11 +287,16 @@ class SyntheticConfig:
     def signal(self, modality):
         s = self.signal_strength
         if isinstance(s, dict):
+            unknown = [key for key in s if key not in MODALITIES]
+            if unknown:
+                raise ConfigError(f"signal_strength mapping has unknown keys {unknown}")
             if modality not in s:
                 raise ConfigError(f"signal_strength mapping lacks {modality!r}")
             s = s[modality]
-        if isinstance(s, bool) or not isinstance(s, (int, float)):
-            raise ConfigError(f"signal_strength for {modality} must be a number, got {s!r}")
+        if (isinstance(s, bool) or not isinstance(s, (int, float))
+                or not abs(s) <= sys.float_info.max):  # NaN, inf, 10**400
+            raise ConfigError(
+                f"signal_strength for {modality} must be a finite number, got {s!r}")
         return float(s)
 
     def __post_init__(self):

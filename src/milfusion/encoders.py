@@ -3,11 +3,12 @@
 Cine instances (frames x H x W) are mean-pooled over the frame axis before
 flattening, which makes the embedding invariant to frame order; doppler
 instances are flattened directly. Every layer, including the last, applies
-tanh. Weights are Glorot-uniform, biases start at zero.
+tanh. ``model.init_model`` draws the parameters.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,16 +42,6 @@ class EncoderConfig:
 
 def glorot_bound(fan_in, fan_out):
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
-
-
-def init_encoder_arrays(config, rng):
-    """Draw the encoder's parameter arrays from ``rng`` in a fixed order."""
-    arrays = {}
-    for i, (fan_in, fan_out) in enumerate(config.layer_dims):
-        bound = glorot_bound(fan_in, fan_out)
-        arrays[f"layer{i}.W"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        arrays[f"layer{i}.b"] = np.zeros(fan_out)
-    return arrays
 
 
 def _frame_count(config, modality, shape):
@@ -87,28 +78,28 @@ def preprocess_rows(config, blocks):
     fits depends only on its modality and shape, so each distinct pair is
     checked once, in order of first occurrence.
 
-    A single doppler block is returned where it lies. The cine frames are
-    summed by one ``np.add.reduce`` over the frame axis of a [K, frames,
-    input_dim] stack, which adds frame by frame, in order and from 0.0, as
-    ``preprocess`` does; a single block is summed where it lies. Instances
-    with fewer frames than the most are padded with zero frames at the end:
-    the running sum is never -0.0, so adding 0.0 leaves it unchanged.
+    A single doppler block is returned where it lies. Cine rows are written
+    into one result a run at a time, a run being consecutive blocks with the
+    same frame count: one ``np.add.reduce`` over the frame axis of the run's
+    [k, frames, input_dim] stack (a lone block is summed where it lies) adds
+    frame by frame, in order, as ``preprocess`` does; the rows are then
+    divided in place by the frame count.
     """
     for modality, shape in dict.fromkeys([block[:2] for block in blocks]):
         _frame_count(config, modality, shape)
-    arrays = [rows for _, _, rows in blocks]
     if config.modality == "doppler":
+        arrays = [rows for _, _, rows in blocks]
         return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-    counts = [shape[0] for _, shape, _ in blocks]
-    most = max(counts)
-    if min(counts) == most:
+    out = np.empty((sum(len(rows) for _, _, rows in blocks), config.input_dim))
+    start = 0
+    for frames, run in itertools.groupby(blocks, key=lambda block: block[1][0]):
+        arrays = [rows for _, _, rows in run]
         stacked = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-        return np.add.reduce(stacked.reshape(-1, most, config.input_dim), axis=1) / most
-    counts = np.repeat(counts, [len(rows) for rows in arrays])
-    frames = np.zeros((len(counts), most, config.input_dim))
-    frames[np.arange(most) < counts[:, None]] = np.concatenate(arrays, axis=None).reshape(
-        -1, config.input_dim)
-    return np.add.reduce(frames, axis=1) / counts.astype(np.float64)[:, None]
+        view = out[start:start + len(stacked)]
+        np.add.reduce(stacked.reshape(-1, frames, config.input_dim), axis=1, out=view)
+        view /= frames
+        start += len(stacked)
+    return out
 
 
 def encode_rows(config, weights, rows):

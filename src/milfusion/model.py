@@ -32,8 +32,8 @@ Three paths compute this model:
 
 Every path reads a bag's row blocks, instance counts and relevance array
 (``Bag.blocks``, ``counts`` and ``relevance``) and builds no ``Instance``: a
-bag's or a chunk's input rows are one ``preprocess_rows`` over the row blocks,
-one concatenation and one frame-axis sum.
+bag's or a chunk's input rows are one ``preprocess_rows`` over the row blocks:
+one frame-axis sum per run of blocks with the same frame count.
 
 Degenerate bags: when an enabled modality has no instances in a bag, the
 forward pass falls back to the other enabled modality (alpha forced to 1 or
@@ -61,12 +61,11 @@ from .encoders import (  # noqa: F401 -- preprocess stays bound here for bench/s
     EncoderConfig,
     encode_rows,
     glorot_bound,
-    init_encoder_arrays,
     preprocess,
     preprocess_rows,
 )
 from .errors import BagSkipError, ConfigError, ContractError, DataError, DomainError, FormatError
-from .metrics import atomic_file
+from .metrics import N_CLASSES, atomic_file
 from .pooling import (
     AttentionModule,
     attention_pool,
@@ -77,7 +76,6 @@ from .pooling import (
 
 logger = logging.getLogger(__name__)
 
-N_CLASSES = 3
 CHECKPOINT_FORMAT_VERSION = 3
 PARAMS = "tensors/params.bin"
 
@@ -164,20 +162,16 @@ class MMILModel:
 
 
 def init_model(config, seed):
-    """Deterministic Glorot-uniform initialization of all parameters."""
+    """Deterministic initialization, drawn in ``param_specs`` order: biases are
+    zero, every other array is Glorot-uniform (a vector's fan-out counts as 1)."""
     rng = np.random.default_rng(seed)
     params = {}
-    for prefix, enc in (("cine_encoder.", config.cine_encoder),
-                        ("doppler_encoder.", config.doppler_encoder)):
-        for name, arr in init_encoder_arrays(enc, rng).items():
-            params[prefix + name] = arr
-    m, l = config.embed_dim, config.attention_dim
-    bu, bw, bo = glorot_bound(m, l), glorot_bound(l, 1), glorot_bound(m, N_CLASSES)
-    for name in ATTENTION_NAMES:
-        params[f"{name}.U"] = rng.uniform(-bu, bu, size=(l, m))
-        params[f"{name}.w"] = rng.uniform(-bw, bw, size=(l,))
-    params["output.W"] = rng.uniform(-bo, bo, size=(N_CLASSES, m))
-    params["output.b"] = np.zeros(N_CLASSES)
+    for name, shape in param_specs(config):
+        if name.endswith(".b"):
+            params[name] = np.zeros(shape)
+        else:
+            bound = glorot_bound(shape[0], shape[1] if len(shape) == 2 else 1)
+            params[name] = rng.uniform(-bound, bound, size=shape)
     return MMILModel(config, params)
 
 

@@ -127,10 +127,18 @@ MUTANTS = (
            ("tests/test_loaded_bags.py::test_loaded_bags_prepare_bitwise_as_rebuilt",
             "tests/test_loaded_bags.py::test_loaded_bag_steps_bitwise_as_rebuilt")),
     Mutant("block_rows_wrong_frame_count", "encoders.py",
-           "np.add.reduce(stacked.reshape(-1, most, config.input_dim), axis=1) / most",
-           "np.add.reduce(stacked.reshape(-1, most, config.input_dim), axis=1) / len(arrays)",
+           "view /= frames", "view /= len(arrays)",
            ("tests/test_loaded_bags.py::test_loaded_bags_predict_bitwise_as_rebuilt",
             "tests/test_loaded_bags.py::test_loaded_bags_prepare_bitwise_as_rebuilt")),
+    Mutant("frame_runs_merged", "encoders.py",
+           "key=lambda block: block[1][0])", "key=lambda block: blocks[0][1][0])",
+           ("tests/test_encoders.py::test_batched_rows_of_instances_with_different_frame_counts",
+            "tests/test_encoders.py::test_rows_of_multi_row_blocks_equal_the_per_instance_rows")),
+    Mutant("init_draw_order_reversed", "model.py",
+           "    for name, shape in param_specs(config):\n        if name.endswith(\".b\"):",
+           "    for name, shape in reversed(param_specs(config)):\n"
+           "        if name.endswith(\".b\"):",
+           ("tests/test_model.py::test_init_model_values_are_pinned",)),
     Mutant("hand_built_relevance_zero", "data.py",
            "math.nan if inst.relevance is None else inst.relevance",
            "0.0 if inst.relevance is None else inst.relevance",

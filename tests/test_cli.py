@@ -146,6 +146,30 @@ def test_out_that_is_not_a_directory_is_refused_before_any_work(tmp_path, capsys
     assert blocker.read_text() == "keep"
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("gen-data", "--out"),
+    *[(command, flag) for command in ("train", "ssl") for flag in ("--out", "--data")],
+    *[(command, flag) for command in ("predict", "eval")
+      for flag in ("--out", "--data", "--checkpoint")],
+])
+def test_an_empty_path_flag_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                       flag):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the path flags were checked")
+
+    for name in ("generate_synthetic", "load", "read_split", "load_model", "save_json"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.chdir(tmp_path)  # where an empty path would read and write
+    paths = {"--out": "o", "--data": "data", "--checkpoint": "checkpoint"}
+    paths[flag] = ""
+    used = {"gen-data": ["--out"], "train": ["--out", "--data"], "ssl": ["--out", "--data"]}
+    args = [item for name in used.get(command, paths) for item in (name, paths[name])]
+    capsys.readouterr()
+    assert main([command, *args, "--seed", "1"]) == 1
+    assert error_lines(capsys.readouterr().err) == [f"error: {flag} must not be empty"]
+    assert os.listdir(tmp_path) == []
+
+
 # one path component longer than any file system takes (NAME_MAX is 255 bytes)
 LONG_NAME = "x" * 300
 
@@ -253,6 +277,19 @@ def test_wrong_typed_config_value_is_a_usage_error(workdir, capsys, section, key
     assert code == 1
     (line,) = error_lines(capsys.readouterr().err)
     assert key in line
+
+
+@pytest.mark.parametrize("strength", ['1e999', '{"cine": NaN, "doppler": 1}',
+                                      '{"cine": 1, "doppler": 2, "mri": 3}'])
+def test_signal_strength_the_generator_cannot_use_is_refused(tmp_path, capsys, strength):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"dataset": {{"n_unlabeled": 0, "signal_strength": {strength}}}}}')
+    capsys.readouterr()
+    assert main(["gen-data", "--config", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 1
+    (line,) = error_lines(capsys.readouterr().err)
+    assert line.startswith("error: dataset: signal_strength")
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):

@@ -150,6 +150,10 @@ def test_per_modality_signal_strength():
     assert len(ds.bags) == sum(SMALL.values())
 
 
+def test_negative_signal_strength_is_allowed():
+    assert small_config(signal_strength=-2.0).signal("cine") == -2.0
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -163,6 +167,10 @@ def test_per_modality_signal_strength():
         dict(relevant_fraction=1.5),
         dict(signal_strength={"cine": 1.0}),
         dict(seed=-1),
+        dict(signal_strength={"cine": 1.0, "doppler": 2.0, "mri": 3.0}),
+        dict(signal_strength=math.inf),
+        dict(signal_strength={"cine": math.nan, "doppler": 1.0}),
+        dict(signal_strength=10**400),
     ],
 )
 def test_invalid_generator_config(overrides):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,11 @@ from milfusion.encoders import (
     EncoderConfig,
     encode_rows,
     glorot_bound,
-    init_encoder_arrays,
     preprocess,
     preprocess_rows,
 )
 from milfusion.errors import ConfigError, ContractError
-from milfusion.model import config_from_dict
+from milfusion.model import ModelConfig, config_from_dict, init_model
 
 from oracles import max_rel_err, numeric_gradient
 from test_acceptance import REFERENCE_DATA, REFERENCE_MODEL
@@ -33,7 +33,12 @@ def const_weights(arrays):
 
 
 def seeded_weights(config, seed):
-    return const_weights(init_encoder_arrays(config, np.random.default_rng(seed)))
+    """The weights ``init_model`` draws for the ``config`` encoder of a model
+    made of ``CINE_CFG`` and ``DOP_CFG``."""
+    prefix = f"{config.modality}_encoder."
+    params = init_model(ModelConfig(CINE_CFG, DOP_CFG), seed).params
+    return const_weights({name.removeprefix(prefix): arr for name, arr in params.items()
+                          if name.startswith(prefix)})
 
 
 def rows_of(config, instances):
@@ -47,27 +52,8 @@ def embedding(config, weights, instance):
     return encode_rows(config, weights, ad.Tensor.const(rows_of(config, [instance])))
 
 
-def test_init_deterministic_per_seed():
-    a1 = init_encoder_arrays(CINE_CFG, np.random.default_rng(3))
-    a2 = init_encoder_arrays(CINE_CFG, np.random.default_rng(3))
-    for name in a1:
-        assert np.array_equal(a1[name], a2[name])
-    a3 = init_encoder_arrays(CINE_CFG, np.random.default_rng(4))
-    assert any(not np.array_equal(a1[n], a3[n]) for n in a1)
-
-
 def test_glorot_bound_fan3_fan3():
     assert glorot_bound(3, 3) == 1.0
-
-
-def test_init_shapes_and_zero_biases():
-    arrays = init_encoder_arrays(DOP_CFG, np.random.default_rng(0))
-    assert list(arrays) == ["layer0.W", "layer0.b", "layer1.W", "layer1.b"]
-    assert arrays["layer0.W"].shape == (6, 5)
-    assert arrays["layer0.b"].tolist() == [0.0] * 5
-    assert arrays["layer1.W"].shape == (5, 3)
-    assert arrays["layer1.b"].tolist() == [0.0] * 3
-    assert np.all(np.abs(arrays["layer0.W"]) <= glorot_bound(6, 5))
 
 
 def test_zero_weight_encoder_maps_to_zero():
@@ -207,3 +193,19 @@ def test_rows_of_multi_row_blocks_equal_the_per_instance_rows():
     doppler = [("doppler", (2, 3), rng.standard_normal((k, 6))) for k in (2, 1)]
     assert preprocess_rows(DOP_CFG, doppler).tobytes() == np.concatenate(
         [rows for _, _, rows in doppler]).tobytes()
+
+
+def test_rows_of_mixed_frame_counts_hold_no_padded_frames():
+    cfg = EncoderConfig("cine", input_dim=64)
+    rng = np.random.default_rng(7)
+    blocks = [("cine", (4, 8, 8), rng.standard_normal((300, 4 * 64))),
+              ("cine", (400, 8, 8), rng.standard_normal((1, 400 * 64)))]
+    tracemalloc.start()
+    try:
+        rows = preprocess_rows(cfg, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (301, 64)
+    # the result is 0.15 MB; padding the 300 short rows to 400 frames takes 62 MB
+    assert peak < 1_000_000

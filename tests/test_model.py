@@ -7,7 +7,7 @@ import pytest
 
 from milfusion import autodiff as ad
 from milfusion.data import Bag, Instance, SyntheticConfig
-from milfusion.encoders import EncoderConfig
+from milfusion.encoders import EncoderConfig, glorot_bound
 from milfusion.errors import (
     BagSkipError,
     ConfigError,
@@ -43,6 +43,7 @@ from helpers import (
     unflatten_params,
 )
 from oracles import max_rel_err, numeric_gradient, oracle_fuse, oracle_total_loss
+from test_acceptance import REFERENCE_MODEL
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +287,30 @@ def test_init_model_deterministic():
 
 def test_init_model_zero_biases():
     model = init_model(tiny_model_config(), seed=0)
-    assert np.all(model.params["output.b"] == 0.0)
-    assert np.all(model.params["cine_encoder.layer0.b"] == 0.0)
+    biases = [name for name, _ in param_specs(model.config) if name.endswith(".b")]
+    assert len(biases) == 5  # two per encoder, one for the output layer
+    for name in biases:
+        assert np.all(model.params[name] == 0.0), name
+
+
+# Init draws no BLAS, so these hold on any machine with numpy 2.4.6; a draw
+# order or a bound that changes also changes every trained checkpoint.
+@pytest.mark.parametrize("seed, digest", [
+    (0, "bf121b1f323693061775bd2875707cdcc58fca5ade898be0f98f446fc385eafe"),
+    (8, "db33f29c49c15a4ff2ff8f129ec444417fd0b5de66823ad0f15fe3eb188decb1"),
+])
+def test_init_model_values_are_pinned(seed, digest):
+    assert params_digest(init_model(REFERENCE_MODEL, seed).params) == digest
+
+
+def test_init_model_draws_each_weight_within_its_glorot_bound():
+    params = init_model(REFERENCE_MODEL, seed=3).params  # 32 values or more per weight
+    for name, shape in param_specs(REFERENCE_MODEL):
+        if not name.endswith(".b"):
+            values = np.abs(params[name])
+            bound = glorot_bound(shape[0], shape[1] if len(shape) == 2 else 1)
+            assert values.max() <= bound, name
+            assert values.max() > bound / 2, name  # drawn over the whole range
 
 
 def test_checkpoint_round_trip(tmp_path):
